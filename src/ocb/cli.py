@@ -200,6 +200,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the depth-first traversals recurse once per hop, so a reference
+        # cycle walked to a large depth outgrows the interpreter stack
+        print("error: traversal too deep for the interpreter stack; "
+              "lower --simdepth or --hiedepth", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

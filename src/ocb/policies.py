@@ -134,26 +134,38 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     compact neighborhood, so a depth-limited traversal stays within a
     handful of pages; max_unit_size = 0 grows whole components instead,
     following crossings in both directions.
+
+    Before a unit grows, its seed climbs to an entry point: at each step
+    the climb moves to the heaviest parent (incoming crossing) that is
+    neither claimed nor already on the current climb, ties going to the
+    lowest id, and it stops where no such parent is left.
+
+    The edges are sorted once, as (-weight, a, b) tuples, and one pass
+    over them fills both adjacency maps with those same tuples: outgoing[a]
+    comes out in (-weight, b) order and incoming[b] in (-weight, a) order,
+    so no list is sorted again. A per-node cursor into incoming[node]
+    moves past claimed parents for good, since nothing is unclaimed within
+    one call. The cost is thus linear in the edges plus the climb steps,
+    plus the parents on the current climb that a step passes over.
     """
     threshold = params.unit_link_threshold
-    edges = [(weight, a, b) for (a, b), weight in state.consolidated_matrix.items()
+    edges = [(-weight, a, b) for (a, b), weight in state.consolidated_matrix.items()
              if weight >= threshold]
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+    edges.sort()
 
-    outgoing: dict[int, list[tuple[float, int]]] = {}
-    incoming: dict[int, list[tuple[float, int]]] = {}
-    for weight, a, b in edges:
-        outgoing.setdefault(a, []).append((-weight, b))
-        incoming.setdefault(b, []).append((-weight, a))
-    for adjacency in (outgoing, incoming):
-        for neighbors in adjacency.values():
-            neighbors.sort()
+    outgoing: dict[int, list[tuple[float, int, int]]] = {}
+    incoming: dict[int, list[tuple[float, int, int]]] = {}
+    for edge in edges:
+        outgoing.setdefault(edge[1], []).append(edge)
+        incoming.setdefault(edge[2], []).append(edge)
 
     cap = params.max_unit_size
     follow_incoming = cap == 0
-    empty: list[tuple[float, int]] = []
+    empty: list[tuple[float, int, int]] = []
     claimed: set[int] = set()
     units: list[list[int]] = []
+    # incoming[node][:parent_cursor[node]] holds only claimed parents
+    parent_cursor: dict[int, int] = {}
 
     def entry_point(seed: int) -> int:
         # Climb unclaimed incoming crossings (heaviest first) so the unit
@@ -161,11 +173,21 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         node = seed
         path = {seed}
         while True:
-            parents = [(w, p) for w, p in incoming.get(node, empty)
-                       if p not in claimed and p not in path]
-            if not parents:
+            parents = incoming.get(node, empty)
+            count = len(parents)
+            i = parent_cursor.get(node, 0)
+            while i < count and parents[i][1] in claimed:
+                i += 1
+            parent_cursor[node] = i
+            # parents on the climb are passed over without moving the cursor
+            while i < count:
+                parent = parents[i][1]
+                if parent not in path and parent not in claimed:
+                    break
+                i += 1
+            else:
                 return node
-            node = min(parents)[1]
+            node = parent
             path.add(node)
 
     def grow(seed: int) -> list[int]:
@@ -175,9 +197,9 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         while cursor < len(unit) and (cap == 0 or len(unit) < cap):
             node = unit[cursor]
             cursor += 1
-            neighbors = outgoing.get(node, empty)
+            neighbors = [(w, b) for w, _a, b in outgoing.get(node, empty)]
             if follow_incoming:
-                neighbors = neighbors + incoming.get(node, empty)
+                neighbors += [(w, a) for w, a, _b in incoming.get(node, empty)]
                 neighbors.sort()
             for _neg_w, other in neighbors:
                 if other in claimed:
@@ -188,7 +210,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
                     break
         return unit
 
-    for _weight, a, b in edges:
+    for _neg_w, a, b in edges:
         for seed in (a, b):
             if seed not in claimed:
                 units.append(grow(entry_point(seed)))

@@ -109,16 +109,20 @@ class TransactionResult:
 
 @dataclass
 class TransactionRecord:
-    """One logged transaction, flattened for aggregation and CSV export."""
+    """One logged transaction, flattened for aggregation and CSV export.
+
+    `client` and `distinct` are None in a record rebuilt from the CSV
+    export by `read_log_csv`, which holds neither value.
+    """
 
     index: int
     phase: str
-    client: int
+    client: int | None
     type: str
     direction: str
     root: int
     objects: int
-    distinct: int
+    distinct: int | None
     faults: int
     sim_time: float
 
@@ -430,7 +434,9 @@ def read_log_csv(path: str, reorg_indices=(), reorg_costs=()) -> ExperimentLog:
     """Rebuild a log from its CSV export.
 
     The CSV holds only transaction rows; reorganization positions live in
-    the JSON summary and can be passed back in for gain computation.
+    the JSON summary and can be passed back in for gain computation. It
+    holds no client or distinct-object count either, so every rebuilt
+    record carries None for both.
     """
     log = ExperimentLog()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -441,8 +447,8 @@ def read_log_csv(path: str, reorg_indices=(), reorg_costs=()) -> ExperimentLog:
         for i, row in enumerate(reader):
             phase, kind, direction, root, objects, faults, sim_time = row
             log.records.append(TransactionRecord(
-                index=i, phase=phase, client=1, type=kind, direction=direction,
-                root=int(root), objects=int(objects), distinct=0,
+                index=i, phase=phase, client=None, type=kind, direction=direction,
+                root=int(root), objects=int(objects), distinct=None,
                 faults=int(faults), sim_time=float(sim_time)))
     indices = list(reorg_indices)
     costs = list(reorg_costs) or [(0, 0)] * len(indices)

@@ -190,3 +190,82 @@ def kahn_is_dag(nodes, edges):
             if indeg[m] == 0:
                 queue.append(m)
     return seen == len(nodes)
+
+
+def reference_build_units(state, params):
+    """DSTC phase 4 as first written, kept verbatim as the unit oracle.
+
+    Its entry-point climb rebuilds the list of unclaimed parents at every
+    step and takes its min(); dstc_build_units must return the same units.
+
+    Agglomerate heavy pairs into ordered clustering units.
+
+    Greedy agglomeration: consolidated pairs at or above the unit link
+    threshold, heaviest first (ties by object id), each seed a unit that
+    grows breadth-first along the heaviest outgoing crossings until
+    max_unit_size members are claimed. Bounding units keeps each one a
+    compact neighborhood, so a depth-limited traversal stays within a
+    handful of pages; max_unit_size = 0 grows whole components instead,
+    following crossings in both directions.
+    """
+    threshold = params.unit_link_threshold
+    edges = [(weight, a, b) for (a, b), weight in state.consolidated_matrix.items()
+             if weight >= threshold]
+    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+
+    outgoing: dict[int, list[tuple[float, int]]] = {}
+    incoming: dict[int, list[tuple[float, int]]] = {}
+    for weight, a, b in edges:
+        outgoing.setdefault(a, []).append((-weight, b))
+        incoming.setdefault(b, []).append((-weight, a))
+    for adjacency in (outgoing, incoming):
+        for neighbors in adjacency.values():
+            neighbors.sort()
+
+    cap = params.max_unit_size
+    follow_incoming = cap == 0
+    empty: list[tuple[float, int]] = []
+    claimed: set[int] = set()
+    units: list[list[int]] = []
+
+    def entry_point(seed: int) -> int:
+        # Climb unclaimed incoming crossings (heaviest first) so the unit
+        # starts where traversals enter the hot structure, not mid-tree.
+        node = seed
+        path = {seed}
+        while True:
+            parents = [(w, p) for w, p in incoming.get(node, empty)
+                       if p not in claimed and p not in path]
+            if not parents:
+                return node
+            node = min(parents)[1]
+            path.add(node)
+
+    def grow(seed: int) -> list[int]:
+        unit = [seed]
+        claimed.add(seed)
+        cursor = 0
+        while cursor < len(unit) and (cap == 0 or len(unit) < cap):
+            node = unit[cursor]
+            cursor += 1
+            neighbors = outgoing.get(node, empty)
+            if follow_incoming:
+                neighbors = neighbors + incoming.get(node, empty)
+                neighbors.sort()
+            for _neg_w, other in neighbors:
+                if other in claimed:
+                    continue
+                claimed.add(other)
+                unit.append(other)
+                if cap and len(unit) >= cap:
+                    break
+        return unit
+
+    for _weight, a, b in edges:
+        for seed in (a, b):
+            if seed not in claimed:
+                units.append(grow(entry_point(seed)))
+
+    units = [u for u in units if len(u) > 1]
+    state.clustering_units = units
+    return units

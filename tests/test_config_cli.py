@@ -154,6 +154,20 @@ def test_cli_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_deep_cyclic_traversal_exits_with_message(tmp_path, capsys):
+    # reference type 3 is cyclic here, so a hierarchy walk can reach any
+    # depth and recurses past the interpreter stack
+    code = main(["run", "--nc", "2", "--no", "200", "--nreft", "3",
+                 "--dist1", "constant:3", "--maxnref", "1", "--pset", "0",
+                 "--psimple", "0", "--phier", "1", "--pstoch", "0",
+                 "--hierarchy-ref-type", "3", "--hiedepth", "5000",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--hiedepth" in err and "--simdepth" in err
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     dirs = [tmp_path / name for name in ("a", "b", "c")]
     for directory, seed in zip(dirs, ("5", "5", "6")):

@@ -1,9 +1,10 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import build_db
+from helpers import build_db, reference_build_units
+from ocb import policies
 from ocb.errors import ParameterError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import (
@@ -198,6 +199,66 @@ def test_build_units_disjoint_and_deterministic(matrix):
     assert units_a == units_b
     members = [m for u in units_a for m in u]
     assert len(members) == len(set(members))
+
+
+# weights drawn from a short list force ties; the float range breaks them
+unit_weights = st.one_of(st.sampled_from((0.5, 1.0, 2.0, 3.0)), st.floats(0.1, 9.0))
+
+
+@st.composite
+def unit_matrices(draw):
+    """Consolidated matrices with ties, self pairs, 2-cycles and a chain."""
+    nodes = st.integers(1, 8)  # few ids, so climbs meet claimed and on-path parents
+    matrix = {}
+    for pair in draw(st.lists(st.tuples(nodes, nodes), max_size=25)):
+        matrix[pair] = draw(unit_weights)  # a == b gives a self pair
+    for a, b in draw(st.lists(st.tuples(nodes, nodes), max_size=4)):
+        matrix[(a, b)] = draw(unit_weights)
+        matrix[(b, a)] = draw(unit_weights)
+    start = draw(st.integers(1, 30))
+    for k in range(draw(st.integers(0, 40))):
+        link = (start + k, start + k + 1)
+        if draw(st.booleans()):
+            link = link[::-1]
+        matrix[link] = draw(unit_weights)
+    return matrix
+
+
+@settings(max_examples=200)
+@given(unit_matrices(), st.sampled_from((0, 1, 2, 3, 64)),
+       st.sampled_from((0.0, 1.0, 2.0, 2.5)))
+def test_build_units_matches_reference_oracle(matrix, cap, threshold):
+    params = DstcParams(unit_link_threshold=threshold, max_unit_size=cap)
+    expected = reference_build_units(DstcState(consolidated_matrix=dict(matrix)),
+                                     params)
+    state = DstcState(consolidated_matrix=dict(matrix))
+    assert dstc_build_units(state, params) == expected
+    assert state.clustering_units == expected
+
+
+@pytest.mark.parametrize("cap", [64, 8, 0])
+def test_dstc_run_units_match_reference_every_period(monkeypatch, cap):
+    # the policy calls each phase through the module, so a wrapper sees
+    # every period's consolidated matrix
+    build_units = policies.dstc_build_units
+    built = []
+
+    def checked_build_units(state, params):
+        expected = reference_build_units(
+            DstcState(consolidated_matrix=dict(state.consolidated_matrix)), params)
+        units = build_units(state, params)
+        assert units == expected
+        built.append(units)
+        return units
+
+    monkeypatch.setattr(policies, "dstc_build_units", checked_build_units)
+    db = generate_database(GeneratorParams(nc=5, maxnref=4, no=400, seed=21))
+    storage = place_sequential(db, StorageParams(buffer_pages=8))
+    params = WorkloadParams(coldn=100, hotn=300, seed=5)
+    policy = DstcPolicy(DstcParams(observation_period=50, max_unit_size=cap))
+    run_protocol(db, storage, params, policy)
+    assert len(built) == 8
+    assert any(built)
 
 
 # -- reorganization ------------------------------------------------------

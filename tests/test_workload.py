@@ -251,3 +251,5 @@ def test_csv_round_trip(tmp_path):
             for r in loaded.records] == \
            [(r.phase, r.type, r.direction, r.root, r.objects, r.faults, r.sim_time)
             for r in log.records]
+    # the CSV holds no client or distinct count, so none is made up
+    assert all(r.client is None and r.distinct is None for r in loaded.records)
