@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .distributions import parse_distribution
@@ -53,7 +54,10 @@ def _coerce(key: str, value) -> object:
         if key in _INT_KEYS:
             return int(text)
         if key in _FLOAT_KEYS:
-            return float(text)
+            number = float(text)
+            if not math.isfinite(number):
+                raise ValueError(f"not a finite number: {text}")
+            return number
         if key in _BOOL_KEYS:
             if text.lower() in ("1", "true", "yes", "on"):
                 return True

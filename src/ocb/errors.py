@@ -1,4 +1,7 @@
-"""Exception types shared across the benchmark engine."""
+"""Exception types shared across the benchmark engine, and the finite-number
+check that every parameter group applies to its float fields."""
+
+import math
 
 
 class OcbError(Exception):
@@ -7,6 +10,13 @@ class OcbError(Exception):
 
 class ParameterError(OcbError):
     """A parameter set violates its invariants (config error, exit code 2)."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ParameterError for the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be a finite number (got {value})")
 
 
 class FormatError(OcbError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 
 class ClusteringPolicy:
@@ -46,6 +46,9 @@ class DstcParams:
     max_unit_size: int = 64  # objects per unit; 0 grows whole components
 
     def validate(self) -> None:
+        require_finite(selection_threshold=self.selection_threshold,
+                       consolidation_weight=self.consolidation_weight,
+                       unit_link_threshold=self.unit_link_threshold)
         if self.observation_period < 1:
             raise ParameterError("observation_period must be >= 1")
         if self.selection_threshold < 0 or self.unit_link_threshold < 0:

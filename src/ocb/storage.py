@@ -1,17 +1,21 @@
 """Simulated page store: object placement, LRU buffer, split I/O counters.
 
 Transaction I/O and clustering-overhead I/O are tracked separately so a
-clustering policy's cost never pollutes the workload's own fault counts.
+clustering policy's cost never pollutes the workload's own fault counts:
+object accesses count transaction reads, placement rewrites count overhead
+reads and writes.
+
+An object access costs one dict lookup and one LRU step when the object fits
+on one page, as every object of the `default` and `dstc-club` presets does.
+An object larger than a page spans a run of pages and takes a slower path
+that touches each page of its run in order.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .errors import ParameterError, PlacementError
-
-TRANSACTION = "transaction"
-OVERHEAD = "overhead"
+from .errors import ParameterError, PlacementError, require_finite
 
 
 @dataclass
@@ -27,6 +31,7 @@ class StorageParams:
             raise ParameterError("page_size must be >= 1")
         if self.buffer_pages < 1:
             raise ParameterError("buffer_pages must be >= 1")
+        require_finite(io_cost=self.io_cost, cpu_cost=self.cpu_cost)
         if self.io_cost < 0 or self.cpu_cost < 0:
             raise ParameterError("io_cost and cpu_cost must be >= 0")
 
@@ -80,7 +85,14 @@ def _pack_first_fit(order, sizes, page_size, spanning):
 
 
 class StorageState:
-    """Mutable per-experiment state: placement, page map, buffer, counters."""
+    """Mutable per-experiment state: placement, page map, buffer, counters.
+
+    `placement` maps each object id to its (first page, byte offset). It is
+    read-only outside `rewrite_placement`: `_install`, which sets it for
+    `place_sequential` and `rewrite_placement`, derives from it the page
+    maps that `access_object` reads, so an edit made anywhere else would
+    leave them stale.
+    """
 
     def __init__(self, params: StorageParams, sizes: dict[int, int]):
         params.validate()
@@ -90,6 +102,7 @@ class StorageState:
         self.page_objects: dict[int, list[int]] = {}
         self.page_count = 0
         self._runs: dict[int, int] = {}  # oversized object id -> page run length
+        self._page_of: dict[int, int] = {}  # single-page object id -> its page
         self._buffer: "OrderedDict[int, None]" = OrderedDict()
         self.transaction_reads = 0
         self.overhead_reads = 0
@@ -101,6 +114,7 @@ class StorageState:
     def _install(self, placement: dict[int, tuple[int, int]]) -> None:
         self.placement = placement
         self._runs = {}
+        self._page_of = {}
         pages: dict[int, list[int]] = {}
         last_page = -1
         for oid, (page, _offset) in placement.items():
@@ -112,6 +126,7 @@ class StorageState:
                     pages.setdefault(p, []).append(oid)
                 last_page = max(last_page, page + run - 1)
             else:
+                self._page_of[oid] = page
                 pages.setdefault(page, []).append(oid)
                 last_page = max(last_page, page)
         self.page_objects = pages
@@ -130,29 +145,40 @@ class StorageState:
 
     # -- access ------------------------------------------------------------
 
-    def access_object(self, object_id: int, io_class: str = TRANSACTION) -> bool:
-        """Touch an object's page(s) through the buffer; True on a fault."""
-        place = self.placement.get(object_id)
-        if place is None:
-            raise KeyError(f"unknown object id {object_id}")
+    def access_object(self, object_id: int) -> bool:
+        """Touch an object's page(s) through the buffer; True on a fault.
+
+        A single-page object is found in `_page_of` and costs one LRU step.
+        A spanning object misses there and touches each page of its run in
+        order; an unknown id raises KeyError and changes no counter.
+        """
         buffer = self._buffer
-        limit = self.params.buffer_pages
-        fault = False
-        first = place[0]
-        for page in range(first, first + self._runs.get(object_id, 1)):
-            if page in buffer:
-                buffer.move_to_end(page)
-            else:
-                fault = True
-                if io_class == TRANSACTION:
-                    self.transaction_reads += 1
+        try:
+            page = self._page_of[object_id]
+        except KeyError:
+            if object_id not in self.placement:
+                raise KeyError(f"unknown object id {object_id}") from None
+            self.objects_accessed += 1
+            fault = False
+            for page in self.pages_of(object_id):
+                if page in buffer:
+                    buffer.move_to_end(page)
                 else:
-                    self.overhead_reads += 1
-                buffer[page] = None
-                if len(buffer) > limit:
-                    buffer.popitem(last=False)
+                    fault = True
+                    self.transaction_reads += 1
+                    buffer[page] = None
+                    if len(buffer) > self.params.buffer_pages:
+                        buffer.popitem(last=False)
+            return fault
         self.objects_accessed += 1
-        return fault
+        if page in buffer:
+            buffer.move_to_end(page)
+            return False
+        self.transaction_reads += 1
+        buffer[page] = None
+        if len(buffer) > self.params.buffer_pages:
+            buffer.popitem(last=False)
+        return True
 
     def buffered_pages(self) -> list[int]:
         return list(self._buffer)
@@ -185,16 +211,14 @@ class StorageState:
         if run_pages & set(fill):
             raise PlacementError("oversized page run shared with other objects")
 
-    def rewrite_placement(self, new_placement: dict[int, tuple[int, int]],
-                          io_class: str = OVERHEAD) -> tuple[int, int]:
+    def rewrite_placement(self, new_placement: dict[int, tuple[int, int]]) -> tuple[int, int]:
         """Move objects to a new placement, counting relocation I/O.
 
-        Every distinct page a moved object leaves is one read, every distinct
-        page a moved object lands on is one write; pages whose contents
-        changed are dropped from the buffer. Returns (reads, writes).
+        Every distinct page a moved object leaves is one overhead read, every
+        distinct page a moved object lands on is one overhead write; pages
+        whose contents changed are dropped from the buffer. Returns
+        (reads, writes).
         """
-        if io_class != OVERHEAD:
-            raise ParameterError("placement rewrites are clustering overhead")
         self._validate_placement(new_placement)
         page_size = self.params.page_size
         old_pages: set[int] = set()

@@ -23,7 +23,7 @@ from .distributions import (
     substream,
     validate_distribution,
 )
-from .errors import ParameterError, RunError
+from .errors import ParameterError, RunError, require_finite
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -56,6 +56,9 @@ class WorkloadParams:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(think=self.think, pset=self.pset, psimple=self.psimple,
+                       phier=self.phier, pstoch=self.pstoch,
+                       reverse_probability=self.reverse_probability)
         probs = (self.pset, self.psimple, self.phier, self.pstoch)
         if any(p < 0 for p in probs):
             raise ParameterError("transaction probabilities must be >= 0")

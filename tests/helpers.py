@@ -173,6 +173,44 @@ def first_fit_oracle(order, sizes, page_size):
     return placement
 
 
+def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
+    """LRU page buffer on a plain list, least recently used page first.
+
+    accesses holds object ids and, between them, whole new placements (dicts):
+    a new placement drops from the buffer every page that an object it moves
+    leaves or lands on. Each object touches its run of pages in order.
+    Returns (pages read by each access, a fault when > 0; final buffer order).
+    """
+
+    def pages(where, oid):
+        first = where[oid][0]
+        return range(first, first + max(1, -(-sizes[oid] // page_size)))
+
+    buffer = []
+    reads = []
+    for step in accesses:
+        if isinstance(step, dict):
+            dropped = set()
+            for oid, position in step.items():
+                if position != placement[oid]:
+                    dropped.update(pages(placement, oid))
+                    dropped.update(pages(step, oid))
+            buffer = [page for page in buffer if page not in dropped]
+            placement = step
+            continue
+        count = 0
+        for page in pages(placement, step):
+            if page in buffer:
+                buffer.remove(page)
+            else:
+                count += 1
+                if len(buffer) == buffer_pages:
+                    del buffer[0]
+            buffer.append(page)
+        reads.append(count)
+    return reads, buffer
+
+
 def kahn_is_dag(nodes, edges):
     """Topological-sort cycle check, independent of the generator's DFS."""
     indeg = {n: 0 for n in nodes}

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,6 +8,9 @@ from ocb.config import build_config, read_config_file
 from ocb.distributions import Constant, Special
 from ocb.errors import ParameterError
 from ocb.generator import load_database
+from ocb.policies import DstcParams
+from ocb.storage import StorageParams
+from ocb.workload import WorkloadParams
 
 
 # -- config layering -----------------------------------------------------
@@ -152,6 +156,26 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--pset", "0.9", "--out-dir", str(tmp_path)]) == 2
     assert main(["generate", "--preset", "bogus",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--think", "inf"), ("--io-cost", "nan"),
+                                         ("--selection-threshold", "nan")])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "reports"
+    assert main(["run", "--nc", "3", "--no", "50", "--coldn", "3", "--hotn", "5",
+                 "--policy", "dstc", flag, value, "--out-dir", str(out_dir)]) == 2
+    assert f"bad value for {flag[2:].replace('-', '_')}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("group, field", [
+    (StorageParams, "io_cost"), (StorageParams, "cpu_cost"),
+    (WorkloadParams, "think"), (WorkloadParams, "pset"),
+    (DstcParams, "selection_threshold"), (DstcParams, "unit_link_threshold")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_param_groups_reject_non_finite_floats(group, field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be a finite number"):
+        group(**{field: value}).validate()
 
 
 def test_cli_deep_cyclic_traversal_exits_with_message(tmp_path, capsys):

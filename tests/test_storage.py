@@ -1,17 +1,33 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
-from helpers import build_db, first_fit_oracle
-from ocb.errors import ParameterError, PlacementError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import build_db, first_fit_oracle, lru_oracle
+from ocb.distributions import substream
+from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
-from ocb.storage import OVERHEAD, TRANSACTION, StorageParams, place_sequential
+from ocb.policies import make_policy
+from ocb.storage import StorageParams, place_sequential
+from ocb.workload import (
+    FORWARD,
+    REVERSE,
+    TRANSACTION_TYPES,
+    WorkloadParams,
+    run_protocol,
+    run_transaction,
+)
+
+
+def sized_db(sizes):
+    db = build_db([(1, []) for _ in sizes])
+    for obj, size in zip(db.objects, sizes):
+        obj.size = size
+    return db
 
 
 def flat_db(count, size=100):
-    db = build_db([(1, []) for _ in range(count)])
-    for obj in db.objects:
-        obj.size = size
-    return db
+    return sized_db([size] * count)
 
 
 def test_small_objects_share_page_zero():
@@ -67,9 +83,16 @@ def test_cold_then_warm_access():
 
 
 def test_unknown_object_raises():
-    state = place_sequential(flat_db(2), StorageParams())
-    with pytest.raises(KeyError):
+    state = place_sequential(sized_db([100, 5000, 3000]), StorageParams(buffer_pages=2))
+    for oid in (1, 2, 3):
+        state.access_object(oid)
+    before = (state.transaction_reads, state.objects_accessed,
+              state.overhead_reads, state.overhead_writes, state.buffered_pages())
+    with pytest.raises(KeyError, match="unknown object id 99"):
         state.access_object(99)
+    assert (state.transaction_reads, state.objects_accessed,
+            state.overhead_reads, state.overhead_writes,
+            state.buffered_pages()) == before
 
 
 def test_alternating_two_pages_thrash():
@@ -145,16 +168,18 @@ def test_rewrite_invalidates_moved_pages():
 def test_counter_separation():
     db = flat_db(4, 3000)
     state = place_sequential(db, StorageParams(buffer_pages=2))
-    state.access_object(1, TRANSACTION)
+    state.access_object(1)
     assert (state.overhead_reads, state.overhead_writes) == (0, 0)
     tx_before = state.transaction_reads
     new_placement = dict(state.placement)
     new_placement[3], new_placement[4] = new_placement[4], new_placement[3]
-    state.rewrite_placement(new_placement, OVERHEAD)
+    state.rewrite_placement(new_placement)
     assert state.transaction_reads == tx_before
     assert state.overhead_reads > 0 and state.overhead_writes > 0
-    state.access_object(2, "overhead")
-    assert state.transaction_reads == tx_before
+    overhead = (state.overhead_reads, state.overhead_writes)
+    state.access_object(2)
+    assert state.transaction_reads == tx_before + 1
+    assert (state.overhead_reads, state.overhead_writes) == overhead
 
 
 def test_rewrite_rejects_partial_or_overfull_placements():
@@ -164,8 +189,6 @@ def test_rewrite_rejects_partial_or_overfull_placements():
     overfull = {1: (0, 0), 2: (0, 4000), 3: (1, 0)}
     with pytest.raises(PlacementError):
         state.rewrite_placement(overfull)
-    with pytest.raises(ParameterError):
-        state.rewrite_placement(dict(state.placement), io_class="transaction")
 
 
 def test_simulated_time_is_monotone_in_counters():
@@ -190,3 +213,92 @@ def test_random_packings_match_oracle(sizes, page_scale):
     oracle = first_fit_oracle([o.id for o in db.objects],
                               {o.id: o.size for o in db.objects}, page_size)
     assert {oid: page for oid, (page, _o) in state.placement.items()} == oracle
+
+
+PAGE = 128
+# object sizes: at most four share a page, some span a run of two to four pages
+object_sizes = st.lists(st.one_of(st.integers(PAGE // 4, PAGE),
+                                  st.integers(PAGE + 1, 4 * PAGE)),
+                        min_size=3, max_size=25)
+
+
+@settings(max_examples=200)
+@given(object_sizes, st.integers(1, 6), st.data())
+def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
+    state = place_sequential(sized_db(sizes), StorageParams(page_size=PAGE,
+                                                            buffer_pages=buffer_pages))
+    ids = list(range(1, len(sizes) + 1))
+    steps = data.draw(st.lists(st.sampled_from(ids), min_size=10, max_size=80))
+    # rewrites to the first-fit packing of a shuffled order, between accesses
+    rewrites = data.draw(st.lists(st.tuples(st.integers(0, len(steps)),
+                                            st.permutations(ids)), max_size=3))
+    for position, order in sorted(rewrites, key=lambda r: r[0], reverse=True):
+        steps.insert(position, order)
+    initial = state.placement
+    oracle_steps = []
+    faults = []
+    for step in steps:
+        if isinstance(step, list):
+            placement = state.pack_order(step)
+            state.rewrite_placement(placement)
+            oracle_steps.append(placement)
+        else:
+            faults.append(state.access_object(step))
+            oracle_steps.append(step)
+    reads, buffer = lru_oracle(initial, dict(zip(ids, sizes)), PAGE, buffer_pages,
+                               oracle_steps)
+    assert faults == [count > 0 for count in reads]
+    assert state.transaction_reads == sum(reads)
+    assert state.objects_accessed == len(reads)
+    assert state.buffered_pages() == buffer
+
+
+@given(object_sizes, st.data())
+def test_lru_inclusion_faults_never_grow_with_the_buffer(sizes, data):
+    ids = list(range(1, len(sizes) + 1))
+    accesses = data.draw(st.lists(st.sampled_from(ids), min_size=10, max_size=80))
+    reads = []
+    for buffer_pages in range(1, 9):
+        state = place_sequential(sized_db(sizes), StorageParams(page_size=PAGE,
+                                                                buffer_pages=buffer_pages))
+        for oid in accesses:
+            state.access_object(oid)
+        reads.append(state.transaction_reads)
+    assert reads == sorted(reads, reverse=True)
+
+
+def test_lru_inclusion_through_run_protocol():
+    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=300, seed=8))
+    params = WorkloadParams(coldn=30, hotn=90, seed=3)
+    reads = []
+    for buffer_pages in (1, 2, 3, 5, 8, 13, 21):
+        storage = place_sequential(db, StorageParams(buffer_pages=buffer_pages))
+        reads.append(run_protocol(db, storage, params, make_policy("none")).transaction_reads)
+    assert reads == sorted(reads, reverse=True)
+    assert reads[0] > reads[-1]
+
+
+def test_traversals_do_not_depend_on_placement():
+    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=300, seed=8))
+    params = WorkloadParams(coldn=30, hotn=90, reverse_probability=0.3, seed=3)
+    sequential = place_sequential(db, StorageParams(buffer_pages=8))
+    shuffled = place_sequential(db, StorageParams(buffer_pages=8))
+    order = list(shuffled.placement)
+    random.Random(5).shuffle(order)
+    shuffled.rewrite_placement(shuffled.pack_order(order))
+    assert shuffled.placement != sequential.placement
+
+    for kind in TRANSACTION_TYPES:
+        for root in (1, 77, 300):
+            for direction in (FORWARD, REVERSE):
+                sequential_walk, shuffled_walk = (
+                    run_transaction(db, storage, params, kind, root, direction,
+                                    rng=substream(root, kind)).accessed
+                    for storage in (sequential, shuffled))
+                assert sequential_walk == shuffled_walk
+
+    sequential_records, shuffled_records = (
+        [(r.type, r.root, r.objects)
+         for r in run_protocol(db, storage, params, make_policy("none")).records]
+        for storage in (sequential, shuffled))
+    assert sequential_records == shuffled_records
