@@ -202,18 +202,49 @@ class GenerationReport:
 
 @dataclass
 class Database:
-    """A fully generated object base, immutable by convention after build."""
+    """A fully generated object base, immutable by convention after build.
+
+    The link tables that the traversals walk are derived from `oref` and
+    `backref` on first use and cached; they are never saved, and take no
+    part in equality or repr.
+    """
 
     params: GeneratorParams
     classes: list[ClassDescriptor]
     objects: list[ObjectInstance]
     report: GenerationReport = field(default_factory=GenerationReport)
+    _link_tables: dict[tuple[bool, int | None], list[tuple[int, ...]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def cls(self, class_id: int) -> ClassDescriptor:
         return self.classes[class_id - 1]
 
     def obj(self, object_id: int) -> ObjectInstance:
         return self.objects[object_id - 1]
+
+    def link_table(self, reverse: bool = False,
+                   ref_type: int | None = None) -> list[tuple[int, ...]]:
+        """Link targets of every object, as `table[object id]`, in slot order.
+
+        Forward, an object's targets are its non-None `oref` entries; reversed,
+        they are its `backref` sources. A `ref_type` keeps only the links whose
+        slot has that reference type. Entry 0 is an empty placeholder.
+        """
+        key = (reverse, ref_type)
+        table = self._link_tables.get(key)
+        if table is None:
+            objects = self.objects
+            tref_of = [self.classes[o.class_id - 1].tref for o in objects]
+            if reverse:
+                rows = [tuple(s for s, k in o.backref
+                              if ref_type is None or tref_of[s - 1][k] == ref_type)
+                        for o in objects]
+            else:
+                rows = [tuple(t for k, t in enumerate(o.oref) if t is not None
+                              and (ref_type is None or tref[k] == ref_type))
+                        for o, tref in zip(objects, tref_of)]
+            table = self._link_tables[key] = [(), *rows]
+        return table
 
 
 def generate_schema(params: GeneratorParams,

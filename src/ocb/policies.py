@@ -8,6 +8,7 @@ the physical placement so unit members become page neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ParameterError, require_finite
 
@@ -15,13 +16,16 @@ from .errors import ParameterError, require_finite
 class ClusteringPolicy:
     """Hook surface invoked by the protocol runner.
 
-    Hooks must not change which objects a traversal visits; they may only
-    affect physical placement and overhead I/O.
+    `on_link_crossing(source, target)` runs once per link a traversal
+    crosses, right before the target is accessed; `on_transaction_end` and
+    `maybe_reorganize` run after every transaction. Hooks must not change
+    which objects a traversal visits; they may only affect physical
+    placement and overhead I/O.
     """
 
     name = "none"
 
-    def on_link_crossing(self, source: int, slot: int, target: int) -> None:
+    def on_link_crossing(self, source: int, target: int) -> None:
         pass
 
     def on_transaction_end(self) -> None:
@@ -243,11 +247,10 @@ class DstcPolicy(ClusteringPolicy):
         self.params = params or DstcParams()
         self.params.validate()
         self.state = DstcState()
+        # one Python frame per crossing: the hook is dstc_observe itself
+        self.on_link_crossing = partial(dstc_observe, self.state)
         self._transactions = 0
         self._periods_pending = 0
-
-    def on_link_crossing(self, source: int, slot: int, target: int) -> None:
-        dstc_observe(self.state, source, target)
 
     def on_transaction_end(self) -> None:
         self._transactions += 1

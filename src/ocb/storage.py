@@ -99,8 +99,6 @@ class StorageState:
         self.params = params
         self.sizes = sizes
         self.placement: dict[int, tuple[int, int]] = {}
-        self.page_objects: dict[int, list[int]] = {}
-        self.page_count = 0
         self._runs: dict[int, int] = {}  # oversized object id -> page run length
         self._page_of: dict[int, int] = {}  # single-page object id -> its page
         self._buffer: "OrderedDict[int, None]" = OrderedDict()
@@ -113,24 +111,16 @@ class StorageState:
 
     def _install(self, placement: dict[int, tuple[int, int]]) -> None:
         self.placement = placement
+        page_size = self.params.page_size
+        sizes = self.sizes
         self._runs = {}
         self._page_of = {}
-        pages: dict[int, list[int]] = {}
-        last_page = -1
         for oid, (page, _offset) in placement.items():
-            size = self.sizes[oid]
-            if size > self.params.page_size:
-                run = -(-size // self.params.page_size)
-                self._runs[oid] = run
-                for p in range(page, page + run):
-                    pages.setdefault(p, []).append(oid)
-                last_page = max(last_page, page + run - 1)
+            size = sizes[oid]
+            if size > page_size:
+                self._runs[oid] = -(-size // page_size)
             else:
                 self._page_of[oid] = page
-                pages.setdefault(page, []).append(oid)
-                last_page = max(last_page, page)
-        self.page_objects = pages
-        self.page_count = last_page + 1
 
     def pages_of(self, object_id: int) -> range:
         page, _ = self.placement[object_id]

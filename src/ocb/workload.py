@@ -5,13 +5,14 @@ breadth-first set-oriented access, a depth-first simple traversal, a
 hierarchy traversal restricted to one reference type, and a stochastic
 traversal that picks one slot per hop with geometrically decaying
 probability. Each can run forward over object references or reversed
-over the recorded back references.
+over the recorded back references. They walk the database's link tables
+(`Database.link_table`) without recursion: the set-oriented access level by
+level, the two depth-first walks on one explicit stack.
 """
 from __future__ import annotations
 
 import csv
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .distributions import (
@@ -149,18 +150,12 @@ class ExperimentLog:
     overhead_writes: int = 0
 
 
-def _forward_links(db, oid):
-    return [(k, t) for k, t in enumerate(db.objects[oid - 1].oref) if t is not None]
+def _ignore_crossing(source, target):
+    pass
 
 
-def _reverse_links(db, oid):
-    return [(k, s) for s, k in db.objects[oid - 1].backref]
-
-
-def _links(db, oid, direction):
-    if direction == REVERSE:
-        return _reverse_links(db, oid)
-    return _forward_links(db, oid)
+def _crossing_hook(policy):
+    return policy.on_link_crossing if policy is not None else _ignore_crossing
 
 
 def _finish(kind, root, direction, accessed, distinct, storage, faults_before):
@@ -175,89 +170,88 @@ def _finish(kind, root, direction, accessed, distinct, storage, faults_before):
 
 def set_oriented_access(db, storage, root, depth, direction=FORWARD,
                         policy=None) -> TransactionResult:
-    """Breadth-first expansion up to `depth` hops.
+    """Breadth-first expansion up to `depth` hops, one level at a time.
 
     Duplicates reached through different branches are accessed (and
     counted) again, but each object is expanded only once.
     """
+    links = db.link_table(direction == REVERSE)
     access = storage.access_object
-    cross = policy.on_link_crossing if policy is not None else None
+    cross = _crossing_hook(policy)
     faults_before = storage.transaction_reads
     accessed: list[int] = []
     visited: set[int] = set()
-    queue = deque(((root, 0),))
-    while queue:
-        oid, hops = queue.popleft()
-        access(oid)
-        accessed.append(oid)
-        if oid in visited:
-            continue
-        visited.add(oid)
-        if hops == depth:
-            continue
-        for slot, target in _links(db, oid, direction):
-            if cross is not None:
-                cross(oid, slot, target)
-            queue.append((target, hops + 1))
+    level = [root]
+    hops = 0
+    while level:
+        following: list[int] = []
+        expand = hops < depth
+        for oid in level:
+            access(oid)
+            if oid in visited:
+                continue
+            visited.add(oid)
+            if expand:
+                targets = links[oid]
+                for target in targets:
+                    cross(oid, target)
+                following.extend(targets)
+        accessed += level
+        level = following
+        hops += 1
     return _finish(TYPE_SET, root, direction, accessed, len(visited),
+                   storage, faults_before)
+
+
+def _depth_first(kind, links, storage, root, depth, direction, policy):
+    """Preorder walk of `links` from `root`, `depth` hops deep, duplicates
+    included, on an explicit stack of (node, hops of its children, iterator
+    over its remaining children)."""
+    access = storage.access_object
+    cross = _crossing_hook(policy)
+    faults_before = storage.transaction_reads
+    access(root)
+    accessed = [root]
+    append = accessed.append
+    stack = [(root, 1, iter(links[root]))] if depth > 0 else []
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node, hops, targets = stack[-1]
+        if hops < depth:
+            # descend into the next child; the frame resumes after it
+            for target in targets:
+                cross(node, target)
+                access(target)
+                append(target)
+                push((target, hops + 1, iter(links[target])))
+                break
+            else:
+                pop()
+        else:
+            # the children are leaves: access them all and drop the frame
+            pop()
+            leaves = links[node]
+            for leaf in leaves:
+                cross(node, leaf)
+                access(leaf)
+            accessed += leaves
+    return _finish(kind, root, direction, accessed, len(set(accessed)),
                    storage, faults_before)
 
 
 def simple_traversal(db, storage, root, depth, direction=FORWARD,
                      policy=None) -> TransactionResult:
     """Depth-first walk over every reference slot, duplicates included."""
-    access = storage.access_object
-    cross = policy.on_link_crossing if policy is not None else None
-    faults_before = storage.transaction_reads
-    accessed: list[int] = []
-
-    def walk(oid, hops):
-        access(oid)
-        accessed.append(oid)
-        if hops == depth:
-            return
-        for slot, target in _links(db, oid, direction):
-            if cross is not None:
-                cross(oid, slot, target)
-            walk(target, hops + 1)
-
-    walk(root, 0)
-    return _finish(TYPE_SIMPLE, root, direction, accessed, len(set(accessed)),
-                   storage, faults_before)
+    return _depth_first(TYPE_SIMPLE, db.link_table(direction == REVERSE),
+                        storage, root, depth, direction, policy)
 
 
 def hierarchy_traversal(db, storage, root, depth, ref_type, direction=FORWARD,
                         policy=None) -> TransactionResult:
     """Depth-first walk restricted to slots of one reference type."""
-    access = storage.access_object
-    cross = policy.on_link_crossing if policy is not None else None
-    faults_before = storage.transaction_reads
-    accessed: list[int] = []
-    classes = db.classes
-    objects = db.objects
-
-    def typed_links(oid):
-        obj = objects[oid - 1]
-        if direction == REVERSE:
-            return [(k, s) for s, k in obj.backref
-                    if classes[objects[s - 1].class_id - 1].tref[k] == ref_type]
-        tref = classes[obj.class_id - 1].tref
-        return [(k, t) for k, t in enumerate(obj.oref)
-                if t is not None and tref[k] == ref_type]
-
-    def walk(oid, hops):
-        access(oid)
-        accessed.append(oid)
-        if hops == depth:
-            return
-        for slot, target in typed_links(oid):
-            if cross is not None:
-                cross(oid, slot, target)
-            walk(target, hops + 1)
-
-    walk(root, 0)
-    return _finish(TYPE_HIERARCHY, root, direction, accessed, len(set(accessed)),
-                   storage, faults_before)
+    return _depth_first(TYPE_HIERARCHY, db.link_table(direction == REVERSE, ref_type),
+                        storage, root, depth, direction, policy)
 
 
 def choose_slot(rng: random.Random, slot_count: int) -> int | None:
@@ -278,11 +272,16 @@ def choose_slot(rng: random.Random, slot_count: int) -> int | None:
 def stochastic_traversal(db, storage, root, depth, direction=FORWARD,
                          policy=None, rng: random.Random | None = None) -> TransactionResult:
     """Random walk choosing one slot per hop; stops on a NULL choice,
-    a dead end, the residual stop mass, or after `depth` hops."""
+    a dead end, the residual stop mass, or after `depth` hops.
+
+    Forward, the choice runs over every `oref` slot, NULL ones included;
+    reversed, over the object's back references."""
     if rng is None:
         rng = random.Random(0)
+    reverse_links = db.link_table(True) if direction == REVERSE else None
+    objects = db.objects
     access = storage.access_object
-    cross = policy.on_link_crossing if policy is not None else None
+    cross = _crossing_hook(policy)
     faults_before = storage.transaction_reads
     accessed: list[int] = []
     oid = root
@@ -292,22 +291,14 @@ def stochastic_traversal(db, storage, root, depth, direction=FORWARD,
         accessed.append(oid)
         if hops == depth:
             break
-        if direction == REVERSE:
-            links = _reverse_links(db, oid)
-            choice = choose_slot(rng, len(links))
-            if choice is None:
-                break
-            slot, target = links[choice - 1]
-        else:
-            oref = db.objects[oid - 1].oref
-            choice = choose_slot(rng, len(oref))
-            if choice is None:
-                break
-            slot, target = choice - 1, oref[choice - 1]
-            if target is None:
-                break
-        if cross is not None:
-            cross(oid, slot, target)
+        slots = objects[oid - 1].oref if reverse_links is None else reverse_links[oid]
+        choice = choose_slot(rng, len(slots))
+        if choice is None:
+            break
+        target = slots[choice - 1]
+        if target is None:
+            break
+        cross(oid, target)
         oid = target
         hops += 1
     return _finish(TYPE_STOCHASTIC, root, direction, accessed, len(set(accessed)),

@@ -64,66 +64,102 @@ def links_of(db, oid, direction):
             if target is not None]
 
 
-def bfs_oracle(db, root, depth, direction="forward"):
-    """Breadth-first access order: expand each object once, re-access dups."""
+def bfs_oracle(db, root, depth, direction="forward", events=None):
+    """Breadth-first access order: expand each object once, re-access dups.
+
+    With `events`, also appends ("access", oid) and ("cross", source, target)
+    in the order a traversal must access objects and cross links; the same
+    holds for the other traversal oracles.
+    """
+    events = [] if events is None else events
     accessed = []
     expanded = set()
     queue = deque([(root, 0)])
     while queue:
         oid, hops = queue.popleft()
         accessed.append(oid)
+        events.append(("access", oid))
         if oid in expanded:
             continue
         expanded.add(oid)
         if hops == depth:
             continue
         for _slot, nxt in links_of(db, oid, direction):
+            events.append(("cross", oid, nxt))
             queue.append((nxt, hops + 1))
     return accessed
 
 
-def dfs_oracle(db, root, depth, direction="forward"):
+def dfs_oracle(db, root, depth, direction="forward", events=None):
     """Depth-first preorder over all slots, duplicates included."""
+    events = [] if events is None else events
     accessed = []
 
     def walk(oid, hops):
         accessed.append(oid)
+        events.append(("access", oid))
         if hops == depth:
             return
         for _slot, nxt in links_of(db, oid, direction):
+            events.append(("cross", oid, nxt))
             walk(nxt, hops + 1)
 
     walk(root, 0)
     return accessed
 
 
-def hierarchy_oracle(db, root, depth, ref_type, direction="forward"):
-    """Depth-first preorder restricted to slots of one reference type."""
-    accessed = []
+def typed_links_of(db, oid, ref_type, direction="forward"):
+    """Targets (or reversed, sources) of oid's links of one reference type."""
+    obj = db.objects[oid - 1]
+    if direction == "reverse":
+        return [s for s, k in obj.backref
+                if db.classes[db.objects[s - 1].class_id - 1].tref[k] == ref_type]
+    tref = db.classes[obj.class_id - 1].tref
+    return [t for k, t in enumerate(obj.oref)
+            if t is not None and tref[k] == ref_type]
 
-    def typed(oid):
-        obj = db.objects[oid - 1]
-        if direction == "reverse":
-            return [s for s, k in obj.backref
-                    if db.classes[db.objects[s - 1].class_id - 1].tref[k] == ref_type]
-        tref = db.classes[obj.class_id - 1].tref
-        return [t for k, t in enumerate(obj.oref)
-                if t is not None and tref[k] == ref_type]
+
+def hierarchy_oracle(db, root, depth, ref_type, direction="forward", events=None):
+    """Depth-first preorder restricted to slots of one reference type."""
+    events = [] if events is None else events
+    accessed = []
 
     def walk(oid, hops):
         accessed.append(oid)
+        events.append(("access", oid))
         if hops == depth:
             return
-        for nxt in typed(oid):
+        for nxt in typed_links_of(db, oid, ref_type, direction):
+            events.append(("cross", oid, nxt))
             walk(nxt, hops + 1)
 
     walk(root, 0)
     return accessed
 
 
-def stochastic_oracle(db, root, depth, rng, direction="forward"):
+def stack_preorder(children, root, depth):
+    """Depth-first preorder of `children(oid)` on a list used as a stack.
+
+    Needs no recursion, so it checks walks deeper than the interpreter's
+    recursion limit. Returns the interleaved access/cross event list.
+    """
+    events = []
+    stack = [(None, root, 0)]
+    while stack:
+        source, oid, hops = stack.pop()
+        if source is not None:
+            events.append(("cross", source, oid))
+        events.append(("access", oid))
+        if hops < depth:
+            stack.extend((oid, nxt, hops + 1) for nxt in reversed(children(oid)))
+    return events
+
+
+def stochastic_oracle(db, root, depth, rng, direction="forward", events=None):
     """Replay of the geometric slot law with an identically-seeded stream."""
+    events = [] if events is None else events
     accessed = [root]
+    events.append(("access", root))
     oid = root
     for _hop in range(depth):
         if direction == "reverse":
@@ -145,6 +181,8 @@ def stochastic_oracle(db, root, depth, rng, direction="forward"):
         target = choices[chosen - 1]
         if target is None:
             break
+        events.append(("cross", oid, target))
+        events.append(("access", target))
         accessed.append(target)
         oid = target
     return accessed

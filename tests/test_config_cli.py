@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -178,18 +179,19 @@ def test_param_groups_reject_non_finite_floats(group, field, value):
         group(**{field: value}).validate()
 
 
-def test_cli_deep_cyclic_traversal_exits_with_message(tmp_path, capsys):
-    # reference type 3 is cyclic here, so a hierarchy walk can reach any
-    # depth and recurses past the interpreter stack
+def test_cli_deep_cyclic_traversal_runs_to_full_depth(tmp_path):
+    # reference type 3 is cyclic here and every object has one type-3 link,
+    # so a hierarchy walk goes the whole 5000 hops, far past the
+    # interpreter's recursion limit
     code = main(["run", "--nc", "2", "--no", "200", "--nreft", "3",
                  "--dist1", "constant:3", "--maxnref", "1", "--pset", "0",
                  "--psimple", "0", "--phier", "1", "--pstoch", "0",
                  "--hierarchy-ref-type", "3", "--hiedepth", "5000",
-                 "--out-dir", str(tmp_path)])
-    assert code == 3
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert "--hiedepth" in err and "--simdepth" in err
+                 "--coldn", "1", "--hotn", "2", "--out-dir", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(row["type"] == "hierarchy" and row["objects"] == "5001" for row in rows)
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from helpers import kahn_is_dag
+from helpers import kahn_is_dag, links_of, typed_links_of
 from ocb.config import build_config
 from ocb.distributions import Constant
 from ocb.errors import FormatError, ParameterError
@@ -301,6 +301,25 @@ def test_save_load_roundtrip(tmp_path):
     save_database(db, str(path))
     loaded = load_database(str(path))
     assert loaded == db
+
+
+def test_link_tables_are_derived_and_never_saved(tmp_path):
+    db = generate_database(small_params(seed=44))
+    before, after = tmp_path / "before.ocb", tmp_path / "after.ocb"
+    save_database(db, str(before))
+    assert db.link_table() is db.link_table()  # built once, then cached
+    for direction in ("forward", "reverse"):
+        reverse = direction == "reverse"
+        for obj in db.objects:
+            assert db.link_table(reverse)[obj.id] == \
+                tuple(t for _k, t in links_of(db, obj.id, direction))
+            for ref_type in range(1, db.params.nreft + 1):
+                assert db.link_table(reverse, ref_type)[obj.id] == \
+                    tuple(typed_links_of(db, obj.id, ref_type, direction))
+    save_database(db, str(after))
+    assert after.read_bytes() == before.read_bytes()
+    assert load_database(str(after)) == db
+    assert "_link_tables" not in repr(db)
 
 
 def test_save_load_empty_database(tmp_path):

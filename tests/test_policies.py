@@ -47,7 +47,7 @@ def test_observe_matches_recount_oracle():
     crossings = []
 
     class Recorder(NoClustering):
-        def on_link_crossing(self, source, slot, target):
+        def on_link_crossing(self, source, target):
             crossings.append((source, target))
 
     recorder = Recorder()
@@ -350,8 +350,8 @@ def test_dstc_policy_periods_and_trigger():
     db = sized_db(4, size=100, links={1: [2], 2: [3]})
     storage = place_sequential(db, StorageParams())
     for tx in range(1, 21):
-        policy.on_link_crossing(1, 0, 2)
-        policy.on_link_crossing(2, 0, 3)
+        policy.on_link_crossing(1, 2)
+        policy.on_link_crossing(2, 3)
         policy.on_transaction_end()
         placement = policy.maybe_reorganize(storage)
         if tx % 10 == 0:

@@ -33,14 +33,14 @@ def flat_db(count, size=100):
 def test_small_objects_share_page_zero():
     state = place_sequential(flat_db(10, 100), StorageParams())
     assert all(page == 0 for page, _ in state.placement.values())
-    assert state.page_count == 1
+    assert {p for oid in state.placement for p in state.pages_of(oid)} == {0}
 
 
 def test_two_big_objects_split_pages():
     state = place_sequential(flat_db(2, 3000), StorageParams())
     assert state.placement[1] == (0, 0)
     assert state.placement[2][0] == 1
-    assert state.page_count == 2
+    assert {p for oid in state.placement for p in state.pages_of(oid)} == {0, 1}
 
 
 def test_default_database_packs_like_oracle():
@@ -50,8 +50,11 @@ def test_default_database_packs_like_oracle():
     sizes = {o.id: o.size for o in db.objects}
     oracle = first_fit_oracle([o.id for o in db.objects], sizes, params.page_size)
     assert {oid: page for oid, (page, _off) in state.placement.items()} == oracle
-    for page, members in state.page_objects.items():
-        assert sum(sizes[m] for m in members) <= params.page_size
+    fill = {}
+    for oid in state.placement:
+        for page in state.pages_of(oid):
+            fill[page] = fill.get(page, 0) + sizes[oid]
+    assert all(used <= params.page_size for used in fill.values())
 
 
 def test_oversized_object_gets_dedicated_run():

@@ -1,9 +1,22 @@
-import pytest
+import sys
 
-from helpers import bfs_oracle, build_db, dfs_oracle, hierarchy_oracle, stochastic_oracle
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    bfs_oracle,
+    build_db,
+    dfs_oracle,
+    hierarchy_oracle,
+    links_of,
+    stack_preorder,
+    stochastic_oracle,
+    typed_links_of,
+)
 from ocb.distributions import Constant, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
+from ocb.policies import NoClustering
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
     WorkloadParams,
@@ -124,6 +137,104 @@ def test_reverse_uses_backrefs():
     db = build_db([(1, [3]), (1, [3]), (1, [])])
     result = set_oriented_access(db, storage_for(db), 3, depth=1, direction="reverse")
     assert result.accessed == [3, 1, 2]
+
+
+# -- the traversal engine against the oracles, event by event -------------
+
+
+class EventRecorder(NoClustering):
+    """Logs object accesses and link crossings as one interleaved list."""
+
+    def __init__(self, storage):
+        self.events = []
+        access = storage.access_object
+
+        def logged_access(oid):
+            self.events.append(("access", oid))
+            return access(oid)
+
+        storage.access_object = logged_access
+
+    def on_link_crossing(self, source, target):
+        self.events.append(("cross", source, target))
+
+
+def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
+    storage = storage_for(db)
+    recorder = EventRecorder(storage)
+    if kind == "set":
+        result = set_oriented_access(db, storage, root, depth, direction, recorder)
+    elif kind == "simple":
+        result = simple_traversal(db, storage, root, depth, direction, recorder)
+    elif kind == "hierarchy":
+        result = hierarchy_traversal(db, storage, root, depth, ref_type, direction,
+                                     recorder)
+    else:
+        result = stochastic_traversal(db, storage, root, depth, direction, recorder,
+                                      substream(seed, "engine"))
+    assert result.accessed == [e[1] for e in recorder.events if e[0] == "access"]
+    return recorder.events
+
+
+def oracle_events(db, kind, root, depth, direction, ref_type=1, seed=0):
+    events = []
+    if kind == "set":
+        bfs_oracle(db, root, depth, direction, events)
+    elif kind == "simple":
+        dfs_oracle(db, root, depth, direction, events)
+    elif kind == "hierarchy":
+        hierarchy_oracle(db, root, depth, ref_type, direction, events)
+    else:
+        stochastic_oracle(db, root, depth, substream(seed, "engine"), direction, events)
+    return events
+
+
+@st.composite
+def cyclic_dbs(draw):
+    """Small databases whose links of both reference types may close cycles."""
+    trefs = draw(st.lists(st.lists(st.integers(1, 2), min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    count = draw(st.integers(4, 12))
+    specs = []
+    for _ in range(count):
+        cid = draw(st.integers(1, len(trefs)))
+        # a drawn 0 is a NULL slot
+        targets = draw(st.lists(st.integers(0, count).map(lambda t: t or None),
+                                min_size=len(trefs[cid - 1]),
+                                max_size=len(trefs[cid - 1])))
+        specs.append((cid, targets))
+    return build_db(specs, class_trefs=trefs, nreft=2)
+
+
+@settings(max_examples=200)
+@given(db=cyclic_dbs(), data=st.data())
+def test_traversal_events_match_oracles(db, data):
+    root = data.draw(st.integers(1, len(db.objects)))
+    depth = data.draw(st.integers(0, 5))
+    ref_type = data.draw(st.integers(1, 2))
+    seed = data.draw(st.integers(0, 1000))
+    for kind in ("set", "simple", "hierarchy", "stochastic"):
+        for direction in ("forward", "reverse"):
+            args = (db, kind, root, depth, direction, ref_type, seed)
+            assert engine_events(*args) == oracle_events(*args), (kind, direction)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_depth_first_walks_past_the_recursion_limit(direction):
+    # 1 -> 2 -> 3 -> 1 is a cycle of type 1; 1 also links to 4 by type 2
+    db = build_db([(1, [2, 4]), (1, [3]), (1, [1]), (1, [])], class_trefs=[[1, 2]])
+    depth = sys.getrecursionlimit() + 100
+    root = 4 if direction == "reverse" else 1
+    simple = engine_events(db, "simple", root, depth, direction)
+    assert simple == stack_preorder(lambda oid: [t for _k, t in links_of(db, oid, direction)],
+                                    root, depth)
+    hierarchy = engine_events(db, "hierarchy", 1, depth, direction)
+    assert hierarchy == stack_preorder(lambda oid: typed_links_of(db, oid, 1, direction),
+                                       1, depth)
+    # the type-1 cycle alone: one access per hop, never cut short
+    assert sum(event[0] == "access" for event in hierarchy) == depth + 1
+    assert engine_events(db, "set", root, depth, direction) == \
+        oracle_events(db, "set", root, depth, direction)
 
 
 def test_transaction_result_counts_faults():
