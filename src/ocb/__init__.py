@@ -17,7 +17,7 @@ from .generator import (
 from .metrics import MetricsReport, aggregate, compare
 from .policies import DstcParams, DstcPolicy, NoClustering, make_policy
 from .storage import StorageParams, StorageState, place_sequential
-from .workload import TransactionResult, WorkloadParams, run_protocol
+from .workload import WorkloadParams, run_protocol
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "Special",
     "StorageParams",
     "StorageState",
-    "TransactionResult",
     "Uniform",
     "WorkloadParams",
     "aggregate",

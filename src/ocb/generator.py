@@ -62,14 +62,6 @@ class GeneratorParams:
         if not isinstance(self.inheritance_types, frozenset):
             self.inheritance_types = frozenset(self.inheritance_types)
 
-    @property
-    def supclass_resolved(self) -> int:
-        return self.supclass
-
-    @property
-    def supref_resolved(self) -> int:
-        return self.supref
-
     def maxnref_of(self, class_id: int) -> int:
         if isinstance(self.maxnref, int):
             return self.maxnref
@@ -96,21 +88,21 @@ class GeneratorParams:
                 values = per_class
             if any(v < 0 for v in values):
                 raise ParameterError(f"{name} entries must be >= 0")
-        if not 0 <= self.infclass <= self.supclass_resolved <= self.nc:
+        if not 0 <= self.infclass <= self.supclass <= self.nc:
             raise ParameterError(
-                f"class interval [{self.infclass}, {self.supclass_resolved}] "
+                f"class interval [{self.infclass}, {self.supclass}] "
                 f"invalid for nc={self.nc}")
         if self.infref < 1:
             raise ParameterError("infref must be >= 1")
-        if self.no > 0 and self.infref > self.supref_resolved:
+        if self.no > 0 and self.infref > self.supref:
             raise ParameterError(
-                f"object interval [{self.infref}, {self.supref_resolved}] invalid")
+                f"object interval [{self.infref}, {self.supref}] invalid")
         if not self.inheritance_types <= self.acyclic_types:
             raise ParameterError("inheritance_types must be a subset of acyclic_types")
         validate_distribution(self.dist1, 1, self.nreft, "dist1")
-        validate_distribution(self.dist2, self.infclass, self.supclass_resolved, "dist2")
+        validate_distribution(self.dist2, self.infclass, self.supclass, "dist2")
         validate_distribution(self.dist3, 1, self.nc, "dist3")
-        validate_distribution(self.dist4, 1, max(self.supref_resolved, 1), "dist4",
+        validate_distribution(self.dist4, 1, max(self.supref, 1), "dist4",
                               allow_special=True)
 
     def to_dict(self) -> dict:
@@ -121,9 +113,9 @@ class GeneratorParams:
             "no": self.no,
             "nreft": self.nreft,
             "infclass": self.infclass,
-            "supclass": self.supclass_resolved,
+            "supclass": self.supclass,
             "infref": self.infref,
-            "supref": self.supref_resolved,
+            "supref": self.supref,
             "dist1": format_distribution(self.dist1),
             "dist2": format_distribution(self.dist2),
             "dist3": format_distribution(self.dist3),
@@ -264,7 +256,7 @@ def generate_schema(params: GeneratorParams,
         tref = [draw_bounded(params.dist1, rng_types, 1, params.nreft) for _ in range(n)]
         classes.append(ClassDescriptor(id=i, tref=tref, cref=[None] * n,
                                        basesize=base, instance_size=base))
-    sup = params.supclass_resolved
+    sup = params.supclass
     for cls in classes:
         for j in range(len(cls.cref)):
             target = draw_bounded(params.dist2, rng_classes, params.infclass, sup)
@@ -386,7 +378,7 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
         cls.iterator.append(oid)
 
     infref = params.infref
-    supref = params.supref_resolved
+    supref = params.supref
     dist4 = params.dist4
     for cls in schema:
         if not cls.cref:
@@ -442,7 +434,7 @@ def save_database(db: Database, path: str) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DB_MAGIC + "\n")
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -17,10 +17,11 @@ class ClusteringPolicy:
     """Hook surface invoked by the protocol runner.
 
     `on_link_crossing(source, target)` runs once per link a traversal
-    crosses, right before the target is accessed; `on_transaction_end` and
-    `maybe_reorganize` run after every transaction. Hooks must not change
-    which objects a traversal visits; they may only affect physical
-    placement and overhead I/O.
+    crosses, in crossing order, during the walk; the transaction's accesses
+    go through the buffer afterwards, when `run_protocol` replays the walk's
+    access list. `on_transaction_end` and `maybe_reorganize` run after every
+    transaction. Hooks must not change which objects a traversal visits;
+    they may only affect physical placement and overhead I/O.
     """
 
     name = "none"

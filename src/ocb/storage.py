@@ -48,8 +48,8 @@ class StorageParams:
 def _pack_first_fit(order, sizes, page_size, spanning):
     """First-fit pack object ids (in the given order) onto pages.
 
-    Returns (placement, page_count). An object larger than a page gets a
-    dedicated run of contiguous pages when spanning is allowed.
+    Returns the placement. An object larger than a page gets a dedicated
+    run of contiguous pages when spanning is allowed.
     """
     placement: dict[int, tuple[int, int]] = {}
     free: list[int] = []  # free bytes per open page, index = page id
@@ -81,7 +81,7 @@ def _pack_first_fit(order, sizes, page_size, spanning):
         free[page] -= size
         if free[page] < min_size:
             open_pages.remove(page)
-    return placement, len(free)
+    return placement
 
 
 class StorageState:
@@ -128,10 +128,8 @@ class StorageState:
 
     def pack_order(self, order) -> dict[int, tuple[int, int]]:
         """First-fit placement for the given object order (not applied)."""
-        placement, _count = _pack_first_fit(order, self.sizes,
-                                            self.params.page_size,
-                                            self.params.spanning)
-        return placement
+        return _pack_first_fit(order, self.sizes, self.params.page_size,
+                               self.params.spanning)
 
     # -- access ------------------------------------------------------------
 
@@ -204,9 +202,9 @@ class StorageState:
     def rewrite_placement(self, new_placement: dict[int, tuple[int, int]]) -> tuple[int, int]:
         """Move objects to a new placement, counting relocation I/O.
 
-        Every distinct page a moved object leaves is one overhead read, every
-        distinct page a moved object lands on is one overhead write; pages
-        whose contents changed are dropped from the buffer. Returns
+        Each page that moved objects leave is one overhead read, each page
+        they land on is one overhead write, however many objects share it;
+        pages whose contents changed are dropped from the buffer. Returns
         (reads, writes).
         """
         self._validate_placement(new_placement)
@@ -233,8 +231,6 @@ def place_sequential(db, storage_params: StorageParams) -> StorageState:
     """Baseline placement: objects packed first-fit in ascending id order."""
     sizes = {obj.id: obj.size for obj in db.objects}
     state = StorageState(storage_params, sizes)
-    placement, _count = _pack_first_fit([obj.id for obj in db.objects], sizes,
-                                        storage_params.page_size,
-                                        storage_params.spanning)
-    state._install(placement)
+    state._install(_pack_first_fit([obj.id for obj in db.objects], sizes,
+                                   storage_params.page_size, storage_params.spanning))
     return state

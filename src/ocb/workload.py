@@ -8,6 +8,11 @@ probability. Each can run forward over object references or reversed
 over the recorded back references. They walk the database's link tables
 (`Database.link_table`) without recursion: the set-oriented access level by
 level, the two depth-first walks on one explicit stack.
+
+A traversal is a walk over the object graph alone: it fires the policy's
+crossing hook as it crosses each link and returns the ids it accessed, in
+order. `run_protocol` then replays that list through the page buffer, after
+the walk, and derives the transaction's faults and simulated time from it.
 """
 from __future__ import annotations
 
@@ -100,23 +105,11 @@ class WorkloadParams:
 
 
 @dataclass
-class TransactionResult:
-    type: str
-    root: int
-    direction: str
-    objects_accessed: int
-    distinct_objects: int
-    page_faults: int
-    simulated_time: float
-    accessed: list[int] = field(default_factory=list)
-
-
-@dataclass
 class TransactionRecord:
     """One logged transaction, flattened for aggregation and CSV export.
 
-    `client` and `distinct` are None in a record rebuilt from the CSV
-    export by `read_log_csv`, which holds neither value.
+    `client` is None in a record rebuilt from the CSV export by
+    `read_log_csv`, which does not hold it.
     """
 
     index: int
@@ -126,7 +119,6 @@ class TransactionRecord:
     direction: str
     root: int
     objects: int
-    distinct: int | None
     faults: int
     sim_time: float
 
@@ -158,59 +150,39 @@ def _crossing_hook(policy):
     return policy.on_link_crossing if policy is not None else _ignore_crossing
 
 
-def _finish(kind, root, direction, accessed, distinct, storage, faults_before):
-    faults = storage.transaction_reads - faults_before
-    sim_time = faults * storage.params.io_cost + len(accessed) * storage.params.cpu_cost
-    return TransactionResult(type=kind, root=root, direction=direction,
-                             objects_accessed=len(accessed),
-                             distinct_objects=distinct,
-                             page_faults=faults, simulated_time=sim_time,
-                             accessed=accessed)
-
-
-def set_oriented_access(db, storage, root, depth, direction=FORWARD,
-                        policy=None) -> TransactionResult:
+def set_oriented_access(db, root, depth, direction=FORWARD, policy=None) -> list[int]:
     """Breadth-first expansion up to `depth` hops, one level at a time.
 
     Duplicates reached through different branches are accessed (and
     counted) again, but each object is expanded only once.
     """
     links = db.link_table(direction == REVERSE)
-    access = storage.access_object
     cross = _crossing_hook(policy)
-    faults_before = storage.transaction_reads
-    accessed: list[int] = []
+    accessed = [root]
     visited: set[int] = set()
     level = [root]
-    hops = 0
-    while level:
+    for _ in range(depth):
         following: list[int] = []
-        expand = hops < depth
         for oid in level:
-            access(oid)
             if oid in visited:
                 continue
             visited.add(oid)
-            if expand:
-                targets = links[oid]
-                for target in targets:
-                    cross(oid, target)
-                following.extend(targets)
-        accessed += level
+            targets = links[oid]
+            for target in targets:
+                cross(oid, target)
+            following.extend(targets)
+        if not following:
+            break
+        accessed += following
         level = following
-        hops += 1
-    return _finish(TYPE_SET, root, direction, accessed, len(visited),
-                   storage, faults_before)
+    return accessed
 
 
-def _depth_first(kind, links, storage, root, depth, direction, policy):
+def _depth_first(links, root, depth, policy) -> list[int]:
     """Preorder walk of `links` from `root`, `depth` hops deep, duplicates
     included, on an explicit stack of (node, hops of its children, iterator
     over its remaining children)."""
-    access = storage.access_object
     cross = _crossing_hook(policy)
-    faults_before = storage.transaction_reads
-    access(root)
     accessed = [root]
     append = accessed.append
     stack = [(root, 1, iter(links[root]))] if depth > 0 else []
@@ -222,7 +194,6 @@ def _depth_first(kind, links, storage, root, depth, direction, policy):
             # descend into the next child; the frame resumes after it
             for target in targets:
                 cross(node, target)
-                access(target)
                 append(target)
                 push((target, hops + 1, iter(links[target])))
                 break
@@ -234,24 +205,20 @@ def _depth_first(kind, links, storage, root, depth, direction, policy):
             leaves = links[node]
             for leaf in leaves:
                 cross(node, leaf)
-                access(leaf)
             accessed += leaves
-    return _finish(kind, root, direction, accessed, len(set(accessed)),
-                   storage, faults_before)
+    return accessed
 
 
-def simple_traversal(db, storage, root, depth, direction=FORWARD,
-                     policy=None) -> TransactionResult:
+def simple_traversal(db, root, depth, direction=FORWARD, policy=None) -> list[int]:
     """Depth-first walk over every reference slot, duplicates included."""
-    return _depth_first(TYPE_SIMPLE, db.link_table(direction == REVERSE),
-                        storage, root, depth, direction, policy)
+    return _depth_first(db.link_table(direction == REVERSE), root, depth, policy)
 
 
-def hierarchy_traversal(db, storage, root, depth, ref_type, direction=FORWARD,
-                        policy=None) -> TransactionResult:
+def hierarchy_traversal(db, root, depth, ref_type, direction=FORWARD,
+                        policy=None) -> list[int]:
     """Depth-first walk restricted to slots of one reference type."""
-    return _depth_first(TYPE_HIERARCHY, db.link_table(direction == REVERSE, ref_type),
-                        storage, root, depth, direction, policy)
+    return _depth_first(db.link_table(direction == REVERSE, ref_type), root, depth,
+                        policy)
 
 
 def choose_slot(rng: random.Random, slot_count: int) -> int | None:
@@ -269,8 +236,8 @@ def choose_slot(rng: random.Random, slot_count: int) -> int | None:
     return None
 
 
-def stochastic_traversal(db, storage, root, depth, direction=FORWARD,
-                         policy=None, rng: random.Random | None = None) -> TransactionResult:
+def stochastic_traversal(db, root, depth, direction=FORWARD, policy=None,
+                         rng: random.Random | None = None) -> list[int]:
     """Random walk choosing one slot per hop; stops on a NULL choice,
     a dead end, the residual stop mass, or after `depth` hops.
 
@@ -280,14 +247,11 @@ def stochastic_traversal(db, storage, root, depth, direction=FORWARD,
         rng = random.Random(0)
     reverse_links = db.link_table(True) if direction == REVERSE else None
     objects = db.objects
-    access = storage.access_object
     cross = _crossing_hook(policy)
-    faults_before = storage.transaction_reads
     accessed: list[int] = []
     oid = root
     hops = 0
     while True:
-        access(oid)
         accessed.append(oid)
         if hops == depth:
             break
@@ -301,8 +265,7 @@ def stochastic_traversal(db, storage, root, depth, direction=FORWARD,
         cross(oid, target)
         oid = target
         hops += 1
-    return _finish(TYPE_STOCHASTIC, root, direction, accessed, len(set(accessed)),
-                   storage, faults_before)
+    return accessed
 
 
 class _ClientStreams:
@@ -341,19 +304,18 @@ def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
     return TYPE_STOCHASTIC
 
 
-def run_transaction(db, storage, params: WorkloadParams, kind: str, root: int,
-                    direction: str, policy=None,
-                    rng: random.Random | None = None) -> TransactionResult:
+def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction: str,
+                    policy=None, rng: random.Random | None = None) -> list[int]:
+    """Run one traversal of type `kind`; return the ids it accessed, in order."""
     if kind == TYPE_SET:
-        return set_oriented_access(db, storage, root, params.setdepth, direction, policy)
+        return set_oriented_access(db, root, params.setdepth, direction, policy)
     if kind == TYPE_SIMPLE:
-        return simple_traversal(db, storage, root, params.simdepth, direction, policy)
+        return simple_traversal(db, root, params.simdepth, direction, policy)
     if kind == TYPE_HIERARCHY:
-        return hierarchy_traversal(db, storage, root, params.hiedepth,
-                                   params.hierarchy_ref_type, direction, policy)
+        return hierarchy_traversal(db, root, params.hiedepth, params.hierarchy_ref_type,
+                                   direction, policy)
     if kind == TYPE_STOCHASTIC:
-        return stochastic_traversal(db, storage, root, params.stodepth,
-                                    direction, policy, rng)
+        return stochastic_traversal(db, root, params.stodepth, direction, policy, rng)
     raise ParameterError(f"unknown transaction type {kind!r}")
 
 
@@ -363,7 +325,9 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     Clients are independent seeded streams interleaved round-robin, one
     transaction each, against the shared buffer. Policy hooks fire during
     (link crossings) and after (period bookkeeping, optional physical
-    reorganization) every transaction.
+    reorganization) every transaction. Each transaction's access list is
+    replayed through the buffer once its walk ends; the faults it takes
+    and its simulated time are counted here and nowhere else.
     """
     params.validate()
     total = params.clientn * (params.coldn + params.hotn)
@@ -378,6 +342,9 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     streams = [_ClientStreams(params.seed, c) for c in range(1, params.clientn + 1)]
     log = ExperimentLog()
     no = len(db.objects)
+    access = storage.access_object
+    io_cost = storage.params.io_cost
+    cpu_cost = storage.params.cpu_cost
     index = 0
     for phase, count in (("COLD", params.coldn), ("HOT", params.hotn)):
         for _ in range(count):
@@ -387,24 +354,27 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
                 reversed_run = (params.reverse_probability > 0.0
                                 and s.directions.random() < params.reverse_probability)
                 direction = REVERSE if reversed_run else FORWARD
-                result = run_transaction(db, storage, params, kind, root,
-                                         direction, policy, s.stochastic)
-                log.clock += result.simulated_time
+                accessed = run_transaction(db, params, kind, root, direction,
+                                           policy, s.stochastic)
+                reads_before = storage.transaction_reads
+                for oid in accessed:
+                    access(oid)
+                faults = storage.transaction_reads - reads_before
+                objects = len(accessed)
+                sim_time = faults * io_cost + objects * cpu_cost
+                log.clock += sim_time
                 if params.think > 0:
                     log.clock += s.think.expovariate(1.0 / params.think)
                 log.records.append(TransactionRecord(
                     index=index, phase=phase, client=client, type=kind,
-                    direction=direction, root=root,
-                    objects=result.objects_accessed,
-                    distinct=result.distinct_objects,
-                    faults=result.page_faults,
-                    sim_time=result.simulated_time))
+                    direction=direction, root=root, objects=objects,
+                    faults=faults, sim_time=sim_time))
                 if policy is not None:
                     policy.on_transaction_end()
                     placement = policy.maybe_reorganize(storage)
                     if placement is not None:
                         reads, writes = storage.rewrite_placement(placement)
-                        log.clock += (reads + writes) * storage.params.io_cost
+                        log.clock += (reads + writes) * io_cost
                         log.reorgs.append(ReorgEvent(after_index=index,
                                                      reads=reads, writes=writes))
                 index += 1
@@ -429,8 +399,7 @@ def read_log_csv(path: str, reorg_indices=(), reorg_costs=()) -> ExperimentLog:
 
     The CSV holds only transaction rows; reorganization positions live in
     the JSON summary and can be passed back in for gain computation. It
-    holds no client or distinct-object count either, so every rebuilt
-    record carries None for both.
+    holds no client either, so every rebuilt record carries None there.
     """
     log = ExperimentLog()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -442,7 +411,7 @@ def read_log_csv(path: str, reorg_indices=(), reorg_costs=()) -> ExperimentLog:
             phase, kind, direction, root, objects, faults, sim_time = row
             log.records.append(TransactionRecord(
                 index=i, phase=phase, client=None, type=kind, direction=direction,
-                root=int(root), objects=int(objects), distinct=None,
+                root=int(root), objects=int(objects),
                 faults=int(faults), sim_time=float(sim_time)))
     indices = list(reorg_indices)
     costs = list(reorg_costs) or [(0, 0)] * len(indices)

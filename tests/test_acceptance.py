@@ -20,7 +20,7 @@ from ocb.distributions import substream
 from ocb.generator import GeneratorParams, generate_database
 from ocb.metrics import aggregate
 from ocb.policies import make_policy
-from ocb.storage import StorageParams, place_sequential
+from ocb.storage import place_sequential
 from ocb.workload import (
     choose_slot,
     hierarchy_traversal,
@@ -177,21 +177,19 @@ def test_a6_oracle_equivalence_on_tiny_databases():
             no=rng.randint(1, 50), nreft=rng.randint(1, 4),
             seed=case)
         db = generate_database(params)
-        storage = place_sequential(db, StorageParams(buffer_pages=256))
         roots = [rng.randint(1, params.no) for _ in range(3)]
         for root in roots:
             for direction in ("forward", "reverse"):
-                assert set_oriented_access(db, storage, root, 3, direction).accessed \
+                assert set_oriented_access(db, root, 3, direction) \
                     == bfs_oracle(db, root, 3, direction)
-                assert simple_traversal(db, storage, root, 3, direction).accessed \
+                assert simple_traversal(db, root, 3, direction) \
                     == dfs_oracle(db, root, 3, direction)
                 ref_type = rng.randint(1, params.nreft)
-                assert hierarchy_traversal(db, storage, root, 5, ref_type,
-                                           direction).accessed \
+                assert hierarchy_traversal(db, root, 5, ref_type, direction) \
                     == hierarchy_oracle(db, root, 5, ref_type, direction)
                 label = f"sto-{case}-{root}-{direction}"
-                assert stochastic_traversal(db, storage, root, 50, direction,
-                                            rng=substream(case, label)).accessed \
+                assert stochastic_traversal(db, root, 50, direction,
+                                            rng=substream(case, label)) \
                     == stochastic_oracle(db, root, 50, substream(case, label),
                                          direction)
                 checked += 1

@@ -37,32 +37,23 @@ def storage_for(db, buffer_pages=512):
 
 def test_set_access_isolated_root():
     db = build_db([(1, [])])
-    result = set_oriented_access(db, storage_for(db), 1, depth=5)
-    assert result.objects_accessed == 1
-    assert result.accessed == [1]
+    assert set_oriented_access(db, 1, depth=5) == [1]
 
 
 def test_set_access_binary_tree_depth_one():
     db = build_db([(1, [2, 3]), (1, []), (1, [])])
-    result = set_oriented_access(db, storage_for(db), 1, depth=1)
-    assert result.objects_accessed == 3
-    assert result.accessed == [1, 2, 3]
+    assert set_oriented_access(db, 1, depth=1) == [1, 2, 3]
 
 
 def test_set_access_counts_duplicates_but_expands_once():
     # both 2 and 3 point at 4: BFS accesses 4 twice, expands it once
     db = build_db([(1, [2, 3]), (1, [4]), (1, [4]), (1, [2])])
-    result = set_oriented_access(db, storage_for(db), 1, depth=3)
-    assert result.accessed == [1, 2, 3, 4, 4, 2]
-    assert result.objects_accessed == 6
-    assert result.distinct_objects == 4
+    assert set_oriented_access(db, 1, depth=3) == [1, 2, 3, 4, 4, 2]
 
 
 def test_simple_traversal_chain():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [])])
-    result = simple_traversal(db, storage_for(db), 1, depth=3)
-    assert result.objects_accessed == 4
-    assert result.accessed == [1, 2, 3, 4]
+    assert simple_traversal(db, 1, depth=3) == [1, 2, 3, 4]
 
 
 def test_simple_traversal_full_fanout_emulation():
@@ -70,25 +61,22 @@ def test_simple_traversal_full_fanout_emulation():
     # other three, so a 7-hop walk realizes the full fan-out tree
     db = build_db([(1, [oid for oid in range(1, 5) if oid != me])
                    for me in range(1, 5)])
-    result = simple_traversal(db, storage_for(db), 1, depth=7)
-    assert result.objects_accessed == 3280
-    assert result.objects_accessed == sum(3 ** i for i in range(8))
+    accessed = simple_traversal(db, 1, depth=7)
+    assert len(accessed) == 3280
+    assert len(accessed) == sum(3 ** i for i in range(8))
 
 
 def test_hierarchy_traversal_follows_one_type():
     db = build_db(
         [(1, [2, 6]), (1, [3, 6]), (1, [4, 6]), (1, [5, 6]), (1, [None, 6]), (1, [])],
         class_trefs=[[1, 2]])
-    result = hierarchy_traversal(db, storage_for(db), 1, depth=5, ref_type=1)
-    assert result.accessed == [1, 2, 3, 4, 5]
-    only_other = hierarchy_traversal(db, storage_for(db), 1, depth=5, ref_type=3)
-    assert only_other.accessed == [1]
+    assert hierarchy_traversal(db, 1, depth=5, ref_type=1) == [1, 2, 3, 4, 5]
+    assert hierarchy_traversal(db, 1, depth=5, ref_type=3) == [1]
 
 
 def test_hierarchy_five_link_chain_counts_six():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [5]), (1, [6]), (1, [])])
-    result = hierarchy_traversal(db, storage_for(db), 1, depth=5, ref_type=1)
-    assert result.objects_accessed == 6
+    assert len(hierarchy_traversal(db, 1, depth=5, ref_type=1)) == 6
 
 
 def test_choose_slot_distribution():
@@ -106,74 +94,70 @@ def test_choose_slot_distribution():
 
 def test_stochastic_zero_slots_stops_immediately():
     db = build_db([(1, [])])
-    result = stochastic_traversal(db, storage_for(db), 1, depth=50,
-                                  rng=substream(1, "s"))
-    assert result.accessed == [1]
+    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == [1]
 
 
 def test_stochastic_replays_against_oracle():
     db = generate_database(GeneratorParams(nc=3, maxnref=3, no=30, seed=9))
     for seed in range(5):
-        result = stochastic_traversal(db, storage_for(db), 7, depth=50,
-                                      rng=substream(seed, "sto"))
-        expected = stochastic_oracle(db, 7, 50, substream(seed, "sto"))
-        assert result.accessed == expected
+        accessed = stochastic_traversal(db, 7, depth=50, rng=substream(seed, "sto"))
+        assert accessed == stochastic_oracle(db, 7, 50, substream(seed, "sto"))
 
 
 def test_traversals_match_oracles_on_generated_db():
     db = generate_database(GeneratorParams(nc=4, maxnref=3, no=40, seed=12))
-    storage = storage_for(db)
     for root in (1, 7, 40):
         for direction in ("forward", "reverse"):
-            assert set_oriented_access(db, storage, root, 3, direction).accessed == \
+            assert set_oriented_access(db, root, 3, direction) == \
                 bfs_oracle(db, root, 3, direction)
-            assert simple_traversal(db, storage, root, 3, direction).accessed == \
+            assert simple_traversal(db, root, 3, direction) == \
                 dfs_oracle(db, root, 3, direction)
-            assert hierarchy_traversal(db, storage, root, 5, 1, direction).accessed == \
+            assert hierarchy_traversal(db, root, 5, 1, direction) == \
                 hierarchy_oracle(db, root, 5, 1, direction)
 
 
 def test_reverse_uses_backrefs():
     db = build_db([(1, [3]), (1, [3]), (1, [])])
-    result = set_oriented_access(db, storage_for(db), 3, depth=1, direction="reverse")
-    assert result.accessed == [3, 1, 2]
+    assert set_oriented_access(db, 3, depth=1, direction="reverse") == [3, 1, 2]
 
 
 # -- the traversal engine against the oracles, event by event -------------
+#
+# A traversal returns its accesses and fires its crossings, so the two are
+# compared with the oracle's events as two ordered streams. How accesses
+# interleave with crossings is not part of the design: the buffer sees the
+# accesses only after the walk, when run_protocol replays them.
 
 
-class EventRecorder(NoClustering):
-    """Logs object accesses and link crossings as one interleaved list."""
+class CrossingRecorder(NoClustering):
+    """Logs link crossings in the order the traversal reports them."""
 
-    def __init__(self, storage):
-        self.events = []
-        access = storage.access_object
-
-        def logged_access(oid):
-            self.events.append(("access", oid))
-            return access(oid)
-
-        storage.access_object = logged_access
+    def __init__(self):
+        self.crossings = []
 
     def on_link_crossing(self, source, target):
-        self.events.append(("cross", source, target))
+        self.crossings.append(("cross", source, target))
 
 
 def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
-    storage = storage_for(db)
-    recorder = EventRecorder(storage)
+    """(accesses, crossings) of one traversal, as oracle-style event lists."""
+    recorder = CrossingRecorder()
     if kind == "set":
-        result = set_oriented_access(db, storage, root, depth, direction, recorder)
+        accessed = set_oriented_access(db, root, depth, direction, recorder)
     elif kind == "simple":
-        result = simple_traversal(db, storage, root, depth, direction, recorder)
+        accessed = simple_traversal(db, root, depth, direction, recorder)
     elif kind == "hierarchy":
-        result = hierarchy_traversal(db, storage, root, depth, ref_type, direction,
-                                     recorder)
+        accessed = hierarchy_traversal(db, root, depth, ref_type, direction, recorder)
     else:
-        result = stochastic_traversal(db, storage, root, depth, direction, recorder,
-                                      substream(seed, "engine"))
-    assert result.accessed == [e[1] for e in recorder.events if e[0] == "access"]
-    return recorder.events
+        accessed = stochastic_traversal(db, root, depth, direction, recorder,
+                                        substream(seed, "engine"))
+    return [("access", oid) for oid in accessed], recorder.crossings
+
+
+def split_events(events):
+    """An oracle's interleaved events as (accesses, crossings), each in order."""
+    return ([e for e in events if e[0] == "access"],
+            [e for e in events if e[0] == "cross"])
 
 
 def oracle_events(db, kind, root, depth, direction, ref_type=1, seed=0):
@@ -186,7 +170,7 @@ def oracle_events(db, kind, root, depth, direction, ref_type=1, seed=0):
         hierarchy_oracle(db, root, depth, ref_type, direction, events)
     else:
         stochastic_oracle(db, root, depth, substream(seed, "engine"), direction, events)
-    return events
+    return split_events(events)
 
 
 @st.composite
@@ -226,26 +210,32 @@ def test_depth_first_walks_past_the_recursion_limit(direction):
     depth = sys.getrecursionlimit() + 100
     root = 4 if direction == "reverse" else 1
     simple = engine_events(db, "simple", root, depth, direction)
-    assert simple == stack_preorder(lambda oid: [t for _k, t in links_of(db, oid, direction)],
-                                    root, depth)
+    assert simple == split_events(stack_preorder(
+        lambda oid: [t for _k, t in links_of(db, oid, direction)], root, depth))
     hierarchy = engine_events(db, "hierarchy", 1, depth, direction)
-    assert hierarchy == stack_preorder(lambda oid: typed_links_of(db, oid, 1, direction),
-                                       1, depth)
+    assert hierarchy == split_events(stack_preorder(
+        lambda oid: typed_links_of(db, oid, 1, direction), 1, depth))
     # the type-1 cycle alone: one access per hop, never cut short
-    assert sum(event[0] == "access" for event in hierarchy) == depth + 1
+    accesses, _crossings = hierarchy
+    assert len(accesses) == depth + 1
     assert engine_events(db, "set", root, depth, direction) == \
         oracle_events(db, "set", root, depth, direction)
 
 
-def test_transaction_result_counts_faults():
+def test_protocol_counts_faults_and_simulated_time():
     db = build_db([(1, [2]), (1, [])])
     for obj in db.objects:
         obj.size = 3000  # one page each
     storage = place_sequential(db, StorageParams(buffer_pages=4,
                                                  io_cost=1.0, cpu_cost=0.5))
-    result = simple_traversal(db, storage, 1, depth=1)
-    assert result.page_faults == 2
-    assert result.simulated_time == 2 * 1.0 + 2 * 0.5
+    params = WorkloadParams(coldn=0, hotn=1, simdepth=1, pset=0.0, psimple=1.0,
+                            phier=0.0, pstoch=0.0, dist5=Constant(1))
+    log = run_protocol(db, storage, params, None)
+    [record] = log.records
+    assert record.objects == 2
+    assert record.faults == 2
+    assert record.sim_time == 2 * 1.0 + 2 * 0.5 == 3.0
+    assert log.clock == 3.0
 
 
 # -- protocol ------------------------------------------------------------
@@ -362,5 +352,5 @@ def test_csv_round_trip(tmp_path):
             for r in loaded.records] == \
            [(r.phase, r.type, r.direction, r.root, r.objects, r.faults, r.sim_time)
             for r in log.records]
-    # the CSV holds no client or distinct count, so none is made up
-    assert all(r.client is None and r.distinct is None for r in loaded.records)
+    # the CSV holds no client, so none is made up
+    assert all(r.client is None for r in loaded.records)
