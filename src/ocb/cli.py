@@ -124,10 +124,19 @@ def _load_report(path: str) -> MetricsReport:
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise OcbError(f"{path}: report is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise OcbError(f"{path}: report is not a JSON object")
     if payload.get("format") != REPORT_FORMAT:
         raise OcbError(f"{path}: unsupported report format {payload.get('format')!r}")
-    report = MetricsReport.from_dict(payload["metrics"])
+    try:
+        report = MetricsReport.from_dict(payload["metrics"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise OcbError(f"{path}: malformed report metrics: "
+                       f"{type(exc).__name__}: {exc}") from None
     report.fingerprint = payload.get("fingerprint")
     return report
 

@@ -448,25 +448,31 @@ def load_database(path: str) -> Database:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: malformed database body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: database body is not a JSON object")
     if payload.get("format") != DB_FORMAT:
         raise FormatError(f"{path}: unsupported format version {payload.get('format')!r}")
-    params = GeneratorParams.from_dict(payload["params"])
-    classes = [
-        ClassDescriptor(id=c["id"], tref=list(c["tref"]), cref=list(c["cref"]),
-                        basesize=c["basesize"], instance_size=c["instance_size"],
-                        iterator=list(c["iterator"]))
-        for c in payload["classes"]
-    ]
-    objects = [
-        ObjectInstance(id=o["id"], class_id=o["class_id"], oref=list(o["oref"]),
-                       backref=[(s, k) for s, k in o["backref"]], size=o["size"])
-        for o in payload["objects"]
-    ]
-    report_d = payload.get("report", {})
-    report = GenerationReport(
-        null_class_draws=report_d.get("null_class_draws", 0),
-        cycle_suppressed=report_d.get("cycle_suppressed", 0),
-        empty_iterator=report_d.get("empty_iterator", 0),
-        out_of_range=report_d.get("out_of_range", 0),
-    )
+    try:
+        params = GeneratorParams.from_dict(payload["params"])
+        classes = [
+            ClassDescriptor(id=c["id"], tref=list(c["tref"]), cref=list(c["cref"]),
+                            basesize=c["basesize"], instance_size=c["instance_size"],
+                            iterator=list(c["iterator"]))
+            for c in payload["classes"]
+        ]
+        objects = [
+            ObjectInstance(id=o["id"], class_id=o["class_id"], oref=list(o["oref"]),
+                           backref=[(s, k) for s, k in o["backref"]], size=o["size"])
+            for o in payload["objects"]
+        ]
+        report_d = payload.get("report", {})
+        report = GenerationReport(
+            null_class_draws=report_d.get("null_class_draws", 0),
+            cycle_suppressed=report_d.get("cycle_suppressed", 0),
+            empty_iterator=report_d.get("empty_iterator", 0),
+            out_of_range=report_d.get("out_of_range", 0),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
     return Database(params=params, classes=classes, objects=objects, report=report)

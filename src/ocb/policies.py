@@ -7,8 +7,11 @@ the physical placement so unit members become page neighbors.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
+from operator import ne
 
 from .errors import ParameterError, require_finite
 
@@ -16,17 +19,18 @@ from .errors import ParameterError, require_finite
 class ClusteringPolicy:
     """Hook surface invoked by the protocol runner.
 
-    `on_link_crossing(source, target)` runs once per link a traversal
-    crosses, in crossing order, during the walk; the transaction's accesses
-    go through the buffer afterwards, when `run_protocol` replays the walk's
-    access list. `on_transaction_end` and `maybe_reorganize` run after every
-    transaction. Hooks must not change which objects a traversal visits;
-    they may only affect physical placement and overhead I/O.
+    `on_link_crossing(sources, accessed)` runs once per transaction, after
+    its walk and before its accesses go through the buffer. It receives
+    every link the walk crossed, in crossing order, as two lists: crossing
+    i is (sources[i], accessed[i + 1]). `on_transaction_end` and
+    `maybe_reorganize` run after every transaction. Hooks must not change
+    which objects a traversal visits, nor the lists they are handed; they
+    may only affect physical placement and overhead I/O.
     """
 
     name = "none"
 
-    def on_link_crossing(self, source: int, target: int) -> None:
+    def on_link_crossing(self, sources: list[int], accessed: list[int]) -> None:
         pass
 
     def on_transaction_end(self) -> None:
@@ -80,22 +84,21 @@ class DstcParams:
 class DstcState:
     """Crossing statistics and the clustering units built from them."""
 
-    observation_matrix: dict[tuple[int, int], int] = field(default_factory=dict)
+    observation_matrix: Counter[tuple[int, int]] = field(default_factory=Counter)
     consolidated_matrix: dict[tuple[int, int], float] = field(default_factory=dict)
     clustering_units: list[list[int]] = field(default_factory=list)
 
 
-def dstc_observe(state: DstcState, source: int, target: int) -> None:
-    """Phase 1: count one crossing of the (source, target) link.
+def dstc_observe(state: DstcState, sources: list[int], accessed: list[int]) -> None:
+    """Phase 1: count one transaction's link crossings.
 
-    Pairs keep their crossing direction; unit ordering exploits it.
-    Self-links carry no co-location information and are ignored.
+    Crossing i is (sources[i], accessed[i + 1]). Pairs keep their crossing
+    direction; unit ordering exploits it. Self-links carry no co-location
+    information and are ignored.
     """
-    if source == target:
-        return
-    pair = (source, target)
-    matrix = state.observation_matrix
-    matrix[pair] = matrix.get(pair, 0) + 1
+    targets = accessed[1:]
+    state.observation_matrix.update(
+        compress(zip(sources, targets), map(ne, sources, targets)))
 
 
 def dstc_select(state: DstcState, params: DstcParams) -> dict[tuple[int, int], int]:
@@ -148,28 +151,30 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     neither claimed nor already on the current climb, ties going to the
     lowest id, and it stops where no such parent is left.
 
-    The edges are sorted once, as (-weight, a, b) tuples, and one pass
-    over them fills both adjacency maps with those same tuples: outgoing[a]
-    comes out in (-weight, b) order and incoming[b] in (-weight, a) order,
-    so no list is sorted again. A per-node cursor into incoming[node]
-    moves past claimed parents for good, since nothing is unclaimed within
-    one call. The cost is thus linear in the edges plus the climb steps,
-    plus the parents on the current climb that a step passes over.
+    The edges are the matrix's own (a, b) keys, sorted by id and then,
+    stably, by weight, heaviest first. One pass over them fills both
+    adjacency maps with plain ids: outgoing[a] comes out in (-weight, b)
+    order and incoming[b] in (-weight, a) order, so no list is sorted
+    again, and only growth with max_unit_size = 0, which merges the two,
+    looks weights up. A per-node cursor into incoming[node] moves past
+    claimed parents for good, since nothing is unclaimed within one call.
+    The cost is thus linear in the edges plus the climb steps, plus the
+    parents on the current climb that a step passes over.
     """
     threshold = params.unit_link_threshold
-    edges = [(-weight, a, b) for (a, b), weight in state.consolidated_matrix.items()
-             if weight >= threshold]
-    edges.sort()
+    matrix = state.consolidated_matrix
+    edges = sorted(pair for pair, weight in matrix.items() if weight >= threshold)
+    edges.sort(key=matrix.__getitem__, reverse=True)
 
-    outgoing: dict[int, list[tuple[float, int, int]]] = {}
-    incoming: dict[int, list[tuple[float, int, int]]] = {}
-    for edge in edges:
-        outgoing.setdefault(edge[1], []).append(edge)
-        incoming.setdefault(edge[2], []).append(edge)
+    outgoing: dict[int, list[int]] = {}
+    incoming: dict[int, list[int]] = {}
+    for a, b in edges:
+        outgoing.setdefault(a, []).append(b)
+        incoming.setdefault(b, []).append(a)
 
     cap = params.max_unit_size
     follow_incoming = cap == 0
-    empty: list[tuple[float, int, int]] = []
+    empty: list[int] = []
     claimed: set[int] = set()
     units: list[list[int]] = []
     # incoming[node][:parent_cursor[node]] holds only claimed parents
@@ -184,12 +189,12 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
             parents = incoming.get(node, empty)
             count = len(parents)
             i = parent_cursor.get(node, 0)
-            while i < count and parents[i][1] in claimed:
+            while i < count and parents[i] in claimed:
                 i += 1
             parent_cursor[node] = i
             # parents on the climb are passed over without moving the cursor
             while i < count:
-                parent = parents[i][1]
+                parent = parents[i]
                 if parent not in path and parent not in claimed:
                     break
                 i += 1
@@ -205,11 +210,12 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         while cursor < len(unit) and (cap == 0 or len(unit) < cap):
             node = unit[cursor]
             cursor += 1
-            neighbors = [(w, b) for w, _a, b in outgoing.get(node, empty)]
+            neighbors = outgoing.get(node, empty)
             if follow_incoming:
-                neighbors += [(w, a) for w, a, _b in incoming.get(node, empty)]
-                neighbors.sort()
-            for _neg_w, other in neighbors:
+                neighbors = [other for _neg_w, other in sorted(
+                    [(-matrix[node, b], b) for b in neighbors]
+                    + [(-matrix[a, node], a) for a in incoming.get(node, empty)])]
+            for other in neighbors:
                 if other in claimed:
                     continue
                 claimed.add(other)
@@ -218,7 +224,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
                     break
         return unit
 
-    for _neg_w, a, b in edges:
+    for a, b in edges:
         for seed in (a, b):
             if seed not in claimed:
                 units.append(grow(entry_point(seed)))
@@ -248,7 +254,7 @@ class DstcPolicy(ClusteringPolicy):
         self.params = params or DstcParams()
         self.params.validate()
         self.state = DstcState()
-        # one Python frame per crossing: the hook is dstc_observe itself
+        # one call per transaction: the hook is dstc_observe itself
         self.on_link_crossing = partial(dstc_observe, self.state)
         self._transactions = 0
         self._periods_pending = 0

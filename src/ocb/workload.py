@@ -9,10 +9,14 @@ over the recorded back references. They walk the database's link tables
 (`Database.link_table`) without recursion: the set-oriented access level by
 level, the two depth-first walks on one explicit stack.
 
-A traversal is a walk over the object graph alone: it fires the policy's
-crossing hook as it crosses each link and returns the ids it accessed, in
-order. `run_protocol` then replays that list through the page buffer, after
-the walk, and derives the transaction's faults and simulated time from it.
+A traversal is a walk over the object graph alone. It returns two lists:
+`accessed`, the ids it accessed, in order, and `sources`, where crossing i
+is the link (sources[i], accessed[i + 1]). Every access after the root is
+the target of exactly one crossing, in crossing order, so
+len(sources) == len(accessed) - 1. `run_protocol` hands both lists to the
+policy's crossing hook once per transaction, then replays `accessed`
+through the page buffer and derives the transaction's faults and
+simulated time from it.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .distributions import (
     validate_distribution,
 )
 from .errors import ParameterError, RunError, require_finite
+from .policies import NoClustering
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -142,23 +147,16 @@ class ExperimentLog:
     overhead_writes: int = 0
 
 
-def _ignore_crossing(source, target):
-    pass
-
-
-def _crossing_hook(policy):
-    return policy.on_link_crossing if policy is not None else _ignore_crossing
-
-
-def set_oriented_access(db, root, depth, direction=FORWARD, policy=None) -> list[int]:
+def set_oriented_access(db, root, depth,
+                        direction=FORWARD) -> tuple[list[int], list[int]]:
     """Breadth-first expansion up to `depth` hops, one level at a time.
 
     Duplicates reached through different branches are accessed (and
     counted) again, but each object is expanded only once.
     """
     links = db.link_table(direction == REVERSE)
-    cross = _crossing_hook(policy)
     accessed = [root]
+    sources: list[int] = []
     visited: set[int] = set()
     level = [root]
     for _ in range(depth):
@@ -168,23 +166,23 @@ def set_oriented_access(db, root, depth, direction=FORWARD, policy=None) -> list
                 continue
             visited.add(oid)
             targets = links[oid]
-            for target in targets:
-                cross(oid, target)
-            following.extend(targets)
+            following += targets
+            sources += [oid] * len(targets)
         if not following:
             break
         accessed += following
         level = following
-    return accessed
+    return accessed, sources
 
 
-def _depth_first(links, root, depth, policy) -> list[int]:
+def _depth_first(links, root, depth) -> tuple[list[int], list[int]]:
     """Preorder walk of `links` from `root`, `depth` hops deep, duplicates
     included, on an explicit stack of (node, hops of its children, iterator
     over its remaining children)."""
-    cross = _crossing_hook(policy)
     accessed = [root]
+    sources: list[int] = []
     append = accessed.append
+    append_source = sources.append
     stack = [(root, 1, iter(links[root]))] if depth > 0 else []
     push = stack.append
     pop = stack.pop
@@ -193,7 +191,7 @@ def _depth_first(links, root, depth, policy) -> list[int]:
         if hops < depth:
             # descend into the next child; the frame resumes after it
             for target in targets:
-                cross(node, target)
+                append_source(node)
                 append(target)
                 push((target, hops + 1, iter(links[target])))
                 break
@@ -203,22 +201,20 @@ def _depth_first(links, root, depth, policy) -> list[int]:
             # the children are leaves: access them all and drop the frame
             pop()
             leaves = links[node]
-            for leaf in leaves:
-                cross(node, leaf)
             accessed += leaves
-    return accessed
+            sources += [node] * len(leaves)
+    return accessed, sources
 
 
-def simple_traversal(db, root, depth, direction=FORWARD, policy=None) -> list[int]:
+def simple_traversal(db, root, depth, direction=FORWARD) -> tuple[list[int], list[int]]:
     """Depth-first walk over every reference slot, duplicates included."""
-    return _depth_first(db.link_table(direction == REVERSE), root, depth, policy)
+    return _depth_first(db.link_table(direction == REVERSE), root, depth)
 
 
-def hierarchy_traversal(db, root, depth, ref_type, direction=FORWARD,
-                        policy=None) -> list[int]:
+def hierarchy_traversal(db, root, depth, ref_type,
+                        direction=FORWARD) -> tuple[list[int], list[int]]:
     """Depth-first walk restricted to slots of one reference type."""
-    return _depth_first(db.link_table(direction == REVERSE, ref_type), root, depth,
-                        policy)
+    return _depth_first(db.link_table(direction == REVERSE, ref_type), root, depth)
 
 
 def choose_slot(rng: random.Random, slot_count: int) -> int | None:
@@ -236,18 +232,18 @@ def choose_slot(rng: random.Random, slot_count: int) -> int | None:
     return None
 
 
-def stochastic_traversal(db, root, depth, direction=FORWARD, policy=None,
-                         rng: random.Random | None = None) -> list[int]:
+def stochastic_traversal(db, root, depth, direction=FORWARD,
+                         rng: random.Random | None = None) -> tuple[list[int], list[int]]:
     """Random walk choosing one slot per hop; stops on a NULL choice,
     a dead end, the residual stop mass, or after `depth` hops.
 
     Forward, the choice runs over every `oref` slot, NULL ones included;
-    reversed, over the object's back references."""
+    reversed, over the object's back references. The walk is a path, so
+    each access is the source of the next crossing."""
     if rng is None:
         rng = random.Random(0)
     reverse_links = db.link_table(True) if direction == REVERSE else None
     objects = db.objects
-    cross = _crossing_hook(policy)
     accessed: list[int] = []
     oid = root
     hops = 0
@@ -262,10 +258,9 @@ def stochastic_traversal(db, root, depth, direction=FORWARD, policy=None,
         target = slots[choice - 1]
         if target is None:
             break
-        cross(oid, target)
         oid = target
         hops += 1
-    return accessed
+    return accessed, accessed[:-1]
 
 
 class _ClientStreams:
@@ -305,17 +300,17 @@ def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
 
 
 def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction: str,
-                    policy=None, rng: random.Random | None = None) -> list[int]:
-    """Run one traversal of type `kind`; return the ids it accessed, in order."""
+                    rng: random.Random | None = None) -> tuple[list[int], list[int]]:
+    """Run one traversal of type `kind`; return its (accessed, sources)."""
     if kind == TYPE_SET:
-        return set_oriented_access(db, root, params.setdepth, direction, policy)
+        return set_oriented_access(db, root, params.setdepth, direction)
     if kind == TYPE_SIMPLE:
-        return simple_traversal(db, root, params.simdepth, direction, policy)
+        return simple_traversal(db, root, params.simdepth, direction)
     if kind == TYPE_HIERARCHY:
         return hierarchy_traversal(db, root, params.hiedepth, params.hierarchy_ref_type,
-                                   direction, policy)
+                                   direction)
     if kind == TYPE_STOCHASTIC:
-        return stochastic_traversal(db, root, params.stodepth, direction, policy, rng)
+        return stochastic_traversal(db, root, params.stodepth, direction, rng)
     raise ParameterError(f"unknown transaction type {kind!r}")
 
 
@@ -323,11 +318,13 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     """Execute the cold run then the warm run and log every transaction.
 
     Clients are independent seeded streams interleaved round-robin, one
-    transaction each, against the shared buffer. Policy hooks fire during
-    (link crossings) and after (period bookkeeping, optional physical
-    reorganization) every transaction. Each transaction's access list is
-    replayed through the buffer once its walk ends; the faults it takes
-    and its simulated time are counted here and nowhere else.
+    transaction each, against the shared buffer. Once a transaction's walk
+    ends, the policy sees all of its link crossings in one
+    `on_link_crossing(sources, accessed)` call, and its access list is
+    replayed through the buffer; the faults it takes and its simulated time
+    are counted here and nowhere else. Then the policy's period bookkeeping
+    and optional physical reorganization run. A `policy` of None runs
+    without clustering.
     """
     params.validate()
     total = params.clientn * (params.coldn + params.hotn)
@@ -339,6 +336,8 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
         raise ParameterError(
             f"hierarchy_ref_type {params.hierarchy_ref_type} exceeds nreft "
             f"{db.params.nreft}")
+    if policy is None:
+        policy = NoClustering()
     streams = [_ClientStreams(params.seed, c) for c in range(1, params.clientn + 1)]
     log = ExperimentLog()
     no = len(db.objects)
@@ -354,8 +353,9 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
                 reversed_run = (params.reverse_probability > 0.0
                                 and s.directions.random() < params.reverse_probability)
                 direction = REVERSE if reversed_run else FORWARD
-                accessed = run_transaction(db, params, kind, root, direction,
-                                           policy, s.stochastic)
+                accessed, sources = run_transaction(db, params, kind, root, direction,
+                                                    s.stochastic)
+                policy.on_link_crossing(sources, accessed)
                 reads_before = storage.transaction_reads
                 for oid in accessed:
                     access(oid)
@@ -369,14 +369,13 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
                     index=index, phase=phase, client=client, type=kind,
                     direction=direction, root=root, objects=objects,
                     faults=faults, sim_time=sim_time))
-                if policy is not None:
-                    policy.on_transaction_end()
-                    placement = policy.maybe_reorganize(storage)
-                    if placement is not None:
-                        reads, writes = storage.rewrite_placement(placement)
-                        log.clock += (reads + writes) * io_cost
-                        log.reorgs.append(ReorgEvent(after_index=index,
-                                                     reads=reads, writes=writes))
+                policy.on_transaction_end()
+                placement = policy.maybe_reorganize(storage)
+                if placement is not None:
+                    reads, writes = storage.rewrite_placement(placement)
+                    log.clock += (reads + writes) * io_cost
+                    log.reorgs.append(ReorgEvent(after_index=index,
+                                                 reads=reads, writes=writes))
                 index += 1
     log.transaction_reads = storage.transaction_reads
     log.overhead_reads = storage.overhead_reads

@@ -153,6 +153,15 @@ def test_cli_run_missing_database_is_runtime_error(tmp_path):
                  "--out-dir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("body", ['{"format": 1}\n', "[1,2]\n"],
+                         ids=["missing-fields", "not-an-object"])
+def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.ocb"
+    path.write_text("OCBDB1\n" + body)
+    assert main(["run", "--db", str(path), "--out-dir", str(tmp_path)]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--pset", "0.9", "--out-dir", str(tmp_path)]) == 2
     assert main(["generate", "--preset", "bogus",
@@ -227,6 +236,15 @@ def test_cli_compare_mismatched_seeds_requires_force(tmp_path):
     report_b = str(dir_b / "report.json")
     assert main(["compare", report_a, report_b]) == 3
     assert main(["compare", report_a, report_b, "--force"]) == 0
+
+
+@pytest.mark.parametrize("body", ["x\n", '{"format": 1}\n'],
+                         ids=["not-json", "no-metrics"])
+def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
+    path = tmp_path / "r.json"
+    path.write_text(body)
+    assert main(["compare", str(path), str(path)]) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_cli_env_seed_fallback(tmp_path, monkeypatch, capsys):

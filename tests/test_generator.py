@@ -1,4 +1,6 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -273,8 +275,11 @@ def test_generation_deterministic():
     assert generate_database(small_params(seed=78)) != generate_database(params_a)
 
 
-@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 40),
-       st.integers(1, 3), st.integers(0, 2 ** 32))
+# Bounded so that most draws have objects and links: maxnref >= 1, no >= 2,
+# and nreft >= 2, since links of the acyclic type 1 are often all nulled
+# (the empty and slot-less corners have tests of their own).
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(2, 40),
+       st.integers(2, 3), st.integers(0, 2 ** 32))
 def test_small_databases_respect_invariants(nc, maxnref, no, nreft, seed):
     params = GeneratorParams(nc=nc, maxnref=maxnref, no=no, nreft=nreft, seed=seed,
                              acyclic_types=frozenset({1}),
@@ -320,6 +325,34 @@ def test_link_tables_are_derived_and_never_saved(tmp_path):
     assert after.read_bytes() == before.read_bytes()
     assert load_database(str(after)) == db
     assert "_link_tables" not in repr(db)
+
+
+@st.composite
+def small_generator_params(draw):
+    """Generator parameters of small databases that mostly have links.
+
+    The acyclic and inheritance types are drawn, so the minimal draw (none
+    of either) nulls no link to break a cycle.
+    """
+    nreft = draw(st.integers(1, 3))
+    acyclic = draw(st.frozensets(st.integers(1, nreft)))
+    inheritance = frozenset(t for t in sorted(acyclic) if draw(st.booleans()))
+    return GeneratorParams(nc=draw(st.integers(1, 4)), maxnref=draw(st.integers(1, 3)),
+                           no=draw(st.integers(2, 30)), nreft=nreft,
+                           acyclic_types=acyclic, inheritance_types=inheritance,
+                           seed=draw(st.integers(0, 2 ** 32)))
+
+
+@given(small_generator_params())
+def test_save_load_round_trip_is_exact(params):
+    db = generate_database(params)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.ocb", Path(tmp) / "second.ocb"
+        save_database(db, str(first))
+        loaded = load_database(str(first))
+        assert loaded == db
+        save_database(loaded, str(second))
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_save_load_empty_database(tmp_path):

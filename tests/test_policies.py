@@ -26,39 +26,60 @@ from ocb.workload import WorkloadParams, run_protocol
 # -- observation ---------------------------------------------------------
 
 
+def observe_oracle(transactions):
+    """Count each transaction's non-self crossings, one pair at a time."""
+    counts = Counter()
+    for sources, accessed in transactions:
+        for i, source in enumerate(sources):
+            if source != accessed[i + 1]:
+                counts[source, accessed[i + 1]] += 1
+    return counts
+
+
 def test_observe_counts_crossings():
     state = DstcState()
-    for _ in range(3):
-        dstc_observe(state, 1, 2)
-    assert state.observation_matrix == {(1, 2): 3}
+    # one transaction: 1 crosses to 2 three times
+    dstc_observe(state, [1, 1, 1], [1, 2, 2, 2])
+    assert state.observation_matrix == Counter({(1, 2): 3})
 
 
 def test_observe_keeps_direction_and_skips_self_links():
     state = DstcState()
-    dstc_observe(state, 2, 1)
-    dstc_observe(state, 1, 2)
-    dstc_observe(state, 5, 5)
-    assert state.observation_matrix == {(2, 1): 1, (1, 2): 1}
+    dstc_observe(state, [2, 1, 5, 5], [2, 1, 2, 5, 5])
+    assert state.observation_matrix == Counter({(2, 1): 1, (1, 2): 1})
+
+
+@given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=12),
+                min_size=1, max_size=5), st.data())
+def test_observe_matches_per_pair_oracle(accesses, data):
+    # ids drawn from 1..4, so self-links are frequent
+    transactions = [(data.draw(st.lists(st.integers(1, 4), min_size=len(accessed) - 1,
+                                        max_size=len(accessed) - 1)), accessed)
+                    for accessed in accesses]
+    state = DstcState()
+    for sources, accessed in transactions:
+        dstc_observe(state, sources, accessed)
+    assert state.observation_matrix == observe_oracle(transactions)
 
 
 def test_observe_matches_recount_oracle():
     db = generate_database(GeneratorParams(nc=3, maxnref=3, no=30, seed=15))
     storage = place_sequential(db, StorageParams())
-    crossings = []
+    transactions = []
 
     class Recorder(NoClustering):
-        def on_link_crossing(self, source, target):
-            crossings.append((source, target))
+        def on_link_crossing(self, sources, accessed):
+            transactions.append((list(sources), list(accessed)))
 
     recorder = Recorder()
     params = WorkloadParams(coldn=10, hotn=10, seed=3)
     run_protocol(db, storage, params, recorder)
+    assert len(transactions) == 20
 
     state = DstcState()
-    for source, target in crossings:
-        dstc_observe(state, source, target)
-    oracle = Counter(pair for pair in crossings if pair[0] != pair[1])
-    assert state.observation_matrix == dict(oracle)
+    for sources, accessed in transactions:
+        dstc_observe(state, sources, accessed)
+    assert state.observation_matrix == observe_oracle(transactions)
 
 
 # -- selection -----------------------------------------------------------
@@ -349,8 +370,7 @@ def test_dstc_policy_periods_and_trigger():
     db = sized_db(4, size=100, links={1: [2], 2: [3]})
     storage = place_sequential(db, StorageParams())
     for tx in range(1, 21):
-        policy.on_link_crossing(1, 2)
-        policy.on_link_crossing(2, 3)
+        policy.on_link_crossing([1, 2], [1, 2, 3])
         policy.on_transaction_end()
         placement = policy.maybe_reorganize(storage)
         if tx % 10 == 0:

@@ -16,7 +16,6 @@ from helpers import (
 from ocb.distributions import Constant, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
-from ocb.policies import NoClustering
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
     WorkloadParams,
@@ -37,23 +36,23 @@ def storage_for(db, buffer_pages=512):
 
 def test_set_access_isolated_root():
     db = build_db([(1, [])])
-    assert set_oriented_access(db, 1, depth=5) == [1]
+    assert set_oriented_access(db, 1, depth=5) == ([1], [])
 
 
 def test_set_access_binary_tree_depth_one():
     db = build_db([(1, [2, 3]), (1, []), (1, [])])
-    assert set_oriented_access(db, 1, depth=1) == [1, 2, 3]
+    assert set_oriented_access(db, 1, depth=1) == ([1, 2, 3], [1, 1])
 
 
 def test_set_access_counts_duplicates_but_expands_once():
     # both 2 and 3 point at 4: BFS accesses 4 twice, expands it once
     db = build_db([(1, [2, 3]), (1, [4]), (1, [4]), (1, [2])])
-    assert set_oriented_access(db, 1, depth=3) == [1, 2, 3, 4, 4, 2]
+    assert set_oriented_access(db, 1, depth=3) == ([1, 2, 3, 4, 4, 2], [1, 1, 2, 3, 4])
 
 
 def test_simple_traversal_chain():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [])])
-    assert simple_traversal(db, 1, depth=3) == [1, 2, 3, 4]
+    assert simple_traversal(db, 1, depth=3) == ([1, 2, 3, 4], [1, 2, 3])
 
 
 def test_simple_traversal_full_fanout_emulation():
@@ -61,8 +60,9 @@ def test_simple_traversal_full_fanout_emulation():
     # other three, so a 7-hop walk realizes the full fan-out tree
     db = build_db([(1, [oid for oid in range(1, 5) if oid != me])
                    for me in range(1, 5)])
-    accessed = simple_traversal(db, 1, depth=7)
+    accessed, sources = simple_traversal(db, 1, depth=7)
     assert len(accessed) == 3280
+    assert len(sources) == 3279
     assert len(accessed) == sum(3 ** i for i in range(8))
 
 
@@ -70,13 +70,15 @@ def test_hierarchy_traversal_follows_one_type():
     db = build_db(
         [(1, [2, 6]), (1, [3, 6]), (1, [4, 6]), (1, [5, 6]), (1, [None, 6]), (1, [])],
         class_trefs=[[1, 2]])
-    assert hierarchy_traversal(db, 1, depth=5, ref_type=1) == [1, 2, 3, 4, 5]
-    assert hierarchy_traversal(db, 1, depth=5, ref_type=3) == [1]
+    assert hierarchy_traversal(db, 1, depth=5, ref_type=1) == \
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4])
+    assert hierarchy_traversal(db, 1, depth=5, ref_type=3) == ([1], [])
 
 
 def test_hierarchy_five_link_chain_counts_six():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [5]), (1, [6]), (1, [])])
-    assert len(hierarchy_traversal(db, 1, depth=5, ref_type=1)) == 6
+    accessed, _sources = hierarchy_traversal(db, 1, depth=5, ref_type=1)
+    assert len(accessed) == 6
 
 
 def test_choose_slot_distribution():
@@ -94,13 +96,15 @@ def test_choose_slot_distribution():
 
 def test_stochastic_zero_slots_stops_immediately():
     db = build_db([(1, [])])
-    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == [1]
+    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == ([1], [])
 
 
 def test_stochastic_replays_against_oracle():
     db = generate_database(GeneratorParams(nc=3, maxnref=3, no=30, seed=9))
     for seed in range(5):
-        accessed = stochastic_traversal(db, 7, depth=50, rng=substream(seed, "sto"))
+        accessed, sources = stochastic_traversal(db, 7, depth=50,
+                                                 rng=substream(seed, "sto"))
+        assert sources == accessed[:-1]
         assert accessed == stochastic_oracle(db, 7, 50, substream(seed, "sto"))
 
 
@@ -108,50 +112,43 @@ def test_traversals_match_oracles_on_generated_db():
     db = generate_database(GeneratorParams(nc=4, maxnref=3, no=40, seed=12))
     for root in (1, 7, 40):
         for direction in ("forward", "reverse"):
-            assert set_oriented_access(db, root, 3, direction) == \
+            assert set_oriented_access(db, root, 3, direction)[0] == \
                 bfs_oracle(db, root, 3, direction)
-            assert simple_traversal(db, root, 3, direction) == \
+            assert simple_traversal(db, root, 3, direction)[0] == \
                 dfs_oracle(db, root, 3, direction)
-            assert hierarchy_traversal(db, root, 5, 1, direction) == \
+            assert hierarchy_traversal(db, root, 5, 1, direction)[0] == \
                 hierarchy_oracle(db, root, 5, 1, direction)
 
 
 def test_reverse_uses_backrefs():
     db = build_db([(1, [3]), (1, [3]), (1, [])])
-    assert set_oriented_access(db, 3, depth=1, direction="reverse") == [3, 1, 2]
+    assert set_oriented_access(db, 3, depth=1, direction="reverse") == ([3, 1, 2], [3, 3])
 
 
 # -- the traversal engine against the oracles, event by event -------------
 #
-# A traversal returns its accesses and fires its crossings, so the two are
-# compared with the oracle's events as two ordered streams. How accesses
-# interleave with crossings is not part of the design: the buffer sees the
-# accesses only after the walk, when run_protocol replays them.
-
-
-class CrossingRecorder(NoClustering):
-    """Logs link crossings in the order the traversal reports them."""
-
-    def __init__(self):
-        self.crossings = []
-
-    def on_link_crossing(self, source, target):
-        self.crossings.append(("cross", source, target))
+# A traversal returns its accesses and, for each access after the root, the
+# id it was reached from, so the two are compared with the oracle's events
+# as two ordered streams. How accesses interleave with crossings is not part
+# of the design: the policy and the buffer see a transaction only after its
+# walk.
 
 
 def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
     """(accesses, crossings) of one traversal, as oracle-style event lists."""
-    recorder = CrossingRecorder()
     if kind == "set":
-        accessed = set_oriented_access(db, root, depth, direction, recorder)
+        accessed, sources = set_oriented_access(db, root, depth, direction)
     elif kind == "simple":
-        accessed = simple_traversal(db, root, depth, direction, recorder)
+        accessed, sources = simple_traversal(db, root, depth, direction)
     elif kind == "hierarchy":
-        accessed = hierarchy_traversal(db, root, depth, ref_type, direction, recorder)
+        accessed, sources = hierarchy_traversal(db, root, depth, ref_type, direction)
     else:
-        accessed = stochastic_traversal(db, root, depth, direction, recorder,
-                                        substream(seed, "engine"))
-    return [("access", oid) for oid in accessed], recorder.crossings
+        accessed, sources = stochastic_traversal(db, root, depth, direction,
+                                                 substream(seed, "engine"))
+    # every access after the root is the target of exactly one crossing
+    assert len(sources) == len(accessed) - 1
+    return ([("access", oid) for oid in accessed],
+            [("cross", source, target) for source, target in zip(sources, accessed[1:])])
 
 
 def split_events(events):
