@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from operator import attrgetter, is_not, itemgetter
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -475,4 +478,43 @@ def load_database(path: str) -> Database:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
+    _check_object_values(path, objects)
     return Database(params=params, classes=classes, objects=objects, report=report)
+
+
+def _check_object_values(path: str, objects: list[ObjectInstance]) -> None:
+    """Raise FormatError unless every object's id, size and links are in range.
+
+    Object N must have id N, a size that is an int >= 0, `oref` entries that
+    are None or object ids, and `backref` sources that are object ids. Bulk
+    passes over all objects decide whether anything is wrong; only then does
+    a per-object pass name the first offending object and field.
+    """
+    count = len(objects)
+    ids = list(map(attrgetter("id"), objects))
+    sizes = list(map(attrgetter("size"), objects))
+    refs = list(filter(partial(is_not, None),
+                       chain.from_iterable(map(attrgetter("oref"), objects))))
+    refs += map(itemgetter(0), chain.from_iterable(map(attrgetter("backref"), objects)))
+    if (ids == list(range(1, count + 1))
+            and set(map(type, chain(ids, sizes, refs))) <= {int}
+            and min(sizes, default=0) >= 0
+            and min(refs, default=1) >= 1 and max(refs, default=count) <= count):
+        return
+
+    def is_object_id(value) -> bool:
+        return type(value) is int and 1 <= value <= count
+
+    for position, obj in enumerate(objects, start=1):
+        if type(obj.id) is not int or obj.id != position:
+            field_name, value = "id", obj.id
+        elif type(obj.size) is not int or obj.size < 0:
+            field_name, value = "size", obj.size
+        elif not all(target is None or is_object_id(target) for target in obj.oref):
+            field_name, value = "oref", obj.oref
+        elif not all(is_object_id(source) for source, _slot in obj.backref):
+            field_name, value = "backref", obj.backref
+        else:
+            continue
+        raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "
+                          f"{value!r} (ids run from 1 to {count})")

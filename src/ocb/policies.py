@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from operator import ne
 
 from .errors import ParameterError, require_finite
@@ -236,12 +236,8 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
 
 def dstc_reorganize(state: DstcState, storage) -> dict[int, tuple[int, int]]:
     """Phase 5: lay units out contiguously, then everything else by id."""
-    in_unit: set[int] = set()
-    order: list[int] = []
-    for unit in state.clustering_units:
-        order.extend(unit)
-        in_unit.update(unit)
-    order.extend(oid for oid in sorted(storage.placement) if oid not in in_unit)
+    order = list(chain.from_iterable(state.clustering_units))
+    order += sorted(storage.placement.keys() - set(order))
     return storage.pack_order(order)
 
 

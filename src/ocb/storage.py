@@ -8,14 +8,25 @@ reads and writes.
 An object access costs one dict lookup and one LRU step when the object fits
 on one page, as every object of the `default` and `dstc-club` presets does.
 An object larger than a page spans a run of pages and takes a slower path
-that touches each page of its run in order.
+that touches each page of its run in order. Page runs depend only on object
+sizes, so a `StorageState` derives them once, when it is made.
+
+A placement rewrite costs one validation loop over the objects; the rest is
+a few passes at C level (comparing positions, collecting the pages that
+moved objects leave and land on, rebuilding the page map), plus one step
+per oversized object. The first-fit packing that produces a new
+placement stays one Python loop over the objects in the requested order.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, ne
 
 from .errors import ParameterError, PlacementError, require_finite
+
+_first_page = itemgetter(0)  # the page of a (page, offset) position
 
 
 @dataclass
@@ -53,10 +64,10 @@ def _pack_first_fit(order, sizes, page_size, spanning):
     """
     placement: dict[int, tuple[int, int]] = {}
     free: list[int] = []  # free bytes per open page, index = page id
-    min_size = min((sizes[o] for o in order), default=0)
+    order_sizes = list(map(sizes.__getitem__, order))
+    min_size = min(order_sizes, default=0)
     open_pages: list[int] = []  # page ids that can still take min_size bytes
-    for oid in order:
-        size = sizes[oid]
+    for oid, size in zip(order, order_sizes):
         if size > page_size:
             if not spanning:
                 raise PlacementError(
@@ -66,20 +77,19 @@ def _pack_first_fit(order, sizes, page_size, spanning):
             free.extend([0] * run)
             placement[oid] = (start, 0)
             continue
-        target = -1
-        for idx, page in enumerate(open_pages):
-            if free[page] >= size:
-                target = idx
+        for page in open_pages:
+            left = free[page]
+            if left >= size:
                 break
-        if target == -1:
-            page = len(free)
-            free.append(page_size)
-            open_pages.append(page)
         else:
-            page = open_pages[target]
-        placement[oid] = (page, page_size - free[page])
-        free[page] -= size
-        if free[page] < min_size:
+            page = len(free)
+            left = page_size
+            free.append(left)
+            open_pages.append(page)
+        placement[oid] = (page, page_size - left)
+        left -= size
+        free[page] = left
+        if left < min_size:
             open_pages.remove(page)
     return placement
 
@@ -90,8 +100,8 @@ class StorageState:
     `placement` maps each object id to its (first page, byte offset). It is
     read-only outside `rewrite_placement`: `_install`, which sets it for
     `place_sequential` and `rewrite_placement`, derives from it the page
-    maps that `access_object` reads, so an edit made anywhere else would
-    leave them stale.
+    map that `access_object` reads, so an edit made anywhere else would
+    leave it stale.
     """
 
     def __init__(self, params: StorageParams, sizes: dict[int, int]):
@@ -99,7 +109,10 @@ class StorageState:
         self.params = params
         self.sizes = sizes
         self.placement: dict[int, tuple[int, int]] = {}
-        self._runs: dict[int, int] = {}  # oversized object id -> page run length
+        page_size = params.page_size
+        # oversized object id -> page run length
+        self._runs: dict[int, int] = {oid: -(-size // page_size)
+                                      for oid, size in sizes.items() if size > page_size}
         self._page_of: dict[int, int] = {}  # single-page object id -> its page
         self._buffer: "OrderedDict[int, None]" = OrderedDict()
         self.transaction_reads = 0
@@ -111,16 +124,10 @@ class StorageState:
 
     def _install(self, placement: dict[int, tuple[int, int]]) -> None:
         self.placement = placement
-        page_size = self.params.page_size
-        sizes = self.sizes
-        self._runs = {}
-        self._page_of = {}
-        for oid, (page, _offset) in placement.items():
-            size = sizes[oid]
-            if size > page_size:
-                self._runs[oid] = -(-size // page_size)
-            else:
-                self._page_of[oid] = page
+        page_of = dict(zip(placement, map(_first_page, placement.values())))
+        for oid in self._runs:
+            del page_of[oid]
+        self._page_of = page_of
 
     def pages_of(self, object_id: int) -> range:
         page, _ = self.placement[object_id]
@@ -174,7 +181,7 @@ class StorageState:
     # -- reorganization ----------------------------------------------------
 
     def _validate_placement(self, placement: dict[int, tuple[int, int]]) -> None:
-        if set(placement) != set(self.placement):
+        if placement.keys() != self.placement.keys():
             raise PlacementError("new placement must cover exactly the placed objects")
         page_size = self.params.page_size
         fill: dict[int, int] = {}
@@ -185,8 +192,10 @@ class StorageState:
                 if not self.params.spanning:
                     raise PlacementError(
                         f"object {oid} ({size} bytes) exceeds page size {page_size}")
-                run = -(-size // page_size)
-                for p in range(page, page + run):
+                if offset:
+                    raise PlacementError(
+                        f"oversized object {oid} must start at offset 0 of page {page}")
+                for p in range(page, page + self._runs[oid]):
                     if p in run_pages or p in fill:
                         raise PlacementError(f"page {p} overlaps an oversized run")
                     run_pages.add(p)
@@ -206,23 +215,30 @@ class StorageState:
         they land on is one overhead write, however many objects share it;
         pages whose contents changed are dropped from the buffer. Returns
         (reads, writes).
+
+        Besides validation, a rewrite is a few passes at C level: one
+        comparison of old and new positions marks the moved objects (any
+        change of page or offset), their first pages form the old and new
+        page sets, and only moved oversized objects, looked up in the page
+        runs derived from the sizes, expand to their whole run.
         """
         self._validate_placement(new_placement)
-        page_size = self.params.page_size
-        old_pages: set[int] = set()
-        new_pages: set[int] = set()
-        for oid, new_pos in new_placement.items():
-            old_pos = self.placement[oid]
-            if new_pos == old_pos:
-                continue
-            size = self.sizes[oid]
-            run = -(-size // page_size) if size > page_size else 1
-            old_pages.update(range(old_pos[0], old_pos[0] + run))
-            new_pages.update(range(new_pos[0], new_pos[0] + run))
+        old = self.placement
+        new_positions = new_placement.values()
+        old_positions = list(map(old.__getitem__, new_placement))
+        moved = list(map(ne, new_positions, old_positions))
+        old_pages = set(map(_first_page, compress(old_positions, moved)))
+        new_pages = set(map(_first_page, compress(new_positions, moved)))
+        for oid, run in self._runs.items():
+            old_pos, new_pos = old[oid], new_placement[oid]
+            if new_pos != old_pos:
+                old_pages.update(range(old_pos[0], old_pos[0] + run))
+                new_pages.update(range(new_pos[0], new_pos[0] + run))
         self.overhead_reads += len(old_pages)
         self.overhead_writes += len(new_pages)
-        for page in old_pages | new_pages:
-            self._buffer.pop(page, None)
+        buffer = self._buffer
+        for page in (old_pages | new_pages).intersection(buffer):
+            del buffer[page]
         self._install(new_placement)
         return len(old_pages), len(new_pages)
 

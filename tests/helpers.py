@@ -189,7 +189,11 @@ def stochastic_oracle(db, root, depth, rng, direction="forward", events=None):
 
 
 def first_fit_oracle(order, sizes, page_size):
-    """Naive first-fit packing; oversized objects get dedicated page runs."""
+    """Naive first-fit packing; oversized objects get dedicated page runs.
+
+    Returns each object's (page, byte offset); an object starts where the
+    bytes already packed onto its page end, and a page run starts at 0.
+    """
     pages = []  # remaining bytes per page
     placement = {}
     for oid in order:
@@ -198,15 +202,15 @@ def first_fit_oracle(order, sizes, page_size):
             start = len(pages)
             run = (size + page_size - 1) // page_size
             pages.extend([0] * run)
-            placement[oid] = start
+            placement[oid] = (start, 0)
             continue
         for pid in range(len(pages)):
             if pages[pid] >= size:
-                placement[oid] = pid
+                placement[oid] = (pid, page_size - pages[pid])
                 pages[pid] -= size
                 break
         else:
-            placement[oid] = len(pages)
+            placement[oid] = (len(pages), 0)
             pages.append(page_size - size)
     return placement
 
@@ -217,7 +221,8 @@ def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
     accesses holds object ids and, between them, whole new placements (dicts):
     a new placement drops from the buffer every page that an object it moves
     leaves or lands on. Each object touches its run of pages in order.
-    Returns (pages read by each access, a fault when > 0; final buffer order).
+    Returns (pages read by each access, a fault when > 0; for each new
+    placement, the (pages left, pages landed) counts; final buffer order).
     """
 
     def pages(where, oid):
@@ -226,14 +231,17 @@ def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
 
     buffer = []
     reads = []
+    rewrites = []
     for step in accesses:
         if isinstance(step, dict):
-            dropped = set()
+            left, landed = set(), set()
             for oid, position in step.items():
                 if position != placement[oid]:
-                    dropped.update(pages(placement, oid))
-                    dropped.update(pages(step, oid))
+                    left.update(pages(placement, oid))
+                    landed.update(pages(step, oid))
+            dropped = left | landed
             buffer = [page for page in buffer if page not in dropped]
+            rewrites.append((len(left), len(landed)))
             placement = step
             continue
         count = 0
@@ -246,7 +254,7 @@ def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
                     del buffer[0]
             buffer.append(page)
         reads.append(count)
-    return reads, buffer
+    return reads, rewrites, buffer
 
 
 def kahn_is_dag(nodes, edges):

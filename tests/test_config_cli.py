@@ -162,6 +162,32 @@ def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("position, edit, field", [
+    (1, {"size": "big"}, "size"),
+    (1, {"oref": [99]}, "oref"),
+    (2, {"size": -1}, "size"),
+    (3, {"id": 7}, "id"),
+    (4, {"oref": [True]}, "oref"),
+    (5, {"backref": [[0, 0]]}, "backref"),
+], ids=["size-not-int", "oref-out-of-range", "size-negative", "id-not-position",
+        "oref-not-int", "backref-out-of-range"])
+def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
+                                                          position, edit, field):
+    path = tmp_path / "bad.ocb"
+    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
+                 "--out", str(path)]) == 0
+    magic, body = path.read_text().splitlines()
+    payload = json.loads(body)
+    payload["objects"][position - 1].update(edit)
+    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
+    capsys.readouterr()
+    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
+                 "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"object {position} has an invalid {field!r}" in err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--pset", "0.9", "--out-dir", str(tmp_path)]) == 2
     assert main(["generate", "--preset", "bogus",

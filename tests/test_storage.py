@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import build_db, first_fit_oracle, lru_oracle
+from ocb.cli import main
 from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import make_policy
@@ -41,7 +44,7 @@ def test_default_database_packs_like_oracle():
     state = place_sequential(db, params)
     sizes = {o.id: o.size for o in db.objects}
     oracle = first_fit_oracle([o.id for o in db.objects], sizes, params.page_size)
-    assert {oid: page for oid, (page, _off) in state.placement.items()} == oracle
+    assert state.placement == oracle
     fill = {}
     for oid in state.placement:
         for page in state.pages_of(oid):
@@ -184,6 +187,11 @@ def test_rewrite_rejects_partial_or_overfull_placements():
     overfull = {1: (0, 0), 2: (0, 4000), 3: (1, 0)}
     with pytest.raises(PlacementError):
         state.rewrite_placement(overfull)
+    # a page run must start at offset 0 of its first page
+    state = place_sequential(sized_db([10, 10, 250]), StorageParams(page_size=100))
+    with pytest.raises(PlacementError, match="oversized object 3"):
+        state.rewrite_placement({1: (0, 0), 2: (0, 10), 3: (1, 40)})
+    assert (state.overhead_reads, state.overhead_writes) == (0, 0)
 
 
 def test_simulated_time_is_monotone_in_counters():
@@ -207,7 +215,7 @@ def test_random_packings_match_oracle(sizes, page_scale):
     state = place_sequential(db, StorageParams(page_size=page_size))
     oracle = first_fit_oracle([o.id for o in db.objects],
                               {o.id: o.size for o in db.objects}, page_size)
-    assert {oid: page for oid, (page, _o) in state.placement.items()} == oracle
+    assert state.placement == oracle
 
 
 PAGE = 128
@@ -226,25 +234,30 @@ def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     steps = data.draw(st.lists(st.sampled_from(ids), min_size=10, max_size=80))
     # rewrites to the first-fit packing of a shuffled order, between accesses
     rewrites = data.draw(st.lists(st.tuples(st.integers(0, len(steps)),
-                                            st.permutations(ids)), max_size=3))
+                                            st.permutations(ids)),
+                                  min_size=1, max_size=3))
     for position, order in sorted(rewrites, key=lambda r: r[0], reverse=True):
         steps.insert(position, order)
     initial = state.placement
     oracle_steps = []
     faults = []
+    rewrite_io = []
     for step in steps:
         if isinstance(step, list):
             placement = state.pack_order(step)
-            state.rewrite_placement(placement)
+            rewrite_io.append(state.rewrite_placement(placement))
             oracle_steps.append(placement)
         else:
             faults.append(state.access_object(step))
             oracle_steps.append(step)
-    reads, buffer = lru_oracle(initial, dict(zip(ids, sizes)), PAGE, buffer_pages,
-                               oracle_steps)
+    reads, oracle_rewrite_io, buffer = lru_oracle(
+        initial, dict(zip(ids, sizes)), PAGE, buffer_pages, oracle_steps)
     assert faults == [count > 0 for count in reads]
     assert state.transaction_reads == sum(reads)
     assert state.objects_accessed == len(reads)
+    assert rewrite_io == oracle_rewrite_io
+    assert state.overhead_reads == sum(r for r, _w in rewrite_io)
+    assert state.overhead_writes == sum(w for _r, w in rewrite_io)
     assert state.buffered_pages() == buffer
 
 
@@ -290,3 +303,36 @@ def test_traversals_do_not_depend_on_placement():
          for r in run_protocol(db, storage, params, make_policy("none")).records]
         for storage in (sequential, shuffled))
     assert sequential_records == shuffled_records
+
+
+# The A3 club run, shrunk to 2000 objects of two classes: 5000-byte objects
+# that span two 4096-byte pages and 1500-byte ones that share a page. A
+# 250-transaction period gives twelve DSTC rewrites of the placement.
+SPANNING_CLUB_RUN = [
+    "run", "--preset", "dstc-club", "--basesize", "1500,5000", "--dist3", "uniform",
+    "--no", "2000", "--psimple", "1", "--pset", "0", "--phier", "0", "--pstoch", "0",
+    "--clientn", "4", "--dist5", "special:0:0.995", "--dist4", "special:1000:0.9",
+    "--coldn", "300", "--hotn", "500", "--buffer-pages", "16",
+    "--observation-period", "250", "--policy", "dstc", "--seed", "1",
+]
+SPANNING_CLUB_SHA256 = {
+    "report.csv": "3020086827b7305939432e4855c4894b9e8f30b476c982a7367e5bea43da7c9a",
+    "report_stats.csv": "fc5cae90ac783e475cf8567db5cb2fec6789fc263875be11b5c0ba16631aa62e",
+    "report.json": "191257d7d90c246506195b00ab7338923a467ca2fededd00686ac2ff9f411064",
+    "report.txt": "9b0c3c28f9b1d3d377666b0215bb63d4d79d5de2e4a417a7f6eba8fe0c51af89",
+}
+
+
+def test_dstc_run_with_spanning_objects_keeps_its_report_bytes(tmp_path):
+    # Reorganization code must leave every simulated result byte-identical;
+    # the benchmark's databases have no object larger than a page, so this
+    # run pins the spanning path through packing, rewrites and the buffer.
+    assert main([*SPANNING_CLUB_RUN, "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert len(payload["reorganizations"]) >= 10
+    config = payload["config"]
+    db = generate_database(GeneratorParams.from_dict(config["generator"]))
+    sizes = {obj.size for obj in db.objects}
+    assert max(sizes) > config["storage"]["page_size"] >= min(sizes)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SPANNING_CLUB_SHA256} == SPANNING_CLUB_SHA256
