@@ -123,11 +123,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _load_report(path: str) -> MetricsReport:
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OcbError(f"{path}: report is not JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise OcbError(f"{path}: report is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise OcbError(f"{path}: report is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise OcbError(f"{path}: report is not a JSON object")
     if payload.get("format") != REPORT_FORMAT:

@@ -167,15 +167,19 @@ def build_config(preset: str | None = None,
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a flat key=value file; '#' starts a comment."""
+    """Parse a flat key=value UTF-8 file; '#' starts a comment."""
     overrides: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            overrides[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: config file is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        overrides[key.strip()] = value.strip()
     return overrides

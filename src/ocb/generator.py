@@ -24,6 +24,7 @@ from .distributions import (
     substream,
     validate_distribution,
 )
+from ._collector import collector_paused
 from .errors import FormatError, ParameterError
 
 DB_MAGIC = "OCBDB1"
@@ -442,15 +443,31 @@ def save_database(db: Database, path: str) -> None:
 
 
 def load_database(path: str) -> Database:
-    """Read a database file back; inverse of save_database."""
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != DB_MAGIC:
-            raise FormatError(f"{path}: bad magic header {magic!r}")
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: malformed database body: {exc}") from None
+    """Read a database file back; inverse of save_database.
+
+    Raises FormatError, naming the file, for a file that is not UTF-8 text,
+    a wrong magic line or format version, a malformed body, or a value out
+    of range (see `_check_values`). The cyclic garbage collector is
+    suspended while the file is parsed and checked, and restored to the
+    caller's state on return, also when loading fails: the loaded database
+    holds no reference cycles, so a collector pass would find nothing.
+    """
+    with collector_paused():
+        return _load_database(path)
+
+
+def _load_database(path: str) -> Database:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            magic = fh.readline().rstrip("\n")
+            if magic != DB_MAGIC:
+                raise FormatError(f"{path}: bad magic header {magic!r}")
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}: malformed database body: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: database body is not a JSON object")
     if payload.get("format") != DB_FORMAT:
@@ -478,43 +495,76 @@ def load_database(path: str) -> Database:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
-    _check_object_values(path, objects)
+    _check_values(path, params.nreft, classes, objects)
     return Database(params=params, classes=classes, objects=objects, report=report)
 
 
-def _check_object_values(path: str, objects: list[ObjectInstance]) -> None:
-    """Raise FormatError unless every object's id, size and links are in range.
+def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
+                  objects: list[ObjectInstance]) -> None:
+    """Raise FormatError unless every class and object value is in range.
 
-    Object N must have id N, a size that is an int >= 0, `oref` entries that
-    are None or object ids, and `backref` sources that are object ids. Bulk
-    passes over all objects decide whether anything is wrong; only then does
-    a per-object pass name the first offending object and field.
+    Class N must have id N, `tref` entries that are reference types
+    (1..nreft) and `iterator` entries that are object ids. Object N must
+    have id N, a `class_id` in 1..len(classes), a size that is an int >= 0,
+    `oref` entries that are None or object ids, and `backref` sources that
+    are object ids. Bulk passes over all values decide whether anything is
+    wrong; only then does a per-class and per-object pass name the first
+    offending class or object and field.
     """
+    if type(nreft) is not int:
+        raise FormatError(f"{path}: 'nreft' is not an int: {nreft!r}")
+    nc = len(classes)
     count = len(objects)
+    class_ids = list(map(attrgetter("id"), classes))
+    trefs = list(chain.from_iterable(map(attrgetter("tref"), classes)))
+    members = list(chain.from_iterable(map(attrgetter("iterator"), classes)))
     ids = list(map(attrgetter("id"), objects))
+    classes_of = list(map(attrgetter("class_id"), objects))
     sizes = list(map(attrgetter("size"), objects))
     refs = list(filter(partial(is_not, None),
                        chain.from_iterable(map(attrgetter("oref"), objects))))
     refs += map(itemgetter(0), chain.from_iterable(map(attrgetter("backref"), objects)))
-    if (ids == list(range(1, count + 1))
-            and set(map(type, chain(ids, sizes, refs))) <= {int}
-            and min(sizes, default=0) >= 0
-            and min(refs, default=1) >= 1 and max(refs, default=count) <= count):
+
+    def within(values: list[int], high: int) -> bool:
+        return min(values, default=1) >= 1 and max(values, default=high) <= high
+
+    values = chain(class_ids, trefs, members, ids, classes_of, sizes, refs)
+    if (set(map(type, values)) <= {int}
+            and class_ids == list(range(1, nc + 1)) and ids == list(range(1, count + 1))
+            and within(trefs, nreft) and within(members, count)
+            and within(classes_of, nc) and within(refs, count)
+            and min(sizes, default=0) >= 0):
         return
 
-    def is_object_id(value) -> bool:
-        return type(value) is int and 1 <= value <= count
+    def in_range(value, high: int) -> bool:
+        return type(value) is int and 1 <= value <= high
 
+    classes_run = f"classes run from 1 to {nc}"
+    objects_run = f"object ids run from 1 to {count}"
+    types_run = f"reference types run from 1 to {nreft}"
+    for position, cls in enumerate(classes, start=1):
+        if type(cls.id) is not int or cls.id != position:
+            field_name, value, bounds = "id", cls.id, classes_run
+        elif not all(in_range(t, nreft) for t in cls.tref):
+            field_name, value, bounds = "tref", cls.tref, types_run
+        elif not all(in_range(oid, count) for oid in cls.iterator):
+            field_name, value, bounds = "iterator", cls.iterator, objects_run
+        else:
+            continue
+        raise FormatError(f"{path}: class {position} has an invalid {field_name!r}: "
+                          f"{value!r} ({bounds})")
     for position, obj in enumerate(objects, start=1):
         if type(obj.id) is not int or obj.id != position:
-            field_name, value = "id", obj.id
+            field_name, value, bounds = "id", obj.id, objects_run
+        elif not in_range(obj.class_id, nc):
+            field_name, value, bounds = "class_id", obj.class_id, classes_run
         elif type(obj.size) is not int or obj.size < 0:
-            field_name, value = "size", obj.size
-        elif not all(target is None or is_object_id(target) for target in obj.oref):
-            field_name, value = "oref", obj.oref
-        elif not all(is_object_id(source) for source, _slot in obj.backref):
-            field_name, value = "backref", obj.backref
+            field_name, value, bounds = "size", obj.size, "sizes are ints >= 0"
+        elif not all(target is None or in_range(target, count) for target in obj.oref):
+            field_name, value, bounds = "oref", obj.oref, objects_run
+        elif not all(in_range(source, count) for source, _slot in obj.backref):
+            field_name, value, bounds = "backref", obj.backref, objects_run
         else:
             continue
         raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "
-                          f"{value!r} (ids run from 1 to {count})")
+                          f"{value!r} ({bounds})")

@@ -33,6 +33,7 @@ from .distributions import (
     substream,
     validate_distribution,
 )
+from ._collector import collector_paused
 from .errors import ParameterError, RunError, require_finite
 from .policies import NoClustering
 
@@ -325,6 +326,12 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     are counted here and nowhere else. Then the policy's period bookkeeping
     and optional physical reorganization run. A `policy` of None runs
     without clustering.
+
+    Once the parameters are checked, the cyclic garbage collector is
+    suspended for the whole run, transactions, policy phases and storage
+    rewrites alike, and restored to the caller's state on return, also when
+    the run raises. Nothing the run allocates forms a reference cycle, so a
+    collector pass would only walk the live database and free nothing.
     """
     params.validate()
     total = params.clientn * (params.coldn + params.hotn)
@@ -338,49 +345,50 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
             f"{db.params.nreft}")
     if policy is None:
         policy = NoClustering()
-    streams = [_ClientStreams(params.seed, c) for c in range(1, params.clientn + 1)]
-    log = ExperimentLog()
-    no = len(db.objects)
-    access = storage.access_object
-    io_cost = storage.params.io_cost
-    cpu_cost = storage.params.cpu_cost
-    index = 0
-    for phase, count in (("COLD", params.coldn), ("HOT", params.hotn)):
-        for _ in range(count):
-            for client, s in enumerate(streams, start=1):
-                kind = _draw_type(s.types, params)
-                root = s.draw_root(params.dist5, no)
-                reversed_run = (params.reverse_probability > 0.0
-                                and s.directions.random() < params.reverse_probability)
-                direction = REVERSE if reversed_run else FORWARD
-                accessed, sources = run_transaction(db, params, kind, root, direction,
-                                                    s.stochastic)
-                policy.on_link_crossing(sources, accessed)
-                reads_before = storage.transaction_reads
-                for oid in accessed:
-                    access(oid)
-                faults = storage.transaction_reads - reads_before
-                objects = len(accessed)
-                sim_time = faults * io_cost + objects * cpu_cost
-                log.clock += sim_time
-                if params.think > 0:
-                    log.clock += s.think.expovariate(1.0 / params.think)
-                log.records.append(TransactionRecord(
-                    index=index, phase=phase, client=client, type=kind,
-                    direction=direction, root=root, objects=objects,
-                    faults=faults, sim_time=sim_time))
-                policy.on_transaction_end()
-                placement = policy.maybe_reorganize(storage)
-                if placement is not None:
-                    reads, writes = storage.rewrite_placement(placement)
-                    log.clock += (reads + writes) * io_cost
-                    log.reorgs.append(ReorgEvent(after_index=index,
-                                                 reads=reads, writes=writes))
-                index += 1
-    log.transaction_reads = storage.transaction_reads
-    log.overhead_reads = storage.overhead_reads
-    log.overhead_writes = storage.overhead_writes
-    return log
+    with collector_paused():
+        streams = [_ClientStreams(params.seed, c) for c in range(1, params.clientn + 1)]
+        log = ExperimentLog()
+        no = len(db.objects)
+        access = storage.access_object
+        io_cost = storage.params.io_cost
+        cpu_cost = storage.params.cpu_cost
+        index = 0
+        for phase, count in (("COLD", params.coldn), ("HOT", params.hotn)):
+            for _ in range(count):
+                for client, s in enumerate(streams, start=1):
+                    kind = _draw_type(s.types, params)
+                    root = s.draw_root(params.dist5, no)
+                    reversed_run = (params.reverse_probability > 0.0
+                                    and s.directions.random() < params.reverse_probability)
+                    direction = REVERSE if reversed_run else FORWARD
+                    accessed, sources = run_transaction(db, params, kind, root, direction,
+                                                        s.stochastic)
+                    policy.on_link_crossing(sources, accessed)
+                    reads_before = storage.transaction_reads
+                    for oid in accessed:
+                        access(oid)
+                    faults = storage.transaction_reads - reads_before
+                    objects = len(accessed)
+                    sim_time = faults * io_cost + objects * cpu_cost
+                    log.clock += sim_time
+                    if params.think > 0:
+                        log.clock += s.think.expovariate(1.0 / params.think)
+                    log.records.append(TransactionRecord(
+                        index=index, phase=phase, client=client, type=kind,
+                        direction=direction, root=root, objects=objects,
+                        faults=faults, sim_time=sim_time))
+                    policy.on_transaction_end()
+                    placement = policy.maybe_reorganize(storage)
+                    if placement is not None:
+                        reads, writes = storage.rewrite_placement(placement)
+                        log.clock += (reads + writes) * io_cost
+                        log.reorgs.append(ReorgEvent(after_index=index,
+                                                     reads=reads, writes=writes))
+                    index += 1
+        log.transaction_reads = storage.transaction_reads
+        log.overhead_reads = storage.overhead_reads
+        log.overhead_writes = storage.overhead_writes
+        return log
 
 
 def write_log_csv(log: ExperimentLog, path: str) -> None:

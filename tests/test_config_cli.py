@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 
 import pytest
 
@@ -186,6 +187,49 @@ def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(path) in err
     assert f"object {position} has an invalid {field!r}" in err
+
+
+@pytest.mark.parametrize("owner, position, edit, field", [
+    ("object", 1, {"class_id": 9}, "class_id"),
+    ("object", 2, {"class_id": 0}, "class_id"),
+    ("class", 1, {"id": 2}, "id"),
+    ("class", 2, {"iterator": [99]}, "iterator"),
+    ("class", 1, {"tref": [9]}, "tref"),
+    ("class", 2, {"tref": [0]}, "tref"),
+], ids=["class_id-above-nc", "class_id-zero", "class-id-not-position",
+        "iterator-out-of-range", "tref-above-nreft", "tref-zero"])
+def test_cli_run_database_with_bad_class_values_is_runtime_error(tmp_path, capsys, owner,
+                                                                position, edit, field):
+    path = tmp_path / "bad.ocb"
+    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
+                 "--out", str(path)]) == 0
+    magic, body = path.read_text().splitlines()
+    payload = json.loads(body)
+    payload[{"object": "objects", "class": "classes"}[owner]][position - 1].update(edit)
+    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
+    capsys.readouterr()
+    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
+                 "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"{owner} {position} has an invalid {field!r}" in err
+
+
+NOT_UTF8 = [random.Random(9).randbytes(3000), b"OCBDB1\n\xff\xfe{}"]
+
+
+@pytest.mark.parametrize("content", NOT_UTF8, ids=["random-bytes", "bad-body"])
+def test_cli_files_that_are_not_utf8_are_named_errors(tmp_path, capsys, content):
+    path = tmp_path / "binary"
+    path.write_bytes(content)
+    out_dir = str(tmp_path / "out")
+    capsys.readouterr()
+    for argv, code in ((["run", "--db", str(path), "--out-dir", out_dir], 3),
+                       (["compare", str(path), str(path)], 3),
+                       (["run", "--config", str(path), "--out-dir", out_dir], 2)):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8 text" in err
 
 
 def test_cli_config_error_exit_code(tmp_path):
