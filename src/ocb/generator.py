@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from operator import attrgetter, is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter, lt
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -19,20 +19,19 @@ from .distributions import (
     Uniform,
     draw_bounded,
     draw_position,
-    format_distribution,
-    parse_distribution,
     substream,
     validate_distribution,
 )
 from ._collector import collector_paused
 from .errors import FormatError, ParameterError
+from .params import ParamGroup
 
 DB_MAGIC = "OCBDB1"
 DB_FORMAT = 1
 
 
 @dataclass
-class GeneratorParams:
+class GeneratorParams(ParamGroup):
     """Knobs controlling the shape of the generated object base.
 
     `maxnref` and `basesize` may be a single int applied to every class
@@ -108,51 +107,6 @@ class GeneratorParams:
         validate_distribution(self.dist3, 1, self.nc, "dist3")
         validate_distribution(self.dist4, 1, max(self.supref, 1), "dist4",
                               allow_special=True)
-
-    def to_dict(self) -> dict:
-        d = {
-            "nc": self.nc,
-            "maxnref": list(self.maxnref) if not isinstance(self.maxnref, int) else self.maxnref,
-            "basesize": list(self.basesize) if not isinstance(self.basesize, int) else self.basesize,
-            "no": self.no,
-            "nreft": self.nreft,
-            "infclass": self.infclass,
-            "supclass": self.supclass,
-            "infref": self.infref,
-            "supref": self.supref,
-            "dist1": format_distribution(self.dist1),
-            "dist2": format_distribution(self.dist2),
-            "dist3": format_distribution(self.dist3),
-            "dist4": format_distribution(self.dist4),
-            "seed": self.seed,
-            "acyclic_types": sorted(self.acyclic_types),
-            "inheritance_types": sorted(self.inheritance_types),
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorParams":
-        def seq_or_int(v):
-            return v if isinstance(v, int) else tuple(v)
-
-        return cls(
-            nc=d["nc"],
-            maxnref=seq_or_int(d["maxnref"]),
-            basesize=seq_or_int(d["basesize"]),
-            no=d["no"],
-            nreft=d["nreft"],
-            infclass=d["infclass"],
-            supclass=d["supclass"],
-            infref=d["infref"],
-            supref=d["supref"],
-            dist1=parse_distribution(d["dist1"]),
-            dist2=parse_distribution(d["dist2"]),
-            dist3=parse_distribution(d["dist3"]),
-            dist4=parse_distribution(d["dist4"]),
-            seed=d["seed"],
-            acyclic_types=frozenset(d["acyclic_types"]),
-            inheritance_types=frozenset(d["inheritance_types"]),
-        )
 
 
 @dataclass
@@ -446,11 +400,13 @@ def load_database(path: str) -> Database:
     """Read a database file back; inverse of save_database.
 
     Raises FormatError, naming the file, for a file that is not UTF-8 text,
-    a wrong magic line or format version, a malformed body, or a value out
-    of range (see `_check_values`). The cyclic garbage collector is
-    suspended while the file is parsed and checked, and restored to the
-    caller's state on return, also when loading fails: the loaded database
-    holds no reference cycles, so a collector pass would find nothing.
+    a wrong magic line or format version, a malformed body, generator
+    parameters that `GeneratorParams.from_dict` or `validate()` rejects, or
+    a value out of range (see `_check_values`). The cyclic garbage
+    collector is suspended while the file is parsed and checked, and
+    restored to the caller's state on return, also when loading fails: the
+    loaded database holds no reference cycles, so a collector pass would
+    find nothing.
     """
     with collector_paused():
         return _load_database(path)
@@ -474,6 +430,7 @@ def _load_database(path: str) -> Database:
         raise FormatError(f"{path}: unsupported format version {payload.get('format')!r}")
     try:
         params = GeneratorParams.from_dict(payload["params"])
+        params.validate()
         classes = [
             ClassDescriptor(id=c["id"], tref=list(c["tref"]), cref=list(c["cref"]),
                             basesize=c["basesize"], instance_size=c["instance_size"],
@@ -492,6 +449,8 @@ def _load_database(path: str) -> Database:
             empty_iterator=report_d.get("empty_iterator", 0),
             out_of_range=report_d.get("out_of_range", 0),
         )
+    except ParameterError as exc:
+        raise FormatError(f"{path}: invalid generator parameters: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
@@ -506,13 +465,12 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
     Class N must have id N, `tref` entries that are reference types
     (1..nreft) and `iterator` entries that are object ids. Object N must
     have id N, a `class_id` in 1..len(classes), a size that is an int >= 0,
-    `oref` entries that are None or object ids, and `backref` sources that
-    are object ids. Bulk passes over all values decide whether anything is
+    one `oref` entry per `tref` entry of its class, each None or an object
+    id, and `backref` pairs of a source object id and a slot of that
+    source's `oref`. Bulk passes over all values decide whether anything is
     wrong; only then does a per-class and per-object pass name the first
     offending class or object and field.
     """
-    if type(nreft) is not int:
-        raise FormatError(f"{path}: 'nreft' is not an int: {nreft!r}")
     nc = len(classes)
     count = len(objects)
     class_ids = list(map(attrgetter("id"), classes))
@@ -523,17 +481,26 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
     sizes = list(map(attrgetter("size"), objects))
     refs = list(filter(partial(is_not, None),
                        chain.from_iterable(map(attrgetter("oref"), objects))))
-    refs += map(itemgetter(0), chain.from_iterable(map(attrgetter("backref"), objects)))
+    backrefs = list(chain.from_iterable(map(attrgetter("backref"), objects)))
+    sources = list(map(itemgetter(0), backrefs))
+    slots = list(map(itemgetter(1), backrefs))
+    refs += sources
+    # slot counts, indexed by class id and by object id
+    tref_counts = [0, *map(len, map(attrgetter("tref"), classes))]
+    oref_counts = [0, *map(len, map(attrgetter("oref"), objects))]
 
     def within(values: list[int], high: int) -> bool:
         return min(values, default=1) >= 1 and max(values, default=high) <= high
 
-    values = chain(class_ids, trefs, members, ids, classes_of, sizes, refs)
+    values = chain(class_ids, trefs, members, ids, classes_of, sizes, refs, slots)
     if (set(map(type, values)) <= {int}
             and class_ids == list(range(1, nc + 1)) and ids == list(range(1, count + 1))
             and within(trefs, nreft) and within(members, count)
             and within(classes_of, nc) and within(refs, count)
-            and min(sizes, default=0) >= 0):
+            and min(sizes, default=0) >= 0
+            and oref_counts[1:] == list(map(tref_counts.__getitem__, classes_of))
+            and min(slots, default=0) >= 0
+            and all(map(lt, slots, map(oref_counts.__getitem__, sources)))):
         return
 
     def in_range(value, high: int) -> bool:
@@ -560,10 +527,17 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
             field_name, value, bounds = "class_id", obj.class_id, classes_run
         elif type(obj.size) is not int or obj.size < 0:
             field_name, value, bounds = "size", obj.size, "sizes are ints >= 0"
+        elif len(obj.oref) != tref_counts[obj.class_id]:
+            field_name, value = "oref", obj.oref
+            bounds = f"its class has a 'tref' of length {tref_counts[obj.class_id]}"
         elif not all(target is None or in_range(target, count) for target in obj.oref):
             field_name, value, bounds = "oref", obj.oref, objects_run
         elif not all(in_range(source, count) for source, _slot in obj.backref):
             field_name, value, bounds = "backref", obj.backref, objects_run
+        elif not all(type(slot) is int and 0 <= slot < oref_counts[source]
+                     for source, slot in obj.backref):
+            field_name, value = "backref", obj.backref
+            bounds = "a slot is an index into its source's 'oref'"
         else:
             continue
         raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "

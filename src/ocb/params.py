@@ -1,0 +1,106 @@
+"""Parameter groups: one dataclass field per parameter.
+
+A field's name is its configuration key and, with '-' for '_', its flag.
+Its annotation names a `Kind`: how a value is read from flag or config
+file text, written to JSON (report.json, the workload fingerprint, the
+database file) and read back from JSON. So a parameter is a field plus
+its check in its group's `validate()`, and nothing else.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+from typing import Callable, NamedTuple
+
+from .distributions import format_distribution, parse_distribution
+from .errors import ParameterError
+
+
+class Kind(NamedTuple):
+    read: Callable  # stripped flag or config-file text -> value
+    load: Callable  # JSON form -> value; TypeError when the JSON type is wrong
+    dump: Callable = lambda value: value  # value -> JSON form
+
+
+def _exactly(*types: type) -> Callable:
+    """JSON reader that passes values of exactly these types (so bool is not int)."""
+    def load(value):
+        if type(value) not in types:
+            raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+        return value
+    return load
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise TypeError(f"{value!r} is not a list of ints")
+    return tuple(value)
+
+
+def _finite(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {text}")
+    return number
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text}")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+KINDS: dict[str, Kind] = {
+    "int": Kind(int, _exactly(int)),
+    "int | None": Kind(int, _exactly(int, type(None))),
+    "float": Kind(_finite, lambda v: float(_exactly(float, int)(v))),
+    "bool": Kind(_boolean, _exactly(bool)),
+    "str": Kind(str, _exactly(str)),
+    # one value for every class, or a comma list with one entry per class
+    "int | tuple[int, ...]": Kind(lambda text: _ints(text) if "," in text else int(text),
+                                  lambda v: v if type(v) is int else _int_list(v),
+                                  lambda v: v if isinstance(v, int) else list(v)),
+    "frozenset[int]": Kind(lambda text: frozenset(_ints(text)),
+                           lambda v: frozenset(_int_list(v)), sorted),
+    "Distribution": Kind(parse_distribution, lambda v: parse_distribution(_exactly(str)(v)),
+                         format_distribution),
+}
+
+
+def _decode(reader: Callable, key: str, value):
+    try:
+        return reader(value)
+    except (TypeError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"bad value for {key}: {exc}") from None
+
+
+def read_text(annotation: str, key: str, value):
+    """Read one parameter from flag or config-file text; other values pass as-is."""
+    if not isinstance(value, str):
+        return value
+    return _decode(KINDS[annotation].read, key, value.strip())
+
+
+class ParamGroup:
+    """Mixin for a parameter dataclass: its JSON form, derived from its fields."""
+
+    def to_dict(self) -> dict:
+        return {f.name: KINDS[f.type].dump(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Inverse of `to_dict`. Raises ParameterError naming a missing or
+        unknown key, or a key whose value has the wrong JSON type or form."""
+        names = {f.name for f in fields(cls)}
+        if d.keys() != names:
+            missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
+            raise ParameterError(f"keys must be the fields: missing {missing}, "
+                                 f"unknown {unknown}")
+        return cls(**{f.name: _decode(KINDS[f.type].load, f.name, d[f.name])
+                      for f in fields(cls)})

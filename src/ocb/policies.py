@@ -14,6 +14,7 @@ from itertools import chain, compress
 from operator import ne
 
 from .errors import ParameterError, require_finite
+from .params import ParamGroup
 
 
 class ClusteringPolicy:
@@ -46,7 +47,7 @@ class NoClustering(ClusteringPolicy):
 
 
 @dataclass
-class DstcParams:
+class DstcParams(ParamGroup):
     observation_period: int = 1000  # transactions per observation period
     selection_threshold: float = 2.0  # minimum crossings kept by selection
     consolidation_weight: float = 0.5  # blend of fresh stats into the matrix
@@ -68,16 +69,6 @@ class DstcParams:
             raise ParameterError("reorganize_trigger must be >= 1")
         if self.max_unit_size < 0:
             raise ParameterError("max_unit_size must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "observation_period": self.observation_period,
-            "selection_threshold": self.selection_threshold,
-            "consolidation_weight": self.consolidation_weight,
-            "unit_link_threshold": self.unit_link_threshold,
-            "reorganize_trigger": self.reorganize_trigger,
-            "max_unit_size": self.max_unit_size,
-        }
 
 
 @dataclass

@@ -25,12 +25,13 @@ from itertools import compress
 from operator import itemgetter, ne
 
 from .errors import ParameterError, PlacementError, require_finite
+from .params import ParamGroup
 
 _first_page = itemgetter(0)  # the page of a (page, offset) position
 
 
 @dataclass
-class StorageParams:
+class StorageParams(ParamGroup):
     page_size: int = 4096
     buffer_pages: int = 128
     io_cost: float = 1.0  # simulated time units per page read or write
@@ -45,15 +46,6 @@ class StorageParams:
         require_finite(io_cost=self.io_cost, cpu_cost=self.cpu_cost)
         if self.io_cost < 0 or self.cpu_cost < 0:
             raise ParameterError("io_cost and cpu_cost must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "page_size": self.page_size,
-            "buffer_pages": self.buffer_pages,
-            "io_cost": self.io_cost,
-            "cpu_cost": self.cpu_cost,
-            "spanning": self.spanning,
-        }
 
 
 def _pack_first_fit(order, sizes, page_size, spanning):

@@ -35,6 +35,7 @@ from .distributions import (
 )
 from ._collector import collector_paused
 from .errors import ParameterError, RunError, require_finite
+from .params import ParamGroup
 from .policies import NoClustering
 
 FORWARD = "forward"
@@ -49,7 +50,7 @@ CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_t
 
 
 @dataclass
-class WorkloadParams:
+class WorkloadParams(ParamGroup):
     setdepth: int = 3
     simdepth: int = 3
     hiedepth: int = 5
@@ -92,22 +93,6 @@ class WorkloadParams:
         if self.hierarchy_ref_type < 1:
             raise ParameterError("hierarchy_ref_type must be >= 1")
         validate_distribution(self.dist5, 1, 1 << 62, "dist5", allow_special=True)
-
-    def to_dict(self) -> dict:
-        from .distributions import format_distribution
-
-        return {
-            "setdepth": self.setdepth, "simdepth": self.simdepth,
-            "hiedepth": self.hiedepth, "stodepth": self.stodepth,
-            "coldn": self.coldn, "hotn": self.hotn, "think": self.think,
-            "pset": self.pset, "psimple": self.psimple,
-            "phier": self.phier, "pstoch": self.pstoch,
-            "dist5": format_distribution(self.dist5),
-            "clientn": self.clientn,
-            "reverse_probability": self.reverse_probability,
-            "hierarchy_ref_type": self.hierarchy_ref_type,
-            "seed": self.seed,
-        }
 
 
 @dataclass

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -163,6 +164,29 @@ def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     assert str(path) in capsys.readouterr().err
 
 
+def run_edited_database(tmp_path, capsys, edit) -> str:
+    """Exit code 3 and the error text of `ocb run` on a 5-object database
+    whose JSON body `edit` changed in place; the text has the path removed."""
+    path = tmp_path / "bad.ocb"
+    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
+                 "--out", str(path)]) == 0
+    magic, body = path.read_text().splitlines()
+    payload = json.loads(body)
+    edit(payload)
+    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    # every transaction type, both directions: each reads the links it walks
+    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
+                 "--phier", "0.5", "--pset", "0.2", "--psimple", "0.1",
+                 "--pstoch", "0.2", "--reverse-probability", "0.5",
+                 "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert str(path) in err
+    return err.replace(str(path), "")
+
+
 @pytest.mark.parametrize("position, edit, field", [
     (1, {"size": "big"}, "size"),
     (1, {"oref": [99]}, "oref"),
@@ -170,23 +194,30 @@ def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     (3, {"id": 7}, "id"),
     (4, {"oref": [True]}, "oref"),
     (5, {"backref": [[0, 0]]}, "backref"),
+    (1, {"oref": [2, 2]}, "oref"),
+    (5, {"backref": [[1, 5]]}, "backref"),
+    (5, {"backref": [[1, True]]}, "backref"),
 ], ids=["size-not-int", "oref-out-of-range", "size-negative", "id-not-position",
-        "oref-not-int", "backref-out-of-range"])
+        "oref-not-int", "backref-out-of-range", "oref-longer-than-tref",
+        "backref-slot-out-of-range", "backref-slot-not-int"])
 def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
                                                           position, edit, field):
-    path = tmp_path / "bad.ocb"
-    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
-                 "--out", str(path)]) == 0
-    magic, body = path.read_text().splitlines()
-    payload = json.loads(body)
-    payload["objects"][position - 1].update(edit)
-    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
-    capsys.readouterr()
-    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
-                 "--out-dir", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert str(path) in err
+    err = run_edited_database(tmp_path, capsys,
+                              lambda payload: payload["objects"][position - 1].update(edit))
     assert f"object {position} has an invalid {field!r}" in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda params: params.pop("seed"), "seed"),
+    (lambda params: params.update(frobnicate=1), "frobnicate"),
+    (lambda params: params.update(nc="x"), "nc"),
+    (lambda params: params.update(nc=0), "nc"),
+    (lambda params: params.update(dist4="bogus"), "dist4"),
+], ids=["missing-seed", "extra-key", "nc-not-int", "nc-zero", "dist4-bogus"])
+def test_cli_run_database_with_bad_params_is_runtime_error(tmp_path, capsys, edit, key):
+    err = run_edited_database(tmp_path, capsys, lambda payload: edit(payload["params"]))
+    assert "invalid generator parameters" in err
+    assert re.search(rf"\b{key}\b", err)
 
 
 @pytest.mark.parametrize("owner, position, edit, field", [
@@ -200,18 +231,9 @@ def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
         "iterator-out-of-range", "tref-above-nreft", "tref-zero"])
 def test_cli_run_database_with_bad_class_values_is_runtime_error(tmp_path, capsys, owner,
                                                                 position, edit, field):
-    path = tmp_path / "bad.ocb"
-    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
-                 "--out", str(path)]) == 0
-    magic, body = path.read_text().splitlines()
-    payload = json.loads(body)
-    payload[{"object": "objects", "class": "classes"}[owner]][position - 1].update(edit)
-    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
-    capsys.readouterr()
-    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
-                 "--out-dir", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert str(path) in err
+    table = {"object": "objects", "class": "classes"}[owner]
+    err = run_edited_database(tmp_path, capsys,
+                              lambda payload: payload[table][position - 1].update(edit))
     assert f"{owner} {position} has an invalid {field!r}" in err
 
 
