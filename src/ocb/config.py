@@ -77,7 +77,8 @@ def build_config(preset: str | None = None,
     values = {name: f.default for name, f in _OWN.items()}
     for key, raw in merged.items():
         if key == "preset":
-            continue
+            raise ParameterError("'preset' is not a configuration key; "
+                                 "select a preset with --preset NAME")
         if key not in _ANNOTATIONS:
             raise ParameterError(f"unknown configuration key {key!r}")
         values[key] = read_text(_ANNOTATIONS[key], key, raw)

@@ -169,9 +169,6 @@ class Database:
     def cls(self, class_id: int) -> ClassDescriptor:
         return self.classes[class_id - 1]
 
-    def obj(self, object_id: int) -> ObjectInstance:
-        return self.objects[object_id - 1]
-
     def link_table(self, reverse: bool = False,
                    ref_type: int | None = None) -> list[tuple[int, ...]]:
         """Link targets of every object, as `table[object id]`, in slot order.

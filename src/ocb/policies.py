@@ -4,14 +4,21 @@ The dynamic policy observes inter-object link crossings per period, keeps
 only significant counts, blends them into a persistent consolidated matrix,
 agglomerates heavy pairs into clustering units, and periodically rewrites
 the physical placement so unit members become page neighbors.
+
+Each matrix keys a crossing pair (a, b) by one int, `a * base + b`, where
+`base` is a power of two above every object id seen so far, held in
+`DstcState`. When an observed id reaches `base`, it grows to the next power
+of two above that id, and both matrices are re-keyed in insertion order.
+Sorted keys are in (a, b) order, so unit building sorts ints, not tuples.
+With ids below 2**15 every key stays below 2**30, a one-digit CPython int:
+it hashes to itself, and the list sort takes its int fast path.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress
-from operator import ne
+from itertools import chain, repeat
 
 from .errors import ParameterError, require_finite
 from .params import ParamGroup
@@ -73,11 +80,40 @@ class DstcParams(ParamGroup):
 
 @dataclass
 class DstcState:
-    """Crossing statistics and the clustering units built from them."""
+    """Crossing statistics and the clustering units built from them.
 
-    observation_matrix: Counter[tuple[int, int]] = field(default_factory=Counter)
-    consolidated_matrix: dict[tuple[int, int], float] = field(default_factory=dict)
+    Both matrices key the pair (a, b) as `a * base + b`; `pair(key)` is
+    `divmod(key, base)`. `base` starts at 1, and `grow` raises it to the
+    next power of two above an observed id that reaches it, re-keying both
+    matrices in insertion order. Both presets have 20 000 objects, so their
+    `base` ends at 32 768 and every key stays a one-digit int below 2**30;
+    larger ids still decode correctly, with multi-digit keys.
+    """
+
+    observation_matrix: Counter[int] = field(default_factory=Counter)
+    consolidated_matrix: dict[int, float] = field(default_factory=dict)
     clustering_units: list[list[int]] = field(default_factory=list)
+    base: int = 1
+
+    def key(self, a: int, b: int) -> int:
+        return a * self.base + b
+
+    def pair(self, key: int) -> tuple[int, int]:
+        return divmod(key, self.base)
+
+    def grow(self, top: int) -> None:
+        """Raise `base` above id `top`, re-keying both matrices in order."""
+        old = self.base
+        if top < old:
+            return
+        new = self.base = 1 << top.bit_length()
+
+        def rekey(matrix):
+            return {a * new + b: value for (a, b), value
+                    in zip(map(divmod, matrix, repeat(old)), matrix.values())}
+
+        self.observation_matrix = Counter(rekey(self.observation_matrix))
+        self.consolidated_matrix = rekey(self.consolidated_matrix)
 
 
 def dstc_observe(state: DstcState, sources: list[int], accessed: list[int]) -> None:
@@ -85,14 +121,20 @@ def dstc_observe(state: DstcState, sources: list[int], accessed: list[int]) -> N
 
     Crossing i is (sources[i], accessed[i + 1]). Pairs keep their crossing
     direction; unit ordering exploits it. Self-links carry no co-location
-    information and are ignored.
+    information and are ignored. A key decodes as long as its target is
+    below `base`, and every target is accessed, so one max() per
+    transaction is the only check.
     """
-    targets = accessed[1:]
+    base = state.base
+    top = max(accessed) if accessed else 0
+    if top >= base:
+        state.grow(top)
+        base = state.base
     state.observation_matrix.update(
-        compress(zip(sources, targets), map(ne, sources, targets)))
+        [a * base + b for a, b in zip(sources, accessed[1:]) if a != b])
 
 
-def dstc_select(state: DstcState, params: DstcParams) -> dict[tuple[int, int], int]:
+def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
     """Phase 2: keep only pairs crossed often enough, clear the period."""
     threshold = params.selection_threshold
     filtered = {pair: count for pair, count in state.observation_matrix.items()
@@ -101,7 +143,7 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[tuple[int, int], i
     return filtered
 
 
-def dstc_consolidate(state: DstcState, filtered: dict[tuple[int, int], int],
+def dstc_consolidate(state: DstcState, filtered: dict[int, int],
                      params: DstcParams) -> None:
     """Phase 3: blend the period's stats into the persistent matrix.
 
@@ -115,9 +157,10 @@ def dstc_consolidate(state: DstcState, filtered: dict[tuple[int, int], int],
         matrix.clear()
     else:
         dead = []
-        for pair in matrix:
-            matrix[pair] *= keep
-            if matrix[pair] < 1e-12:
+        for pair, weight in matrix.items():
+            weight *= keep
+            matrix[pair] = weight
+            if weight < 1e-12:
                 dead.append(pair)
         for pair in dead:
             del matrix[pair]
@@ -142,24 +185,27 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     neither claimed nor already on the current climb, ties going to the
     lowest id, and it stops where no such parent is left.
 
-    The edges are the matrix's own (a, b) keys, sorted by id and then,
-    stably, by weight, heaviest first. One pass over them fills both
-    adjacency maps with plain ids: outgoing[a] comes out in (-weight, b)
-    order and incoming[b] in (-weight, a) order, so no list is sorted
-    again, and only growth with max_unit_size = 0, which merges the two,
-    looks weights up. A per-node cursor into incoming[node] moves past
-    claimed parents for good, since nothing is unclaimed within one call.
+    The edges are the matrix's own int keys, sorted, which is (a, b)
+    order, and then, stably, by weight, heaviest first. They are decoded
+    into (a, b) pairs once, and one pass fills both adjacency maps with
+    plain ids: outgoing[a] comes out in (-weight, b) order and incoming[b]
+    in (-weight, a) order, so no list is sorted again, and only growth with
+    max_unit_size = 0, which merges the two, looks weights up. A per-node
+    cursor into incoming[node] moves past claimed parents for good, since
+    nothing is unclaimed within one call.
     The cost is thus linear in the edges plus the climb steps, plus the
     parents on the current climb that a step passes over.
     """
     threshold = params.unit_link_threshold
     matrix = state.consolidated_matrix
-    edges = sorted(pair for pair, weight in matrix.items() if weight >= threshold)
+    base = state.base
+    edges = sorted(key for key, weight in matrix.items() if weight >= threshold)
     edges.sort(key=matrix.__getitem__, reverse=True)
+    pairs = list(map(divmod, edges, repeat(base)))
 
     outgoing: dict[int, list[int]] = {}
     incoming: dict[int, list[int]] = {}
-    for a, b in edges:
+    for a, b in pairs:
         outgoing.setdefault(a, []).append(b)
         incoming.setdefault(b, []).append(a)
 
@@ -204,8 +250,8 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
             neighbors = outgoing.get(node, empty)
             if follow_incoming:
                 neighbors = [other for _neg_w, other in sorted(
-                    [(-matrix[node, b], b) for b in neighbors]
-                    + [(-matrix[a, node], a) for a in incoming.get(node, empty)])]
+                    [(-matrix[node * base + b], b) for b in neighbors]
+                    + [(-matrix[a * base + node], a) for a in incoming.get(node, empty)])]
             for other in neighbors:
                 if other in claimed:
                     continue
@@ -215,7 +261,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
                     break
         return unit
 
-    for a, b in edges:
+    for a, b in pairs:
         for seed in (a, b):
             if seed not in claimed:
                 units.append(grow(entry_point(seed)))

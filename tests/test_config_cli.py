@@ -260,6 +260,17 @@ def test_cli_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_rejects_preset_key_in_config_file(tmp_path, capsys):
+    # a preset set in the file would otherwise be dropped without a word
+    config_file = tmp_path / "c.conf"
+    config_file.write_text("preset = dstc-club\n")
+    assert main(["run", "--config", str(config_file), "--no", "100",
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'preset'" in err and "--preset" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--think", "inf"), ("--io-cost", "nan"),
                                          ("--selection-threshold", "nan")])
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, value):

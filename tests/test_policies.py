@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,23 @@ from ocb.storage import StorageParams, place_sequential
 from ocb.workload import WorkloadParams, run_protocol
 
 
+def encode(state, matrix):
+    """Key a (source, target) matrix by `state`'s ints, growing its base to fit."""
+    state.grow(max(chain.from_iterable(matrix), default=0))
+    return {state.key(a, b): value for (a, b), value in matrix.items()}
+
+
+def decode(state, matrix):
+    """The (source, target)-keyed copy of one of `state`'s matrices, in order."""
+    return {state.pair(key): value for key, value in matrix.items()}
+
+
+def reference_units(state, params):
+    """reference_build_units on a decoded, tuple-keyed copy of `state`'s matrix."""
+    copy = SimpleNamespace(consolidated_matrix=decode(state, state.consolidated_matrix))
+    return reference_build_units(copy, params)
+
+
 # -- observation ---------------------------------------------------------
 
 
@@ -40,13 +59,14 @@ def test_observe_counts_crossings():
     state = DstcState()
     # one transaction: 1 crosses to 2 three times
     dstc_observe(state, [1, 1, 1], [1, 2, 2, 2])
-    assert state.observation_matrix == Counter({(1, 2): 3})
+    assert state.observation_matrix == Counter({state.key(1, 2): 3})
+    assert decode(state, state.observation_matrix) == {(1, 2): 3}
 
 
 def test_observe_keeps_direction_and_skips_self_links():
     state = DstcState()
     dstc_observe(state, [2, 1, 5, 5], [2, 1, 2, 5, 5])
-    assert state.observation_matrix == Counter({(2, 1): 1, (1, 2): 1})
+    assert decode(state, state.observation_matrix) == {(2, 1): 1, (1, 2): 1}
 
 
 @given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=12),
@@ -59,7 +79,33 @@ def test_observe_matches_per_pair_oracle(accesses, data):
     state = DstcState()
     for sources, accessed in transactions:
         dstc_observe(state, sources, accessed)
-    assert state.observation_matrix == observe_oracle(transactions)
+    assert decode(state, state.observation_matrix) == observe_oracle(transactions)
+
+
+@st.composite
+def walks(draw, ids, min_top=None):
+    """One (sources, accessed) pair; with `min_top`, a target of at least that id."""
+    accessed = draw(st.lists(ids, min_size=1, max_size=12))
+    if min_top is not None:
+        accessed.insert(1, draw(st.integers(min_top, 4 * min_top)))
+    sources = draw(st.lists(ids, min_size=len(accessed) - 1, max_size=len(accessed) - 1))
+    return sources, accessed
+
+
+@given(st.lists(walks(st.integers(1, 7)), min_size=1, max_size=4),
+       st.lists(walks(st.integers(1, 40)), max_size=3),
+       walks(st.integers(1, 40), min_top=8))
+def test_observe_matches_oracle_across_base_growth(early, late, crossing):
+    # ids below 8 fix base at 8 or less; `crossing` reaches it partway through
+    stream = early + [crossing] + late
+    state = DstcState()
+    for count, (sources, accessed) in enumerate(stream, start=1):
+        if count == len(early) + 1:
+            base_before = state.base
+        dstc_observe(state, sources, accessed)
+        assert decode(state, state.observation_matrix) == observe_oracle(stream[:count])
+    assert base_before <= 8 < state.base
+    assert all(target < state.base for _sources, accessed in stream for target in accessed)
 
 
 def test_observe_matches_recount_oracle():
@@ -79,7 +125,7 @@ def test_observe_matches_recount_oracle():
     state = DstcState()
     for sources, accessed in transactions:
         dstc_observe(state, sources, accessed)
-    assert state.observation_matrix == observe_oracle(transactions)
+    assert decode(state, state.observation_matrix) == observe_oracle(transactions)
 
 
 # -- selection -----------------------------------------------------------
@@ -87,17 +133,17 @@ def test_observe_matches_recount_oracle():
 
 def test_select_drops_below_threshold_and_clears():
     state = DstcState()
-    state.observation_matrix = {(1, 2): 3, (3, 4): 1}
+    state.observation_matrix = Counter(encode(state, {(1, 2): 3, (3, 4): 1}))
     filtered = dstc_select(state, DstcParams(selection_threshold=2))
-    assert filtered == {(1, 2): 3}
+    assert decode(state, filtered) == {(1, 2): 3}
     assert state.observation_matrix == {}
 
 
 def test_select_threshold_zero_is_identity():
     state = DstcState()
-    state.observation_matrix = {(1, 2): 1, (8, 9): 4}
+    state.observation_matrix = Counter(encode(state, {(1, 2): 1, (8, 9): 4}))
     filtered = dstc_select(state, DstcParams(selection_threshold=0))
-    assert filtered == {(1, 2): 1, (8, 9): 4}
+    assert decode(state, filtered) == {(1, 2): 1, (8, 9): 4}
 
 
 @given(st.dictionaries(
@@ -106,9 +152,9 @@ def test_select_threshold_zero_is_identity():
     st.integers(0, 5))
 def test_select_matches_filter_oracle(matrix, threshold):
     state = DstcState()
-    state.observation_matrix = dict(matrix)
+    state.observation_matrix = Counter(encode(state, matrix))
     filtered = dstc_select(state, DstcParams(selection_threshold=threshold))
-    assert filtered == {p: c for p, c in matrix.items() if c >= threshold}
+    assert decode(state, filtered) == {p: c for p, c in matrix.items() if c >= threshold}
 
 
 # -- consolidation -------------------------------------------------------
@@ -116,34 +162,35 @@ def test_select_matches_filter_oracle(matrix, threshold):
 
 def test_consolidate_weight_one_replaces():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 9.0, (3, 4): 1.0}
-    dstc_consolidate(state, {(1, 2): 4}, DstcParams(consolidation_weight=1.0))
-    assert state.consolidated_matrix == {(1, 2): 4.0}
+    state.consolidated_matrix = encode(state, {(1, 2): 9.0, (3, 4): 1.0})
+    dstc_consolidate(state, encode(state, {(1, 2): 4}), DstcParams(consolidation_weight=1.0))
+    assert decode(state, state.consolidated_matrix) == {(1, 2): 4.0}
 
 
 def test_consolidate_weight_zero_keeps_old():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 9.0}
-    dstc_consolidate(state, {(1, 2): 4, (5, 6): 7}, DstcParams(consolidation_weight=0.0))
-    assert state.consolidated_matrix == {(1, 2): 9.0}
+    state.consolidated_matrix = encode(state, {(1, 2): 9.0})
+    dstc_consolidate(state, encode(state, {(1, 2): 4, (5, 6): 7}),
+                     DstcParams(consolidation_weight=0.0))
+    assert decode(state, state.consolidated_matrix) == {(1, 2): 9.0}
 
 
 def test_consolidate_two_periods_hand_computed():
     # pair seen 4 then 2 with w = 0.5: weight 2.0 after both periods
     state = DstcState()
     params = DstcParams(consolidation_weight=0.5)
-    dstc_consolidate(state, {(1, 2): 4}, params)
-    assert state.consolidated_matrix[(1, 2)] == pytest.approx(2.0)
-    dstc_consolidate(state, {(1, 2): 2}, params)
-    assert state.consolidated_matrix[(1, 2)] == pytest.approx(2.0)
+    dstc_consolidate(state, encode(state, {(1, 2): 4}), params)
+    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
+    dstc_consolidate(state, encode(state, {(1, 2): 2}), params)
+    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
 
 
 def test_consolidate_absent_pairs_decay():
     state = DstcState()
     params = DstcParams(consolidation_weight=0.5)
-    dstc_consolidate(state, {(1, 2): 8}, params)
+    dstc_consolidate(state, encode(state, {(1, 2): 8}), params)
     dstc_consolidate(state, {}, params)
-    assert state.consolidated_matrix[(1, 2)] == pytest.approx(2.0)
+    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
 
 
 # a period may be empty, but not every period: an all-empty run checks nothing
@@ -155,14 +202,45 @@ def test_consolidation_matches_closed_form(periods, weight):
     state = DstcState()
     params = DstcParams(consolidation_weight=weight)
     for filtered in periods:
-        dstc_consolidate(state, filtered, params)
+        dstc_consolidate(state, encode(state, filtered), params)
+    consolidated = decode(state, state.consolidated_matrix)
     pairs = {p for filtered in periods for p in filtered}
+    assert consolidated.keys() <= pairs
     k = len(periods)
     for pair in pairs:
         expected = sum(weight * (1 - weight) ** (k - 1 - i) * periods[i].get(pair, 0)
                        for i in range(k))
-        got = state.consolidated_matrix.get(pair, 0.0)
+        got = consolidated.get(pair, 0.0)
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+@given(st.lists(st.dictionaries(
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda p: p[0] != p[1]),
+    st.integers(1, 20), min_size=1, max_size=6), min_size=2, max_size=6),
+    st.floats(0.05, 0.95), st.integers(1, 4), st.integers(16, 2 ** 20))
+def test_rekeying_mid_run_keeps_weights_bit_equal(periods, weight, split, top):
+    split = min(split, len(periods) - 1)
+    params = DstcParams(consolidation_weight=weight)
+    wide = DstcState()  # never re-keyed: base above every id from the start
+    wide.grow(2 ** 20)
+    state = DstcState()
+    for filtered in periods[:split]:
+        dstc_consolidate(wide, encode(wide, filtered), params)
+        dstc_consolidate(state, encode(state, filtered), params)
+    state.observation_matrix = Counter(encode(state, {(2, 1): 3, (1, 2): 5}))
+    before = decode(state, state.consolidated_matrix)
+    base_before = state.base
+    dstc_observe(state, [1], [1, top])  # an id at or above base re-keys both matrices
+    assert base_before <= 16 <= top < state.base
+    after = decode(state, state.consolidated_matrix)
+    assert after == before and list(after) == list(before)
+    assert list(decode(state, state.observation_matrix).items()) == [
+        ((2, 1), 3), ((1, 2), 5), ((1, top), 1)]
+    for filtered in periods[split:]:
+        dstc_consolidate(wide, encode(wide, filtered), params)
+        dstc_consolidate(state, encode(state, filtered), params)
+    # exact float equality, not approx: re-keying moves no weight
+    assert decode(state, state.consolidated_matrix) == decode(wide, wide.consolidated_matrix)
 
 
 # -- unit building -------------------------------------------------------
@@ -170,27 +248,27 @@ def test_consolidation_matches_closed_form(periods, weight):
 
 def test_build_units_greedy_example():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 5.0, (2, 3): 4.0}
+    state.consolidated_matrix = encode(state, {(1, 2): 5.0, (2, 3): 4.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0))
     assert units == [[1, 2, 3]]
 
 
 def test_build_units_below_threshold_empty():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 0.5, (3, 4): 0.9}
+    state.consolidated_matrix = encode(state, {(1, 2): 0.5, (3, 4): 0.9})
     assert dstc_build_units(state, DstcParams(unit_link_threshold=1.0)) == []
 
 
 def test_build_units_disjoint_pairs_two_units():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 5.0, (3, 4): 4.0}
+    state.consolidated_matrix = encode(state, {(1, 2): 5.0, (3, 4): 4.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0))
     assert units == [[1, 2], [3, 4]]
 
 
 def test_build_units_respects_capacity():
     state = DstcState()
-    state.consolidated_matrix = {(1, k): 5.0 for k in range(2, 12)}
+    state.consolidated_matrix = encode(state, {(1, k): 5.0 for k in range(2, 12)})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0,
                                                max_unit_size=4))
     assert len(units[0]) == 4
@@ -200,7 +278,7 @@ def test_build_units_respects_capacity():
 
 def test_build_units_unbounded_covers_component():
     state = DstcState()
-    state.consolidated_matrix = {(1, 2): 5.0, (3, 2): 4.0, (3, 4): 3.0}
+    state.consolidated_matrix = encode(state, {(1, 2): 5.0, (3, 2): 4.0, (3, 4): 3.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0,
                                                max_unit_size=0))
     assert len(units) == 1
@@ -212,9 +290,9 @@ def test_build_units_unbounded_covers_component():
     st.floats(0.1, 9.0), min_size=3, max_size=30))
 def test_build_units_disjoint_and_deterministic(matrix):
     state_a = DstcState()
-    state_a.consolidated_matrix = dict(matrix)
+    state_a.consolidated_matrix = encode(state_a, matrix)
     state_b = DstcState()
-    state_b.consolidated_matrix = dict(reversed(list(matrix.items())))
+    state_b.consolidated_matrix = encode(state_b, dict(reversed(list(matrix.items()))))
     params = DstcParams(unit_link_threshold=1.0)
     units_a = dstc_build_units(state_a, params)
     units_b = dstc_build_units(state_b, params)
@@ -251,11 +329,53 @@ def unit_matrices(draw):
        st.sampled_from((0.0, 1.0, 2.0, 2.5)))
 def test_build_units_matches_reference_oracle(matrix, cap, threshold):
     params = DstcParams(unit_link_threshold=threshold, max_unit_size=cap)
-    expected = reference_build_units(DstcState(consolidated_matrix=dict(matrix)),
+    expected = reference_build_units(SimpleNamespace(consolidated_matrix=dict(matrix)),
                                      params)
-    state = DstcState(consolidated_matrix=dict(matrix))
+    state = DstcState()
+    state.consolidated_matrix = encode(state, matrix)
     assert dstc_build_units(state, params) == expected
     assert state.clustering_units == expected
+
+
+# cap 1 keeps no unit at all, so it is left out here
+@given(unit_matrices(), st.sampled_from((0, 2, 3, 64)),
+       st.sampled_from((0.0, 1.0, 2.0, 2.5)), st.integers(1, 40))
+def test_build_units_independent_of_base(matrix, cap, threshold, extra_bits):
+    params = DstcParams(unit_link_threshold=threshold, max_unit_size=cap)
+    narrow = DstcState()
+    narrow.consolidated_matrix = encode(narrow, matrix)
+    wide = DstcState()
+    wide.grow((narrow.base << extra_bits) - 1)
+    wide.consolidated_matrix = encode(wide, matrix)
+    assert wide.base == narrow.base << extra_bits
+    units = dstc_build_units(narrow, params)
+    assert dstc_build_units(wide, params) == units
+    assert units == reference_build_units(SimpleNamespace(consolidated_matrix=dict(matrix)),
+                                          params)
+
+
+@pytest.mark.parametrize("cap", [64, 0])
+def test_rebase_past_one_digit_keys(cap):
+    # a chain walked first among small ids, then across 2**15 and up to 2**20
+    params = DstcParams(selection_threshold=1, max_unit_size=cap)
+    small = list(range(1, 40))
+    large = [2 ** 15 - 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 7, 70_000, 2 ** 20]
+    stream = [(small[:-1], small)] * 2 + [(large[:-1], large), (large[:-1], large)]
+    state = DstcState()
+    built = []
+    for start in (0, 2):  # two periods of two transactions each
+        period = stream[start:start + 2]
+        for sources, accessed in period:
+            dstc_observe(state, sources, accessed)
+        assert decode(state, state.observation_matrix) == observe_oracle(period)
+        dstc_consolidate(state, dstc_select(state, params), params)
+        expected = reference_units(state, params)
+        assert dstc_build_units(state, params) == expected
+        built.append(expected)
+    assert state.base == 2 ** 21
+    assert max(state.consolidated_matrix) >= 2 ** 30  # past one-digit ints
+    # the small chain decays below the unit threshold in the second period
+    assert built == [[small], [large]]
 
 
 @pytest.mark.parametrize("cap", [64, 8, 0])
@@ -266,8 +386,7 @@ def test_dstc_run_units_match_reference_every_period(monkeypatch, cap):
     built = []
 
     def checked_build_units(state, params):
-        expected = reference_build_units(
-            DstcState(consolidated_matrix=dict(state.consolidated_matrix)), params)
+        expected = reference_units(state, params)
         units = build_units(state, params)
         assert units == expected
         built.append(units)

@@ -205,7 +205,9 @@ def test_simulated_time_is_monotone_in_counters():
     assert time_two > time_one
 
 
-@given(st.lists(st.integers(1, 400), min_size=1, max_size=60),
+# one to three objects are the hand-made cases above; here they were a
+# tenth of the draws
+@given(st.lists(st.integers(1, 400), min_size=4, max_size=60),
        st.integers(1, 6))
 def test_random_packings_match_oracle(sizes, page_scale):
     page_size = 128 * page_scale

@@ -191,13 +191,23 @@ def cyclic_dbs(draw):
 @given(db=cyclic_dbs(), data=st.data())
 def test_traversal_events_match_oracles(db, data):
     root = data.draw(st.integers(1, len(db.objects)))
-    depth = data.draw(st.integers(0, 5))
+    depth = data.draw(st.integers(1, 5))  # depth 0 has its own test below
     ref_type = data.draw(st.integers(1, 2))
     seed = data.draw(st.integers(0, 1000))
     for kind in ("set", "simple", "hierarchy", "stochastic"):
         for direction in ("forward", "reverse"):
             args = (db, kind, root, depth, direction, ref_type, seed)
             assert engine_events(*args) == oracle_events(*args), (kind, direction)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_depth_zero_accesses_only_the_root(direction):
+    # every object links onward and back, so only the depth stops the walks
+    db = build_db([(1, [2, 3]), (1, [3, 1]), (1, [1, 2])])
+    for root in (1, 2, 3):
+        for kind in ("set", "simple", "hierarchy", "stochastic"):
+            args = (db, kind, root, 0, direction, 1, root)
+            assert engine_events(*args) == oracle_events(*args) == ([("access", root)], [])
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
