@@ -128,8 +128,8 @@ def _load_report(path: str) -> MetricsReport:
             payload = json.load(fh)
     except UnicodeDecodeError as exc:
         raise OcbError(f"{path}: report is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise OcbError(f"{path}: report is not JSON: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an int over 4300 digits
+        raise OcbError(f"{path}: report is not readable JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise OcbError(f"{path}: report is not a JSON object")
     if payload.get("format") != REPORT_FORMAT:

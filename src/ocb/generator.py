@@ -397,9 +397,19 @@ def load_database(path: str) -> Database:
     """Read a database file back; inverse of save_database.
 
     Raises FormatError, naming the file, for a file that is not UTF-8 text,
-    a wrong magic line or format version, a malformed body, generator
+    a wrong magic line or format version, a malformed body (an integer
+    literal over CPython's 4300-digit limit included), generator
     parameters that `GeneratorParams.from_dict` or `validate()` rejects, or
-    a value out of range (see `_check_values`). The cyclic garbage
+    a value out of range (see `_check_values`).
+
+    Each distinct integer literal of the file becomes one int object, as in
+    a generated database: an object's `id`, the `oref` targets and
+    `backref` sources that name it and the class `iterator` entries are the
+    same object, and so are the link-table, placement and buffer keys built
+    from them. A dict or set probe that finds the very key it looks for
+    skips the value compare, and the database holds one int per id, not one
+    per occurrence. Only integer literals pass through the memo, so `true`
+    or `1.0` still reach the value checks unchanged. The cyclic garbage
     collector is suspended while the file is parsed and checked, and
     restored to the caller's state on return, also when loading fails: the
     loaded database holds no reference cycles, so a collector pass would
@@ -409,6 +419,18 @@ def load_database(path: str) -> Database:
         return _load_database(path)
 
 
+class _IntMemo(dict):
+    """JSON integer literal -> int, made once per distinct literal.
+
+    Its `__getitem__` is the `parse_int` hook of one load, so every
+    occurrence of an id in the file is the same int object.
+    """
+
+    def __missing__(self, literal: str) -> int:
+        value = self[literal] = int(literal)
+        return value
+
+
 def _load_database(path: str) -> Database:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -416,8 +438,8 @@ def _load_database(path: str) -> Database:
             if magic != DB_MAGIC:
                 raise FormatError(f"{path}: bad magic header {magic!r}")
             try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+                payload = json.load(fh, parse_int=_IntMemo().__getitem__)
+            except ValueError as exc:  # a JSONDecodeError, or an int over 4300 digits
                 raise FormatError(f"{path}: malformed database body: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None

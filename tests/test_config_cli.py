@@ -150,6 +150,25 @@ def test_cli_run_from_database_file(tmp_path):
     assert payload["transactions"] == 10
 
 
+def test_cli_run_from_database_file_matches_inline_generation(tmp_path):
+    generation = ["--nc", "3", "--maxnref", "3", "--no", "400", "--seed", "3"]
+    run = ["--coldn", "30", "--hotn", "60", "--policy", "dstc",
+           "--observation-period", "20", "--buffer-pages", "4",
+           "--reverse-probability", "0.5"]
+    db_path = tmp_path / "db.ocb"
+    assert main(["generate", *generation, "--out", str(db_path)]) == 0
+    inline, loaded = tmp_path / "inline", tmp_path / "loaded"
+    assert main(["run", *generation, *run, "--out-dir", str(inline)]) == 0
+    assert main(["run", "--db", str(db_path), *generation, *run,
+                 "--out-dir", str(loaded)]) == 0
+    payload = json.loads((inline / "report.json").read_text())
+    assert payload["reorganizations"]
+    # reverse walks read the backref sources
+    assert ",reverse," in (inline / "report.csv").read_text()
+    for name in ("report.csv", "report_stats.csv", "report.json", "report.txt"):
+        assert (loaded / name).read_bytes() == (inline / name).read_bytes(), name
+
+
 def test_cli_run_missing_database_is_runtime_error(tmp_path):
     assert main(["run", "--db", str(tmp_path / "nope.ocb"),
                  "--out-dir", str(tmp_path)]) == 3
@@ -197,9 +216,11 @@ def run_edited_database(tmp_path, capsys, edit) -> str:
     (1, {"oref": [2, 2]}, "oref"),
     (5, {"backref": [[1, 5]]}, "backref"),
     (5, {"backref": [[1, True]]}, "backref"),
+    (1, {"id": True}, "id"),
+    (2, {"id": 2.0}, "id"),
 ], ids=["size-not-int", "oref-out-of-range", "size-negative", "id-not-position",
         "oref-not-int", "backref-out-of-range", "oref-longer-than-tref",
-        "backref-slot-out-of-range", "backref-slot-not-int"])
+        "backref-slot-out-of-range", "backref-slot-not-int", "id-true", "id-float"])
 def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
                                                           position, edit, field):
     err = run_edited_database(tmp_path, capsys,
@@ -348,6 +369,35 @@ def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
     path.write_text(body)
     assert main(["compare", str(path), str(path)]) == 3
     assert str(path) in capsys.readouterr().err
+
+
+def write_huge_int(path, key):
+    """Rewrite the first `key` value in the JSON text of `path` as a
+    5000-digit literal, over CPython's 4300-digit int conversion limit."""
+    text = path.read_text()
+    path.write_text(re.sub(rf'("{key}":\s*)\d+', rf"\g<1>{'9' * 5000}", text, count=1))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_int_literal_over_the_digit_limit_is_runtime_error(tmp_path, capsys, command):
+    db_path = tmp_path / "db.ocb"
+    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
+                 "--out", str(db_path)]) == 0
+    report = tmp_path / "r" / "report.json"
+    assert main(["run", "--db", str(db_path), "--coldn", "2", "--hotn", "2",
+                 "--out-dir", str(report.parent)]) == 0
+    if command == "run":
+        path, argv = db_path, ["run", "--db", str(db_path),
+                               "--out-dir", str(tmp_path / "out")]
+        write_huge_int(path, "size")
+    else:
+        path, argv = report, ["compare", str(report), str(report)]
+        write_huge_int(path, "transactions")
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "4300 digits" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_env_seed_fallback(tmp_path, monkeypatch, capsys):

@@ -187,15 +187,24 @@ def cyclic_dbs(draw):
     return build_db(specs, class_trefs=trefs, nreft=2)
 
 
+# seeds whose walk takes slot 1 at its first hop (see choose_slot)
+FIRST_SLOT_SEEDS = [seed for seed in range(1001)
+                    if substream(seed, "engine").random() < 0.5]
+
+
 @settings(max_examples=200)
 @given(db=cyclic_dbs(), data=st.data())
 def test_traversal_events_match_oracles(db, data):
-    root = data.draw(st.integers(1, len(db.objects)))
     depth = data.draw(st.integers(1, 5))  # depth 0 has its own test below
-    ref_type = data.draw(st.integers(1, 2))
-    seed = data.draw(st.integers(0, 1000))
-    for kind in ("set", "simple", "hierarchy", "stochastic"):
-        for direction in ("forward", "reverse"):
+    ref_type = data.draw(st.sampled_from(sorted({t for c in db.classes for t in c.tref})))
+    seed = data.draw(st.sampled_from(FIRST_SLOT_SEEDS))
+    for direction in ("forward", "reverse"):
+        # a root with a link of the drawn type, so that most hierarchy and
+        # stochastic walks cross at least one link
+        linked = [oid for oid in range(1, len(db.objects) + 1)
+                  if typed_links_of(db, oid, ref_type, direction)]
+        root = data.draw(st.sampled_from(linked or range(1, len(db.objects) + 1)))
+        for kind in ("set", "simple", "hierarchy", "stochastic"):
             args = (db, kind, root, depth, direction, ref_type, seed)
             assert engine_events(*args) == oracle_events(*args), (kind, direction)
 
