@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -395,3 +396,19 @@ def test_save_is_byte_deterministic(tmp_path):
     save_database(db_a, str(path_a))
     save_database(db_b, str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+# SHA-256 of `save_database` output, pinned so that a change to any draw of
+# generation (or to the file layout) shows as a changed digest
+SAVED_DATABASE_SHA256 = {
+    "default": "e906ee445cbb2fbb50d11795767d866679d0d05217e0c38f687db93a24a65055",
+    "dstc-club": "c7649d51cdfb809ca3eaffd7f1f1bd10b1f6cdec478013b239ae0cbef5eebeba",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SAVED_DATABASE_SHA256))
+def test_saved_database_bytes_are_pinned(preset, tmp_path):
+    config = build_config(preset=preset, flag_overrides={"no": "2000", "seed": "1"})
+    path = tmp_path / "db.ocb"
+    save_database(generate_database(config.generator), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DATABASE_SHA256[preset]
