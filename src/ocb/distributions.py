@@ -3,13 +3,25 @@
 Every random step of the benchmark draws from its own deterministic
 substream, derived from the experiment seed and a step label, so that
 adding draws to one step never shifts the values seen by another.
+
+Every bounded integer draw follows one rule: a value in [lo, hi] is
+`lo + r`, where r is the first `getrandbits(bits)` below the width
+`hi - lo + 1`, and `bits` is the width's bit length. That is the rejection
+sampling `random.Random.randint(lo, hi)` runs on every CPython from 3.10
+on, so the draws take the same words from the Mersenne Twister stream and
+give the same values; databases and reports written by earlier versions,
+which called `randint`, are reproduced byte for byte. The rule is not
+spelled as `randint` because `randint` spends about ten Python-level
+calls per draw re-deriving values that are fixed per draw site. Here a
+drawer is built once per site (`bounded_drawer`, `position_drawer`), with
+the width and bit length computed up front, and each draw is one call.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ParameterError
 
@@ -95,35 +107,76 @@ def validate_distribution(dist: Distribution, lo: int, hi: int, site: str,
         raise ParameterError(f"{site}: unknown distribution {dist!r}")
 
 
-def draw_bounded(dist: Distribution, rng: random.Random, lo: int, hi: int) -> int:
-    """Draw one value from [lo, hi]; interval validity was checked up front."""
+def _uniform_drawer(rng: random.Random, lo: int, hi: int) -> Callable[..., int]:
+    """The one bounded draw: uniform over [lo, hi], as `rng.randint(lo, hi)`.
+
+    It redraws `getrandbits(bits)` until the value is below the interval's
+    width, which is the rejection sampling `randint` runs, so the two take
+    the same words from the stream and return the same values. The drawer
+    ignores an argument, so that it can serve as a position drawer too.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(_anchor: int | None = None) -> int:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return lo + r
+
+    return draw
+
+
+def bounded_drawer(dist: Distribution, rng: random.Random, lo: int,
+                   hi: int) -> Callable[[], int]:
+    """Drawer of values in [lo, hi]; interval validity was checked up front."""
     if isinstance(dist, Uniform):
-        return rng.randint(lo, hi)
+        return _uniform_drawer(rng, lo, hi)
     if isinstance(dist, Constant):
-        return dist.value
+        value = dist.value
+        return lambda: value
     raise ParameterError("special distribution used without an anchor")
 
 
-def draw_position(dist: Distribution, rng: random.Random, lo: int, hi: int,
-                  length: int, anchor: int) -> int | None:
-    """Pick a 1-based position into a collection of `length` members.
+def position_drawer(dist: Distribution, rng: random.Random, lo: int, hi: int,
+                    length: int) -> Callable[[int | None], int | None]:
+    """Drawer of 1-based positions into a collection of `length` members.
 
-    `anchor` is the drawing object's own position, used by Special draws.
-    Bounds clamp to [1, length]; returns None when no legal position exists.
+    The drawer takes the anchor, the drawing object's own position, which
+    Special draws centre their window on; with no anchor (None) a Special
+    draw is uniform over the whole collection and flips no locality coin.
+    Bounds clamp to [1, length]; the drawer returns None when no legal
+    position exists.
     """
     if length <= 0:
-        return None
+        return lambda _anchor: None
     if isinstance(dist, Special):
-        if rng.random() < dist.locality_probability:
+        anyplace = _uniform_drawer(rng, 1, length)
+        random_ = rng.random
+        locality = dist.locality_probability
+        refzone = dist.refzone
+        offset = _uniform_drawer(rng, -refzone, refzone)  # from a window's centre
+        last_inside = length - refzone
+
+        def draw(anchor: int | None) -> int:
+            if anchor is None or random_() >= locality:
+                return anyplace()
+            if refzone < anchor <= last_inside:
+                return anchor + offset()
+            # the window reaches past an end: clamp it, then draw inside it
             center = min(max(anchor, 1), length)
-            a = max(1, center - dist.refzone)
-            b = min(length, center + dist.refzone)
-            return rng.randint(a, b)
-        return rng.randint(1, length)
+            return _uniform_drawer(rng, max(1, center - refzone),
+                                   min(length, center + refzone))()
+
+        return draw
     if isinstance(dist, Constant):
-        return min(max(dist.value, 1), length)
+        position = min(max(dist.value, 1), length)
+        return lambda _anchor: position
     a = max(1, lo)
     b = min(length, hi)
     if a > b:
-        return None
-    return rng.randint(a, b)
+        return lambda _anchor: None
+    return _uniform_drawer(rng, a, b)

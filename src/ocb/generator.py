@@ -8,7 +8,7 @@ references and reverse references recorded at link time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 from operator import attrgetter, is_not, itemgetter, lt
@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 from .distributions import (
     Distribution,
     Uniform,
-    draw_bounded,
-    draw_position,
+    bounded_drawer,
+    position_drawer,
     substream,
     validate_distribution,
 )
@@ -142,12 +142,7 @@ class GenerationReport:
     out_of_range: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "null_class_draws": self.null_class_draws,
-            "cycle_suppressed": self.cycle_suppressed,
-            "empty_iterator": self.empty_iterator,
-            "out_of_range": self.out_of_range,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -165,9 +160,6 @@ class Database:
     report: GenerationReport = field(default_factory=GenerationReport)
     _link_tables: dict[tuple[bool, int | None], list[tuple[int, ...]]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-
-    def cls(self, class_id: int) -> ClassDescriptor:
-        return self.classes[class_id - 1]
 
     def link_table(self, reverse: bool = False,
                    ref_type: int | None = None) -> list[tuple[int, ...]]:
@@ -202,19 +194,20 @@ def generate_schema(params: GeneratorParams,
     has no target class.
     """
     params.validate()
-    rng_types = substream(params.seed, "schema-types")
-    rng_classes = substream(params.seed, "schema-classes")
+    draw_type = bounded_drawer(params.dist1, substream(params.seed, "schema-types"),
+                               1, params.nreft)
+    draw_class = bounded_drawer(params.dist2, substream(params.seed, "schema-classes"),
+                                params.infclass, params.supclass)
     classes: list[ClassDescriptor] = []
     for i in range(1, params.nc + 1):
         n = params.maxnref_of(i)
         base = params.basesize_of(i)
-        tref = [draw_bounded(params.dist1, rng_types, 1, params.nreft) for _ in range(n)]
+        tref = [draw_type() for _ in range(n)]
         classes.append(ClassDescriptor(id=i, tref=tref, cref=[None] * n,
                                        basesize=base, instance_size=base))
-    sup = params.supclass
     for cls in classes:
         for j in range(len(cls.cref)):
-            target = draw_bounded(params.dist2, rng_classes, params.infclass, sup)
+            target = draw_class()
             if target == 0:
                 if report is not None:
                     report.null_class_draws += 1
@@ -318,56 +311,61 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
     class, drawn through dist4 with the object's own iterator position as
     the locality anchor. Reverse references are recorded at link time.
     """
-    rng_classes = substream(params.seed, "object-classes")
+    draw_class = bounded_drawer(params.dist3, substream(params.seed, "object-classes"),
+                                1, params.nc)
     rng_refs = substream(params.seed, "object-refs")
     for cls in schema:
         cls.iterator.clear()
     objects: list[ObjectInstance] = []
-    nc = params.nc
     for oid in range(1, params.no + 1):
-        cid = draw_bounded(params.dist3, rng_classes, 1, nc)
-        cls = schema[cid - 1]
-        objects.append(ObjectInstance(id=oid, class_id=cid,
+        cls = schema[draw_class() - 1]
+        objects.append(ObjectInstance(id=oid, class_id=cls.id,
                                       oref=[None] * len(cls.tref),
                                       size=cls.instance_size))
         cls.iterator.append(oid)
 
-    infref = params.infref
-    supref = params.supref
-    dist4 = params.dist4
+    empty_iterator = out_of_range = 0
     for cls in schema:
-        if not cls.cref:
-            continue
-        slot_targets = [(k, c) for k, c in enumerate(cls.cref) if c is not None]
-        if not slot_targets:
+        # one (slot, target iterator, position drawer) per slot with targets
+        slots = []
+        for k, target_class in enumerate(cls.cref):
+            if target_class is None:
+                continue
+            iterator = schema[target_class - 1].iterator
+            if not iterator:
+                empty_iterator += len(cls.iterator)
+                continue
+            slots.append((k, iterator, position_drawer(
+                params.dist4, rng_refs, params.infref, params.supref, len(iterator))))
+        if not slots:
             continue
         for position, oid in enumerate(cls.iterator, start=1):
-            obj = objects[oid - 1]
-            for k, target_class in slot_targets:
-                iterator = schema[target_class - 1].iterator
-                if not iterator:
-                    if report is not None:
-                        report.empty_iterator += 1
-                    continue
-                pos = draw_position(dist4, rng_refs, infref, supref,
-                                    len(iterator), position)
+            oref = objects[oid - 1].oref
+            for k, iterator, draw_position in slots:
+                pos = draw_position(position)
                 if pos is None:
-                    if report is not None:
-                        report.out_of_range += 1
+                    out_of_range += 1
                     continue
-                target_id = iterator[pos - 1]
-                obj.oref[k] = target_id
+                target_id = oref[k] = iterator[pos - 1]
                 objects[target_id - 1].backref.append((oid, k))
+    if report is not None:
+        report.empty_iterator += empty_iterator
+        report.out_of_range += out_of_range
     return objects
 
 
 def generate_database(params: GeneratorParams) -> Database:
-    """Run all three generation steps and return the finished database."""
-    report = GenerationReport()
-    schema = generate_schema(params, report)
-    enforce_consistency(schema, params, report)
-    objects = generate_objects(schema, params, report)
-    return Database(params=params, classes=schema, objects=objects, report=report)
+    """Run all three generation steps and return the finished database.
+
+    As in `load_database`, the cyclic garbage collector is suspended while
+    the objects are built, and restored to the caller's state on return.
+    """
+    with collector_paused():
+        report = GenerationReport()
+        schema = generate_schema(params, report)
+        enforce_consistency(schema, params, report)
+        objects = generate_objects(schema, params, report)
+        return Database(params=params, classes=schema, objects=objects, report=report)
 
 
 def save_database(db: Database, path: str) -> None:
@@ -462,12 +460,8 @@ def _load_database(path: str) -> Database:
             for o in payload["objects"]
         ]
         report_d = payload.get("report", {})
-        report = GenerationReport(
-            null_class_draws=report_d.get("null_class_draws", 0),
-            cycle_suppressed=report_d.get("cycle_suppressed", 0),
-            empty_iterator=report_d.get("empty_iterator", 0),
-            out_of_range=report_d.get("out_of_range", 0),
-        )
+        report = GenerationReport(**{f.name: report_d.get(f.name, 0)
+                                     for f in fields(GenerationReport)})
     except ParameterError as exc:
         raise FormatError(f"{path}: invalid generator parameters: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

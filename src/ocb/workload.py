@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 
 from .distributions import (
     Distribution,
-    Special,
     Uniform,
-    draw_bounded,
-    draw_position,
+    position_drawer,
     substream,
     validate_distribution,
 )
@@ -252,25 +250,20 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
 class _ClientStreams:
     """Per-client deterministic substreams for every random decision."""
 
-    def __init__(self, seed: int, client: int):
+    def __init__(self, seed: int, client: int, dist5: Distribution, no: int):
         self.types = substream(seed, f"tx-types:{client}")
         self.roots = substream(seed, f"tx-roots:{client}")
         self.directions = substream(seed, f"tx-directions:{client}")
         self.stochastic = substream(seed, f"tx-stochastic:{client}")
         self.think = substream(seed, f"tx-think:{client}")
+        self._draw_root = position_drawer(dist5, self.roots, 1, no, no)
         self.previous_root: int | None = None
 
-    def draw_root(self, dist5: Distribution, no: int) -> int:
+    def draw_root(self) -> int:
         # Special root selection anchors at the client's previous root,
         # modeling a transaction stream with temporal locality; the first
         # draw (no anchor yet) is uniform.
-        if isinstance(dist5, Special) and self.previous_root is not None:
-            root = draw_position(dist5, self.roots, 1, no, no, self.previous_root)
-        elif isinstance(dist5, Special):
-            root = self.roots.randint(1, no)
-        else:
-            root = draw_bounded(dist5, self.roots, 1, no)
-        self.previous_root = root
+        root = self.previous_root = self._draw_root(self.previous_root)
         return root
 
 
@@ -331,9 +324,10 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     if policy is None:
         policy = NoClustering()
     with collector_paused():
-        streams = [_ClientStreams(params.seed, c) for c in range(1, params.clientn + 1)]
-        log = ExperimentLog()
         no = len(db.objects)
+        streams = [_ClientStreams(params.seed, c, params.dist5, no)
+                   for c in range(1, params.clientn + 1)]
+        log = ExperimentLog()
         access = storage.access_object
         io_cost = storage.params.io_cost
         cpu_cost = storage.params.cpu_cost
@@ -342,7 +336,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
             for _ in range(count):
                 for client, s in enumerate(streams, start=1):
                     kind = _draw_type(s.types, params)
-                    root = s.draw_root(params.dist5, no)
+                    root = s.draw_root()
                     reversed_run = (params.reverse_probability > 0.0
                                     and s.directions.random() < params.reverse_probability)
                     direction = REVERSE if reversed_run else FORWARD

@@ -6,9 +6,18 @@ or clustering code paths.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 
-from ocb.generator import ClassDescriptor, Database, GeneratorParams, ObjectInstance
+from ocb.distributions import Constant, Distribution, Special, Uniform, substream
+from ocb.errors import ParameterError
+from ocb.generator import (
+    ClassDescriptor,
+    Database,
+    GenerationReport,
+    GeneratorParams,
+    ObjectInstance,
+)
 
 
 def build_db(object_specs, class_trefs=None, nreft=4, basesize=50, seed=0,
@@ -353,3 +362,98 @@ def reference_build_units(state, params):
     units = [u for u in units if len(u) > 1]
     state.clustering_units = units
     return units
+
+
+def reference_draw_bounded(dist: Distribution, rng: random.Random, lo: int,
+                           hi: int) -> int:
+    """`draw_bounded` as it was written on `randint`, kept as an oracle.
+
+    Draw one value from [lo, hi]; interval validity was checked up front."""
+    if isinstance(dist, Uniform):
+        return rng.randint(lo, hi)
+    if isinstance(dist, Constant):
+        return dist.value
+    raise ParameterError("special distribution used without an anchor")
+
+
+def reference_draw_position(dist: Distribution, rng: random.Random, lo: int, hi: int,
+                            length: int, anchor: int) -> int | None:
+    """`draw_position` as it was written on `randint`, kept as an oracle.
+
+    Pick a 1-based position into a collection of `length` members.
+
+    `anchor` is the drawing object's own position, used by Special draws.
+    Bounds clamp to [1, length]; returns None when no legal position exists.
+    """
+    if length <= 0:
+        return None
+    if isinstance(dist, Special):
+        if rng.random() < dist.locality_probability:
+            center = min(max(anchor, 1), length)
+            a = max(1, center - dist.refzone)
+            b = min(length, center + dist.refzone)
+            return rng.randint(a, b)
+        return rng.randint(1, length)
+    if isinstance(dist, Constant):
+        return min(max(dist.value, 1), length)
+    a = max(1, lo)
+    b = min(length, hi)
+    if a > b:
+        return None
+    return rng.randint(a, b)
+
+
+def reference_generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
+                               report: GenerationReport | None = None) -> list[ObjectInstance]:
+    """Object generation as it was written on `randint`, kept verbatim as
+    the oracle of `generate_objects`.
+
+    Instantiate `no` objects and wire their references.
+
+    Each object's class comes from dist3; it is appended to that class's
+    iterator. Reference targets are iterator positions of the slot's target
+    class, drawn through dist4 with the object's own iterator position as
+    the locality anchor. Reverse references are recorded at link time.
+    """
+    rng_classes = substream(params.seed, "object-classes")
+    rng_refs = substream(params.seed, "object-refs")
+    for cls in schema:
+        cls.iterator.clear()
+    objects: list[ObjectInstance] = []
+    nc = params.nc
+    for oid in range(1, params.no + 1):
+        cid = reference_draw_bounded(params.dist3, rng_classes, 1, nc)
+        cls = schema[cid - 1]
+        objects.append(ObjectInstance(id=oid, class_id=cid,
+                                      oref=[None] * len(cls.tref),
+                                      size=cls.instance_size))
+        cls.iterator.append(oid)
+
+    infref = params.infref
+    supref = params.supref
+    dist4 = params.dist4
+    for cls in schema:
+        if not cls.cref:
+            continue
+        slot_targets = [(k, c) for k, c in enumerate(cls.cref) if c is not None]
+        if not slot_targets:
+            continue
+        for position, oid in enumerate(cls.iterator, start=1):
+            obj = objects[oid - 1]
+            for k, target_class in slot_targets:
+                iterator = schema[target_class - 1].iterator
+                if not iterator:
+                    if report is not None:
+                        report.empty_iterator += 1
+                    continue
+                pos = reference_draw_position(dist4, rng_refs, infref, supref,
+                                              len(iterator), position)
+                if pos is None:
+                    if report is not None:
+                        report.out_of_range += 1
+                    continue
+                target_id = iterator[pos - 1]
+                obj.oref[k] = target_id
+                objects[target_id - 1].backref.append((oid, k))
+    return objects
+

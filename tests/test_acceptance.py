@@ -74,7 +74,7 @@ def check_generator_invariants(db):
         for target in cls.cref:
             assert target is None or low_class <= target <= params.supclass
     for obj in db.objects:
-        cls = db.cls(obj.class_id)
+        cls = db.classes[obj.class_id - 1]
         for slot, target in enumerate(obj.oref):
             if target is None:
                 continue

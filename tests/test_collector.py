@@ -1,6 +1,7 @@
 """The cyclic garbage collector: the engine's data holds no reference cycles,
-`load_database` and `run_protocol` suspend the collector and give the caller
-its state back, and only the one helper in `ocb._collector` switches it."""
+`generate_database`, `load_database` and `run_protocol` suspend the collector
+and give the caller its state back, and only the one helper in
+`ocb._collector` switches it."""
 import ast
 import gc
 from pathlib import Path
@@ -75,6 +76,13 @@ def small_run_inputs(tmp_path):
     path = str(tmp_path / "small.ocb")
     save_database(generate_database(GeneratorParams(nc=3, maxnref=2, no=60, seed=2)), path)
     return path, WorkloadParams(coldn=5, hotn=10, seed=2)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_generation_restores_the_collector_state(collector_state, enabled):
+    set_collector(enabled)
+    generate_database(GENERATOR)
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

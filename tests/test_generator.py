@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
-from helpers import kahn_is_dag, links_of, typed_links_of
+from helpers import kahn_is_dag, links_of, reference_generate_objects, typed_links_of
 from ocb.config import build_config
-from ocb.distributions import Constant
+from ocb.distributions import Constant, Special, Uniform
 from ocb.errors import FormatError, ParameterError
 from ocb.generator import (
     ClassDescriptor,
+    Database,
     GenerationReport,
     GeneratorParams,
     enforce_consistency,
@@ -228,7 +229,7 @@ def test_object_targets_are_iterator_members():
     db = generate_database(small_params(seed=6))
     members = {cls.id: set(cls.iterator) for cls in db.classes}
     for obj in db.objects:
-        cls = db.cls(obj.class_id)
+        cls = db.classes[obj.class_id - 1]
         for slot, target in enumerate(obj.oref):
             if target is None:
                 continue
@@ -291,11 +292,66 @@ def test_small_databases_respect_invariants(nc, maxnref, no, nreft, seed):
     for obj in db.objects:
         for slot, target in enumerate(obj.oref):
             if target is not None:
-                assert target in members[db.cls(obj.class_id).cref[slot]]
+                assert target in members[db.classes[obj.class_id - 1].cref[slot]]
                 assert (obj.id, slot) in db.objects[target - 1].backref
     edges = [(cls.id, c) for cls in db.classes
              for t, c in zip(cls.tref, cls.cref) if t == 1 and c is not None]
     assert kahn_is_dag([c.id for c in db.classes], edges)
+
+
+@st.composite
+def oracle_generator_params(draw):
+    """Generator parameters that reach every branch of object generation.
+
+    dist3 is uniform or one constant class, so other classes' iterators may
+    stay empty; dist4 is uniform, a constant that may lie beyond an iterator
+    (clamped), or special with a refzone from 0 to wider than any iterator;
+    the [infref, supref] window may start above an iterator's length, which
+    nulls the slot as out of range; infclass may be 0, which nulls slots.
+    No reference type is acyclic, so that no link is nulled to break a cycle
+    (the consistency step has tests of its own).
+    """
+    nc = draw(st.integers(1, 4))
+    no = draw(st.integers(1, 40))
+    nreft = draw(st.integers(1, 3))
+    infclass = draw(st.sampled_from([1, 0]))
+    supclass = draw(st.integers(max(infclass, 1), nc))
+    infref = draw(st.one_of(st.just(1), st.integers(1, no + 3)))
+    supref = draw(st.integers(infref, no + 6))
+    dist3 = draw(st.one_of(st.just(Uniform()), st.builds(Constant, st.integers(1, nc))))
+    dist4 = draw(st.one_of(
+        st.just(Uniform()),
+        st.builds(Special, st.integers(0, no + 5), st.sampled_from([0.9, 0.5, 0.0, 1.0])),
+        st.builds(Constant, st.integers(1, supref))))
+    return GeneratorParams(nc=nc, maxnref=draw(st.integers(1, 3)), no=no, nreft=nreft,
+                           infclass=infclass, supclass=supclass, infref=infref,
+                           supref=supref, dist3=dist3, dist4=dist4,
+                           acyclic_types=frozenset(), inheritance_types=frozenset(),
+                           seed=draw(st.integers(0, 2 ** 32)))
+
+
+@given(oracle_generator_params())
+# links beside null class draws and empty iterators
+@example(GeneratorParams(nc=3, maxnref=3, no=40, nreft=1, infclass=0, supclass=3,
+                         dist3=Constant(2), acyclic_types=frozenset(),
+                         inheritance_types=frozenset(), seed=0))
+# links beside slots out of range, into iterators of 18, 12 and 10 objects
+@example(GeneratorParams(nc=3, maxnref=3, no=40, nreft=1, infref=14, supref=40,
+                         acyclic_types=frozenset(), inheritance_types=frozenset(),
+                         seed=0))
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Special(0, 0.9), seed=7))
+# a refzone, and a constant, beyond iterators of about 20 objects
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Special(30, 0.9), seed=8))
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Constant(35), seed=9))
+def test_generation_matches_the_randint_oracle(params):
+    db = generate_database(params)
+    report = GenerationReport()
+    schema = enforce_consistency(generate_schema(params, report), params, report)
+    objects = reference_generate_objects(schema, params, report)
+    assert db.objects == objects
+    assert [cls.iterator for cls in db.classes] == [cls.iterator for cls in schema]
+    assert db.report == report
+    assert db == Database(params=params, classes=schema, objects=objects, report=report)
 
 
 # -- save / load ---------------------------------------------------------
