@@ -3,7 +3,7 @@
 Three steps: instantiate the schema (classes with typed reference slots),
 repair the schema so that cycle-forbidding reference types form DAGs and
 inheritance sizes propagate, then instantiate objects with inter-object
-references and reverse references recorded at link time.
+references, from which class iterators and reverse references are derived.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
-from operator import attrgetter, is_not, itemgetter, lt
+from operator import attrgetter, is_not
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -66,14 +66,10 @@ class GeneratorParams(ParamGroup):
             self.inheritance_types = frozenset(self.inheritance_types)
 
     def maxnref_of(self, class_id: int) -> int:
-        if isinstance(self.maxnref, int):
-            return self.maxnref
-        return self.maxnref[class_id - 1]
+        return self.maxnref if isinstance(self.maxnref, int) else self.maxnref[class_id - 1]
 
     def basesize_of(self, class_id: int) -> int:
-        if isinstance(self.basesize, int):
-            return self.basesize
-        return self.basesize[class_id - 1]
+        return self.basesize if isinstance(self.basesize, int) else self.basesize[class_id - 1]
 
     def validate(self) -> None:
         if self.nc < 1:
@@ -200,20 +196,14 @@ def generate_schema(params: GeneratorParams,
                                 params.infclass, params.supclass)
     classes: list[ClassDescriptor] = []
     for i in range(1, params.nc + 1):
+        # the two drawers read separate substreams, so they may interleave
         n = params.maxnref_of(i)
         base = params.basesize_of(i)
-        tref = [draw_type() for _ in range(n)]
-        classes.append(ClassDescriptor(id=i, tref=tref, cref=[None] * n,
+        classes.append(ClassDescriptor(id=i, tref=[draw_type() for _ in range(n)],
+                                       cref=[draw_class() or None for _ in range(n)],
                                        basesize=base, instance_size=base))
-    for cls in classes:
-        for j in range(len(cls.cref)):
-            target = draw_class()
-            if target == 0:
-                if report is not None:
-                    report.null_class_draws += 1
-                cls.cref[j] = None
-            else:
-                cls.cref[j] = target
+    if report is not None:
+        report.null_class_draws += sum(cls.cref.count(None) for cls in classes)
     return classes
 
 
@@ -306,23 +296,21 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                      report: GenerationReport | None = None) -> list[ObjectInstance]:
     """Instantiate `no` objects and wire their references.
 
-    Each object's class comes from dist3; it is appended to that class's
-    iterator. Reference targets are iterator positions of the slot's target
-    class, drawn through dist4 with the object's own iterator position as
-    the locality anchor. Reverse references are recorded at link time.
+    Each object's class comes from dist3; the class iterators and the
+    reverse references are then derived (see `derive_iterators` and
+    `derive_backrefs`). Reference targets are iterator positions of the
+    slot's target class, drawn through dist4 with the object's own iterator
+    position as the locality anchor.
     """
     draw_class = bounded_drawer(params.dist3, substream(params.seed, "object-classes"),
                                 1, params.nc)
     rng_refs = substream(params.seed, "object-refs")
-    for cls in schema:
-        cls.iterator.clear()
-    objects: list[ObjectInstance] = []
-    for oid in range(1, params.no + 1):
-        cls = schema[draw_class() - 1]
-        objects.append(ObjectInstance(id=oid, class_id=cls.id,
-                                      oref=[None] * len(cls.tref),
-                                      size=cls.instance_size))
-        cls.iterator.append(oid)
+    drawn = [schema[draw_class() - 1] for _ in range(params.no)]
+    objects = [ObjectInstance(id=oid, class_id=cls.id, oref=[None] * len(cls.tref),
+                              size=cls.instance_size)
+               for oid, cls in enumerate(drawn, start=1)]
+    for cls, iterator in zip(schema, derive_iterators(len(schema), objects)):
+        cls.iterator = iterator
 
     empty_iterator = out_of_range = 0
     for cls in schema:
@@ -346,12 +334,38 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                 if pos is None:
                     out_of_range += 1
                     continue
-                target_id = oref[k] = iterator[pos - 1]
-                objects[target_id - 1].backref.append((oid, k))
+                oref[k] = iterator[pos - 1]
+    for obj, backref in zip(objects, derive_backrefs(schema, objects)):
+        obj.backref = backref
     if report is not None:
         report.empty_iterator += empty_iterator
         report.out_of_range += out_of_range
     return objects
+
+
+def derive_iterators(nc: int, objects: list[ObjectInstance]) -> list[list[int]]:
+    """Every class's iterator: the ids of its objects, ascending."""
+    iterators: list[list[int]] = [[] for _ in range(nc)]
+    for obj in objects:
+        iterators[obj.class_id - 1].append(obj.id)
+    return iterators
+
+
+def derive_backrefs(classes: list[ClassDescriptor],
+                    objects: list[ObjectInstance]) -> list[list[tuple[int, int]]]:
+    """Every object's backref: a (source id, slot) pair per link to it.
+
+    Sources come in class order, then in ascending id (the class
+    iterators' order), slots ascending: the order in which generation
+    draws the links.
+    """
+    backrefs: list[list[tuple[int, int]]] = [[] for _ in objects]
+    for cls in classes:
+        for oid in cls.iterator:
+            for k, target in enumerate(objects[oid - 1].oref):
+                if target is not None:
+                    backrefs[target - 1].append((oid, k))
+    return backrefs
 
 
 def generate_database(params: GeneratorParams) -> Database:
@@ -397,21 +411,22 @@ def load_database(path: str) -> Database:
     Raises FormatError, naming the file, for a file that is not UTF-8 text,
     a wrong magic line or format version, a malformed body (an integer
     literal over CPython's 4300-digit limit included), generator
-    parameters that `GeneratorParams.from_dict` or `validate()` rejects, or
-    a value out of range (see `_check_values`).
+    parameters that `GeneratorParams.from_dict` or `validate()` rejects, a
+    value out of range (see `_check_values`), or a class `iterator` or
+    object `backref` list that does not equal, int for int, its derivation
+    from the objects' `class_id`s and `oref`s (see `_check_derived`).
 
     Each distinct integer literal of the file becomes one int object, as in
-    a generated database: an object's `id`, the `oref` targets and
-    `backref` sources that name it and the class `iterator` entries are the
-    same object, and so are the link-table, placement and buffer keys built
-    from them. A dict or set probe that finds the very key it looks for
-    skips the value compare, and the database holds one int per id, not one
-    per occurrence. Only integer literals pass through the memo, so `true`
-    or `1.0` still reach the value checks unchanged. The cyclic garbage
-    collector is suspended while the file is parsed and checked, and
-    restored to the caller's state on return, also when loading fails: the
-    loaded database holds no reference cycles, so a collector pass would
-    find nothing.
+    a generated database: an object's `id`, the `oref` targets that name it
+    and the derived `backref` sources and `iterator` entries are the same
+    object, and so are the link-table, placement and buffer keys built from
+    them. A dict or set probe that finds the very key it looks for skips
+    the value compare, and the database holds one int per id, not one per
+    occurrence. Only integer literals pass through the memo, so `true` or
+    `1.0` still reach the checks unchanged. The cyclic garbage collector is
+    suspended while the file is parsed and checked, and restored to the
+    caller's state on return, also when loading fails: the loaded database
+    holds no reference cycles, so a collector pass would find nothing.
     """
     with collector_paused():
         return _load_database(path)
@@ -448,15 +463,16 @@ def _load_database(path: str) -> Database:
     try:
         params = GeneratorParams.from_dict(payload["params"])
         params.validate()
+        # iterators and backrefs stay as parsed until _check_derived
         classes = [
             ClassDescriptor(id=c["id"], tref=list(c["tref"]), cref=list(c["cref"]),
                             basesize=c["basesize"], instance_size=c["instance_size"],
-                            iterator=list(c["iterator"]))
+                            iterator=c["iterator"])
             for c in payload["classes"]
         ]
         objects = [
             ObjectInstance(id=o["id"], class_id=o["class_id"], oref=list(o["oref"]),
-                           backref=[(s, k) for s, k in o["backref"]], size=o["size"])
+                           backref=o["backref"], size=o["size"])
             for o in payload["objects"]
         ]
         report_d = payload.get("report", {})
@@ -468,6 +484,7 @@ def _load_database(path: str) -> Database:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
     _check_values(path, params.nreft, classes, objects)
+    _check_derived(path, classes, objects)
     return Database(params=params, classes=classes, objects=objects, report=report)
 
 
@@ -475,45 +492,37 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
                   objects: list[ObjectInstance]) -> None:
     """Raise FormatError unless every class and object value is in range.
 
-    Class N must have id N, `tref` entries that are reference types
-    (1..nreft) and `iterator` entries that are object ids. Object N must
-    have id N, a `class_id` in 1..len(classes), a size that is an int >= 0,
-    one `oref` entry per `tref` entry of its class, each None or an object
-    id, and `backref` pairs of a source object id and a slot of that
-    source's `oref`. Bulk passes over all values decide whether anything is
-    wrong; only then does a per-class and per-object pass name the first
-    offending class or object and field.
+    Class N must have id N and `tref` entries that are reference types
+    (1..nreft). Object N must have id N, a `class_id` in 1..len(classes),
+    a size that is an int >= 0, and one `oref` entry per `tref` entry of
+    its class, each None or an object id. The `iterator` and `backref`
+    lists have no range rule: each must equal its derivation from these
+    values (see `_check_derived`). Bulk passes over all values decide
+    whether anything is wrong; only then does a per-class and per-object
+    pass name the first offending class or object and field.
     """
     nc = len(classes)
     count = len(objects)
     class_ids = list(map(attrgetter("id"), classes))
     trefs = list(chain.from_iterable(map(attrgetter("tref"), classes)))
-    members = list(chain.from_iterable(map(attrgetter("iterator"), classes)))
     ids = list(map(attrgetter("id"), objects))
     classes_of = list(map(attrgetter("class_id"), objects))
     sizes = list(map(attrgetter("size"), objects))
     refs = list(filter(partial(is_not, None),
                        chain.from_iterable(map(attrgetter("oref"), objects))))
-    backrefs = list(chain.from_iterable(map(attrgetter("backref"), objects)))
-    sources = list(map(itemgetter(0), backrefs))
-    slots = list(map(itemgetter(1), backrefs))
-    refs += sources
-    # slot counts, indexed by class id and by object id
+    # slot counts, indexed by class id
     tref_counts = [0, *map(len, map(attrgetter("tref"), classes))]
-    oref_counts = [0, *map(len, map(attrgetter("oref"), objects))]
 
     def within(values: list[int], high: int) -> bool:
         return min(values, default=1) >= 1 and max(values, default=high) <= high
 
-    values = chain(class_ids, trefs, members, ids, classes_of, sizes, refs, slots)
+    values = chain(class_ids, trefs, ids, classes_of, sizes, refs)
     if (set(map(type, values)) <= {int}
             and class_ids == list(range(1, nc + 1)) and ids == list(range(1, count + 1))
-            and within(trefs, nreft) and within(members, count)
-            and within(classes_of, nc) and within(refs, count)
+            and within(trefs, nreft) and within(classes_of, nc) and within(refs, count)
             and min(sizes, default=0) >= 0
-            and oref_counts[1:] == list(map(tref_counts.__getitem__, classes_of))
-            and min(slots, default=0) >= 0
-            and all(map(lt, slots, map(oref_counts.__getitem__, sources)))):
+            and list(map(len, map(attrgetter("oref"), objects)))
+            == list(map(tref_counts.__getitem__, classes_of))):
         return
 
     def in_range(value, high: int) -> bool:
@@ -521,14 +530,11 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
 
     classes_run = f"classes run from 1 to {nc}"
     objects_run = f"object ids run from 1 to {count}"
-    types_run = f"reference types run from 1 to {nreft}"
     for position, cls in enumerate(classes, start=1):
         if type(cls.id) is not int or cls.id != position:
             field_name, value, bounds = "id", cls.id, classes_run
         elif not all(in_range(t, nreft) for t in cls.tref):
-            field_name, value, bounds = "tref", cls.tref, types_run
-        elif not all(in_range(oid, count) for oid in cls.iterator):
-            field_name, value, bounds = "iterator", cls.iterator, objects_run
+            field_name, value, bounds = "tref", cls.tref, f"reference types run from 1 to {nreft}"
         else:
             continue
         raise FormatError(f"{path}: class {position} has an invalid {field_name!r}: "
@@ -545,13 +551,27 @@ def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
             bounds = f"its class has a 'tref' of length {tref_counts[obj.class_id]}"
         elif not all(target is None or in_range(target, count) for target in obj.oref):
             field_name, value, bounds = "oref", obj.oref, objects_run
-        elif not all(in_range(source, count) for source, _slot in obj.backref):
-            field_name, value, bounds = "backref", obj.backref, objects_run
-        elif not all(type(slot) is int and 0 <= slot < oref_counts[source]
-                     for source, slot in obj.backref):
-            field_name, value = "backref", obj.backref
-            bounds = "a slot is an index into its source's 'oref'"
         else:
             continue
         raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "
                           f"{value!r} ({bounds})")
+
+
+def _check_derived(path: str, classes: list[ClassDescriptor],
+                   objects: list[ObjectInstance]) -> None:
+    """Replace each stored `iterator` and `backref` by its derivation.
+
+    Raise FormatError at the first stored list, classes first, that does
+    not equal the derived one int for int: `true` or `1.0` for 1 fails.
+    """
+    for cls, iterator in zip(classes, derive_iterators(len(classes), objects)):
+        if cls.iterator != iterator or not set(map(type, cls.iterator)) <= {int}:
+            raise FormatError(f"{path}: class {cls.id} has an invalid 'iterator': "
+                              f"{cls.iterator!r} (its objects are {iterator!r})")
+        cls.iterator = iterator
+    for obj, backref in zip(objects, derive_backrefs(classes, objects)):
+        pairs = list(map(list, backref))
+        if obj.backref != pairs or not set(map(type, chain(*obj.backref))) <= {int}:
+            raise FormatError(f"{path}: object {obj.id} has an invalid 'backref': "
+                              f"{obj.backref!r} (the links to it are {pairs!r})")
+        obj.backref = backref

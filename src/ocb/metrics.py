@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ComparisonError
 from .workload import TRANSACTION_TYPES, ExperimentLog
@@ -45,34 +45,15 @@ class MetricsReport:
         return self.stats.get(phase, {}).get(kind, TypeStats())
 
     def to_dict(self) -> dict:
-        return {
-            "stats": {
-                phase: {kind: vars(s) for kind, s in kinds.items()}
-                for phase, kinds in self.stats.items()
-            },
-            "overhead_reads": self.overhead_reads,
-            "overhead_writes": self.overhead_writes,
-            "gain_factor": self.gain_factor,
-            "gain_window": self.gain_window,
-            "reorganizations": self.reorganizations,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        report = cls(
-            overhead_reads=d["overhead_reads"],
-            overhead_writes=d["overhead_writes"],
-            gain_factor=d["gain_factor"],
-            gain_window=d["gain_window"],
-            reorganizations=d["reorganizations"],
-            fingerprint=d.get("fingerprint"),
-        )
-        report.stats = {
-            phase: {kind: TypeStats(**s) for kind, s in kinds.items()}
-            for phase, kinds in d["stats"].items()
-        }
-        return report
+        """Inverse of `to_dict`; a missing `fingerprint` reads as None."""
+        values = {f.name: d[f.name] for f in fields(cls) if f.name != "fingerprint"}
+        values["stats"] = {phase: {kind: TypeStats(**s) for kind, s in kinds.items()}
+                           for phase, kinds in values["stats"].items()}
+        return cls(**values, fingerprint=d.get("fingerprint"))
 
 
 def _stats_of(records) -> TypeStats:
@@ -137,8 +118,7 @@ class Comparison:
     forced: bool = False
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "gain_a": self.gain_a, "gain_b": self.gain_b,
-                "forced": self.forced}
+        return asdict(self)
 
 
 def _ratio(a: float, b: float) -> float | None:

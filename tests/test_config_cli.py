@@ -258,6 +258,49 @@ def test_cli_run_database_with_bad_class_values_is_runtime_error(tmp_path, capsy
     assert f"{owner} {position} has an invalid {field!r}" in err
 
 
+def set_backref(position, pairs, derived):
+    """Edit: object `position`'s backref becomes `pairs`; it was `derived`."""
+    def edit(payload):
+        assert payload["objects"][position - 1]["backref"] == derived
+        payload["objects"][position - 1]["backref"] = pairs
+    return edit
+
+
+def move_last_iterator_entry(payload):
+    """Edit: class 2's last iterator entry moves to the end of class 1's."""
+    payload["classes"][0]["iterator"].append(payload["classes"][1]["iterator"].pop())
+
+
+def duplicate_iterator_entry(payload):
+    """Edit: class 2's second iterator entry appears twice."""
+    iterator = payload["classes"][1]["iterator"]
+    iterator.insert(1, iterator[1])
+
+
+def first_iterator_entry_true(payload):
+    """Edit: class 2's first iterator entry, object 1, becomes `true`."""
+    iterator = payload["classes"][1]["iterator"]
+    assert iterator[0] == 1
+    iterator[0] = True
+
+
+# In the 5-object database, object 1 (class 2) links to object 2, objects
+# 4 and 5 (class 2) link to object 3; objects 2 and 3 are class 1.
+@pytest.mark.parametrize("owner, position, field, edit", [
+    ("object", 1, "backref", set_backref(1, [[1, 0]], [])),
+    ("object", 3, "backref", set_backref(3, [[5, 0], [4, 0]], [[4, 0], [5, 0]])),
+    ("object", 2, "backref", set_backref(2, [[1, False]], [[1, 0]])),
+    ("class", 1, "iterator", move_last_iterator_entry),
+    ("class", 2, "iterator", duplicate_iterator_entry),
+    ("class", 2, "iterator", first_iterator_entry_true),
+], ids=["backref-without-link", "backrefs-reordered", "backref-slot-false",
+        "iterator-entry-moved", "iterator-entry-duplicated", "iterator-entry-true"])
+def test_cli_run_database_with_underived_lists_is_runtime_error(tmp_path, capsys, owner,
+                                                               position, field, edit):
+    err = run_edited_database(tmp_path, capsys, edit)
+    assert f"{owner} {position} has an invalid {field!r}" in err
+
+
 NOT_UTF8 = [random.Random(9).randbytes(3000), b"OCBDB1\n\xff\xfe{}"]
 
 

@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy import stats
 
 from helpers import kahn_is_dag, links_of, reference_generate_objects, typed_links_of
@@ -419,6 +419,36 @@ def test_save_load_round_trip_is_exact(params):
         assert all(oid is ids[oid - 1] for cls in loaded.classes for oid in cls.iterator)
         save_database(loaded, str(second))
         assert second.read_bytes() == first.read_bytes()
+
+
+def edit_pairs(pairs: list, edit: str, i: int) -> None:
+    """Change `pairs` in place at index i; every edit leaves a different list."""
+    if edit == "drop":
+        del pairs[i]
+    elif edit == "duplicate":
+        pairs.insert(i, pairs[i])
+    elif edit == "swap":  # i >= 1; the pairs of one list are distinct
+        pairs[i - 1], pairs[i] = pairs[i], pairs[i - 1]
+    else:  # shift
+        source, slot = pairs[i]
+        pairs[i] = (source, slot + 1)
+
+
+@given(small_generator_params(), st.sampled_from(["drop", "duplicate", "swap", "shift"]),
+       st.data())
+def test_load_rejects_a_backref_that_is_not_derived(params, edit, data):
+    db = generate_database(params)
+    shortest = 2 if edit == "swap" else 1
+    candidates = [obj for obj in db.objects if len(obj.backref) >= shortest]
+    assume(candidates)
+    obj = data.draw(st.sampled_from(candidates), label="object")
+    i = data.draw(st.integers(shortest - 1, len(obj.backref) - 1), label="index")
+    edit_pairs(obj.backref, edit, i)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.ocb"
+        save_database(db, str(path))
+        with pytest.raises(FormatError, match=rf"object {obj.id} has an invalid 'backref'"):
+            load_database(str(path))
 
 
 def test_save_load_empty_database(tmp_path):
