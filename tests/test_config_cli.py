@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -167,6 +168,68 @@ def test_cli_run_from_database_file_matches_inline_generation(tmp_path):
     assert ",reverse," in (inline / "report.csv").read_text()
     for name in ("report.csv", "report_stats.csv", "report.json", "report.txt"):
         assert (loaded / name).read_bytes() == (inline / name).read_bytes(), name
+
+
+# `ocb run --db` over a saved 2000-object database, seed 1: the SHA-256 of
+# the four report files, so that a change to any simulated result, or to
+# the order of a float sum, shows as a changed digest. The default mix runs
+# every transaction type in both directions, with think time on the clock.
+DEFAULT_MIX = ["--reverse-probability", "0.5", "--think", "0.5", "--clientn", "3",
+               "--coldn", "60", "--hotn", "120", "--buffer-pages", "16"]
+DSTC = ["--policy", "dstc", "--observation-period", "40"]
+PINNED_DB_RUNS = {
+    "default-none": ("default", [*DEFAULT_MIX, "--policy", "none"]),
+    "default-dstc": ("default", [*DEFAULT_MIX, *DSTC]),
+    "default-dstc-whole-components": ("default", [*DEFAULT_MIX, *DSTC, "--max-unit-size",
+                                                  "0", "--reorganize-trigger", "2"]),
+    # the A3 club run, shrunk: depth-first only, four sticky clients, and
+    # roots drawn near the previous transaction's root
+    "club-dstc": ("dstc-club", ["--psimple", "1", "--pset", "0", "--phier", "0",
+                                "--pstoch", "0", "--clientn", "4",
+                                "--dist5", "special:0:0.995", "--coldn", "150",
+                                "--hotn", "250", "--buffer-pages", "4", *DSTC]),
+}
+PINNED_DB_RUN_SHA256 = {
+    "club-dstc": {
+        "report.csv": "68b1521d810c48b16e083783b53667426d493ced704f7c3b9ed527f2154a371c",
+        "report_stats.csv": "b75af72af3325ad8810676a5681ef7a15a7e5c16a3ebb85b3c610d99df739491",
+        "report.json": "c92abcc69806da13b2d2314a1f4e97ea07a45afb4df0d40ee0e541d5947c2aea",
+        "report.txt": "d6739a0c92b8d975e04e4020b64eb8f6d3c4561963965a1ca554ef72a8dec89a",
+    },
+    "default-dstc": {
+        "report.csv": "6468dcc5d87c0ba39c9fbf5cd761f5d147e94ccc3d416eedf8e2c10013bcd152",
+        "report_stats.csv": "65c33cb12f3e0b1fc42bb56290e1c9d99798c179c9605f89370dbe48b586fcd5",
+        "report.json": "3d7ced2ff2cf78d2972ec195c7c7297605ef44b721680d20bc859d43283f75d8",
+        "report.txt": "59732e3aaabcc1a52909ebe259b9e7b72b4dcaf14d3dfac0d3ab4fd692b9e7a6",
+    },
+    "default-dstc-whole-components": {
+        "report.csv": "5bcc655b13899e136f647f0099d39bbdc7093351931b1095be35516945243b53",
+        "report_stats.csv": "8fc05880441d3a33c5ce40a57feecc34c316c73678611dcb7131a773d11ab8ea",
+        "report.json": "2c9569ab5b1747058dec4b3881095653c1fe23f57c455a61f270f311ad761f18",
+        "report.txt": "1c3e35a0b7492da3715a61c8ca910858f4dcce182bfe1f1712fb5c22d7589315",
+    },
+    "default-none": {
+        "report.csv": "a14f3b327dba448dd74a36a67b4e767e5b880fddc8653d31cc9f95d119fc0233",
+        "report_stats.csv": "bb4677a8cccb2cac1ff45ef9871e611647dac9d3a2dcff824dbbc16754219306",
+        "report.json": "0a39d63e00bdeacf2377de08bb55d11ce9af1c7041d7ba2cced803d1ab3bfd7d",
+        "report.txt": "8a61b5a6af2161a464c893a264221658bc03344e5e3f5a7e1bceb244a8871fd1",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DB_RUN_SHA256))
+def test_cli_run_from_database_file_keeps_its_report_bytes(name, tmp_path):
+    preset, run = PINNED_DB_RUNS[name]
+    db_path = tmp_path / "db.ocb"
+    assert main(["generate", "--preset", preset, "--no", "2000", "--seed", "1",
+                 "--out", str(db_path)]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--db", str(db_path), *run, "--seed", "2",
+                 "--out-dir", str(out_dir)]) == 0
+    payload = json.loads((out_dir / "report.json").read_text())
+    assert len(payload["reorganizations"]) >= (0 if name == "default-none" else 1)
+    assert {file: hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+            for file in PINNED_DB_RUN_SHA256[name]} == PINNED_DB_RUN_SHA256[name]
 
 
 def test_cli_run_missing_database_is_runtime_error(tmp_path):
