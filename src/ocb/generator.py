@@ -8,10 +8,9 @@ references, from which class iterators and reverse references are derived.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, is_not
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -129,16 +128,13 @@ class ObjectInstance:
 
 
 @dataclass
-class GenerationReport:
+class GenerationReport(ParamGroup):
     """Counts of reference slots nulled during generation, per cause."""
 
     null_class_draws: int = 0
     cycle_suppressed: int = 0
     empty_iterator: int = 0
     out_of_range: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -410,11 +406,15 @@ def load_database(path: str) -> Database:
 
     Raises FormatError, naming the file, for a file that is not UTF-8 text,
     a wrong magic line or format version, a malformed body (an integer
-    literal over CPython's 4300-digit limit included), generator
-    parameters that `GeneratorParams.from_dict` or `validate()` rejects, a
-    value out of range (see `_check_values`), or a class `iterator` or
-    object `backref` list that does not equal, int for int, its derivation
-    from the objects' `class_id`s and `oref`s (see `_check_derived`).
+    literal over CPython's 4300-digit limit included), `params` or a
+    `report` that `from_dict` or `validate()` rejects, or stored data that
+    `params` contradict: classes unequal to their regeneration (see
+    `_regenerated_classes`), an object value or link at odds with the
+    classes (see `_check_values`), or an `iterator` or `backref` list
+    unequal to its derivation (see `_check_derived`). So every link follows
+    a class edge of its reference type, and an acyclic type has no cycle
+    over the objects either. The objects are not regenerated: `infref`,
+    `supref`, `dist3` and `dist4` are not compared against them.
 
     Each distinct integer literal of the file becomes one int object, as in
     a generated database: an object's `id`, the `oref` targets that name it
@@ -460,101 +460,104 @@ def _load_database(path: str) -> Database:
         raise FormatError(f"{path}: database body is not a JSON object")
     if payload.get("format") != DB_FORMAT:
         raise FormatError(f"{path}: unsupported format version {payload.get('format')!r}")
+    group = "generator parameters"
     try:
         params = GeneratorParams.from_dict(payload["params"])
         params.validate()
-        # iterators and backrefs stay as parsed until _check_derived
-        classes = [
-            ClassDescriptor(id=c["id"], tref=list(c["tref"]), cref=list(c["cref"]),
-                            basesize=c["basesize"], instance_size=c["instance_size"],
-                            iterator=c["iterator"])
-            for c in payload["classes"]
-        ]
+        group = "generation report"
+        report = GenerationReport.from_dict(payload["report"])
+        classes = _regenerated_classes(path, params, payload["classes"])
         objects = [
             ObjectInstance(id=o["id"], class_id=o["class_id"], oref=list(o["oref"]),
                            backref=o["backref"], size=o["size"])
             for o in payload["objects"]
         ]
-        report_d = payload.get("report", {})
-        report = GenerationReport(**{f.name: report_d.get(f.name, 0)
-                                     for f in fields(GenerationReport)})
     except ParameterError as exc:
-        raise FormatError(f"{path}: invalid generator parameters: {exc}") from None
+        raise FormatError(f"{path}: invalid {group}: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
-    _check_values(path, params.nreft, classes, objects)
+    _check_values(path, classes, objects)
     _check_derived(path, classes, objects)
     return Database(params=params, classes=classes, objects=objects, report=report)
 
 
-def _check_values(path: str, nreft: int, classes: list[ClassDescriptor],
-                  objects: list[ObjectInstance]) -> None:
-    """Raise FormatError unless every class and object value is in range.
+def _regenerated_classes(path: str, params: GeneratorParams,
+                         stored: list[dict]) -> list[ClassDescriptor]:
+    """The classes that `params` generate, each checked against its stored twin.
 
-    Class N must have id N and `tref` entries that are reference types
-    (1..nreft). Object N must have id N, a `class_id` in 1..len(classes),
-    a size that is an int >= 0, and one `oref` entry per `tref` entry of
-    its class, each None or an object id. The `iterator` and `backref`
-    lists have no range rule: each must equal its derivation from these
-    values (see `_check_derived`). Bulk passes over all values decide
-    whether anything is wrong; only then does a per-class and per-object
-    pass name the first offending class or object and field.
+    Raise FormatError unless the file stores `nc` classes, each with the
+    slots `maxnref` gives it, and each stored `id`, `tref`, `cref`,
+    `basesize` and `instance_size` equals the generated value, type for
+    type: `true` or `1.0` for 1 fails. The counts come first, so that an
+    edited `nc` or `maxnref` cannot make the regeneration larger than the
+    stored classes. The stored `iterator`s are kept for `_check_derived`.
+    """
+    if len(stored) != params.nc:
+        raise FormatError(f"{path}: invalid generator parameters: nc={params.nc}, "
+                          f"but the file stores {len(stored)} classes")
+    for class_id, twin in enumerate(stored, start=1):
+        if len(twin["tref"]) != params.maxnref_of(class_id):
+            raise FormatError(f"{path}: invalid generator parameters: maxnref gives class "
+                              f"{class_id} {params.maxnref_of(class_id)} slots, but the "
+                              f"file stores {len(twin['tref'])}")
+    classes = enforce_consistency(generate_schema(params), params)
+    for cls, twin in zip(classes, stored):
+        for name in ("id", "tref", "cref", "basesize", "instance_size"):
+            value = getattr(cls, name)
+            if json.dumps(twin[name]) != json.dumps(value):
+                raise FormatError(f"{path}: class {cls.id} has an invalid {name!r}: "
+                                  f"{twin[name]!r} (its parameters give {value!r})")
+        cls.iterator = twin["iterator"]
+    return classes
+
+
+def _check_values(path: str, classes: list[ClassDescriptor],
+                  objects: list[ObjectInstance]) -> None:
+    """Raise FormatError naming the first object, and its field, that is at
+    odds with the classes.
+
+    Object N must have id N, a `class_id` in 1..len(classes), its class's
+    `instance_size` as `size`, and one `oref` entry per slot of its class.
+    Once every object passes, each `oref` entry must be None or the id of
+    an object of the slot's `cref` class. `iterator` and `backref` lists
+    are checked against their derivation (see `_check_derived`).
     """
     nc = len(classes)
     count = len(objects)
-    class_ids = list(map(attrgetter("id"), classes))
-    trefs = list(chain.from_iterable(map(attrgetter("tref"), classes)))
-    ids = list(map(attrgetter("id"), objects))
-    classes_of = list(map(attrgetter("class_id"), objects))
-    sizes = list(map(attrgetter("size"), objects))
-    refs = list(filter(partial(is_not, None),
-                       chain.from_iterable(map(attrgetter("oref"), objects))))
-    # slot counts, indexed by class id
-    tref_counts = [0, *map(len, map(attrgetter("tref"), classes))]
-
-    def within(values: list[int], high: int) -> bool:
-        return min(values, default=1) >= 1 and max(values, default=high) <= high
-
-    values = chain(class_ids, trefs, ids, classes_of, sizes, refs)
-    if (set(map(type, values)) <= {int}
-            and class_ids == list(range(1, nc + 1)) and ids == list(range(1, count + 1))
-            and within(trefs, nreft) and within(classes_of, nc) and within(refs, count)
-            and min(sizes, default=0) >= 0
-            and list(map(len, map(attrgetter("oref"), objects)))
-            == list(map(tref_counts.__getitem__, classes_of))):
-        return
-
-    def in_range(value, high: int) -> bool:
-        return type(value) is int and 1 <= value <= high
-
-    classes_run = f"classes run from 1 to {nc}"
-    objects_run = f"object ids run from 1 to {count}"
-    for position, cls in enumerate(classes, start=1):
-        if type(cls.id) is not int or cls.id != position:
-            field_name, value, bounds = "id", cls.id, classes_run
-        elif not all(in_range(t, nreft) for t in cls.tref):
-            field_name, value, bounds = "tref", cls.tref, f"reference types run from 1 to {nreft}"
-        else:
-            continue
-        raise FormatError(f"{path}: class {position} has an invalid {field_name!r}: "
-                          f"{value!r} ({bounds})")
+    # per class id; entry 0 is a placeholder
+    sizes = [0, *map(attrgetter("instance_size"), classes)]
+    crefs = [[], *map(attrgetter("cref"), classes)]
     for position, obj in enumerate(objects, start=1):
+        class_id = obj.class_id
         if type(obj.id) is not int or obj.id != position:
-            field_name, value, bounds = "id", obj.id, objects_run
-        elif not in_range(obj.class_id, nc):
-            field_name, value, bounds = "class_id", obj.class_id, classes_run
-        elif type(obj.size) is not int or obj.size < 0:
-            field_name, value, bounds = "size", obj.size, "sizes are ints >= 0"
-        elif len(obj.oref) != tref_counts[obj.class_id]:
+            field_name, value, bounds = "id", obj.id, f"object ids run from 1 to {count}"
+        elif type(class_id) is not int or not 1 <= class_id <= nc:
+            field_name, value, bounds = "class_id", class_id, f"classes run from 1 to {nc}"
+        elif type(obj.size) is not int or obj.size != sizes[class_id]:
+            field_name, value = "size", obj.size
+            bounds = f"its class has an 'instance_size' of {sizes[class_id]}"
+        elif len(obj.oref) != len(crefs[class_id]):
             field_name, value = "oref", obj.oref
-            bounds = f"its class has a 'tref' of length {tref_counts[obj.class_id]}"
-        elif not all(target is None or in_range(target, count) for target in obj.oref):
-            field_name, value, bounds = "oref", obj.oref, objects_run
+            bounds = f"its class has {len(crefs[class_id])} slots"
         else:
             continue
         raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "
                           f"{value!r} ({bounds})")
+    # class of every object id; entry 0 matches no class
+    class_of = [0, *map(attrgetter("class_id"), objects)]
+    for obj in objects:
+        for target, cref in zip(obj.oref, crefs[obj.class_id]):
+            if target is None:
+                continue
+            if type(target) is not int or not 1 <= target <= count:
+                bounds = f"object ids run from 1 to {count}"
+            elif class_of[target] != cref:
+                bounds = f"object {target} is of class {class_of[target]}, not {cref}"
+            else:
+                continue
+            raise FormatError(f"{path}: object {obj.id} has an invalid 'oref': "
+                              f"{obj.oref!r} ({bounds})")
 
 
 def _check_derived(path: str, classes: list[ClassDescriptor],

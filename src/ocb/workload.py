@@ -95,15 +95,11 @@ class WorkloadParams(ParamGroup):
 
 @dataclass
 class TransactionRecord:
-    """One logged transaction, flattened for aggregation and CSV export.
-
-    `client` is None in a record rebuilt from the CSV export by
-    `read_log_csv`, which does not hold it.
-    """
+    """One logged transaction, flattened for aggregation and CSV export."""
 
     index: int
     phase: str
-    client: int | None
+    client: int
     type: str
     direction: str
     root: int
@@ -379,28 +375,3 @@ def write_log_csv(log: ExperimentLog, path: str) -> None:
             writer.writerow((r.phase, r.type, r.direction, r.root,
                              r.objects, r.faults, repr(r.sim_time)))
 
-
-def read_log_csv(path: str, reorg_indices=(), reorg_costs=()) -> ExperimentLog:
-    """Rebuild a log from its CSV export.
-
-    The CSV holds only transaction rows; reorganization positions live in
-    the JSON summary and can be passed back in for gain computation. It
-    holds no client either, so every rebuilt record carries None there.
-    """
-    log = ExperimentLog()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ParameterError(f"{path}: unexpected CSV header {header}")
-        for i, row in enumerate(reader):
-            phase, kind, direction, root, objects, faults, sim_time = row
-            log.records.append(TransactionRecord(
-                index=i, phase=phase, client=None, type=kind, direction=direction,
-                root=int(root), objects=int(objects),
-                faults=int(faults), sim_time=float(sim_time)))
-    indices = list(reorg_indices)
-    costs = list(reorg_costs) or [(0, 0)] * len(indices)
-    for after, (reads, writes) in zip(indices, costs):
-        log.reorgs.append(ReorgEvent(after_index=after, reads=reads, writes=writes))
-    return log

@@ -11,7 +11,7 @@ from ocb.cli import main
 from ocb.config import build_config, read_config_file
 from ocb.distributions import Constant, Special
 from ocb.errors import ParameterError
-from ocb.generator import load_database
+from ocb.generator import GeneratorParams, load_database
 from ocb.policies import DstcParams
 from ocb.storage import StorageParams
 from ocb.workload import WorkloadParams
@@ -182,8 +182,8 @@ PINNED_DB_RUNS = {
     "default-dstc": ("default", [*DEFAULT_MIX, *DSTC]),
     "default-dstc-whole-components": ("default", [*DEFAULT_MIX, *DSTC, "--max-unit-size",
                                                   "0", "--reorganize-trigger", "2"]),
-    # the A3 club run, shrunk: depth-first only, four sticky clients, and
-    # roots drawn near the previous transaction's root
+    # the A3 club run, shrunk: depth-first only, four clients, each of
+    # which keeps its previous root with probability 0.995
     "club-dstc": ("dstc-club", ["--psimple", "1", "--pset", "0", "--phier", "0",
                                 "--pstoch", "0", "--clientn", "4",
                                 "--dist5", "special:0:0.995", "--coldn", "150",
@@ -237,8 +237,17 @@ def test_cli_run_missing_database_is_runtime_error(tmp_path):
                  "--out-dir", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("body", ['{"format": 1}\n', "[1,2]\n"],
-                         ids=["missing-fields", "not-an-object"])
+# one class and one object, but a generation report with an unknown key
+UNKNOWN_REPORT_KEY = json.dumps({
+    "format": 1, "params": GeneratorParams(nc=1, maxnref=0, no=1).to_dict(),
+    "classes": [{"id": 1, "tref": [], "cref": [], "basesize": 50, "instance_size": 50,
+                 "iterator": [1]}],
+    "objects": [{"id": 1, "class_id": 1, "oref": [], "backref": [], "size": 50}],
+    "report": {"a": 1}})
+
+
+@pytest.mark.parametrize("body", ['{"format": 1}\n', "[1,2]\n", UNKNOWN_REPORT_KEY + "\n"],
+                         ids=["missing-fields", "not-an-object", "report-unknown-key"])
 def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     path = tmp_path / "bad.ocb"
     path.write_text("OCBDB1\n" + body)
@@ -281,9 +290,11 @@ def run_edited_database(tmp_path, capsys, edit) -> str:
     (5, {"backref": [[1, True]]}, "backref"),
     (1, {"id": True}, "id"),
     (2, {"id": 2.0}, "id"),
+    (3, {"size": 2}, "size"),
 ], ids=["size-not-int", "oref-out-of-range", "size-negative", "id-not-position",
         "oref-not-int", "backref-out-of-range", "oref-longer-than-tref",
-        "backref-slot-out-of-range", "backref-slot-not-int", "id-true", "id-float"])
+        "backref-slot-out-of-range", "backref-slot-not-int", "id-true", "id-float",
+        "size-not-instance-size"])
 def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
                                                           position, edit, field):
     err = run_edited_database(tmp_path, capsys,
@@ -297,7 +308,10 @@ def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
     (lambda params: params.update(nc="x"), "nc"),
     (lambda params: params.update(nc=0), "nc"),
     (lambda params: params.update(dist4="bogus"), "dist4"),
-], ids=["missing-seed", "extra-key", "nc-not-int", "nc-zero", "dist4-bogus"])
+    (lambda params: params.update(nc=99), "nc"),
+    (lambda params: params.update(maxnref=3), "maxnref"),
+], ids=["missing-seed", "extra-key", "nc-not-int", "nc-zero", "dist4-bogus",
+        "nc-not-class-count", "maxnref-not-slot-count"])
 def test_cli_run_database_with_bad_params_is_runtime_error(tmp_path, capsys, edit, key):
     err = run_edited_database(tmp_path, capsys, lambda payload: edit(payload["params"]))
     assert "invalid generator parameters" in err
@@ -311,8 +325,12 @@ def test_cli_run_database_with_bad_params_is_runtime_error(tmp_path, capsys, edi
     ("class", 2, {"iterator": [99]}, "iterator"),
     ("class", 1, {"tref": [9]}, "tref"),
     ("class", 2, {"tref": [0]}, "tref"),
+    ("class", 1, {"cref": ["x"]}, "cref"),
+    ("class", 2, {"instance_size": -7}, "instance_size"),
+    ("class", 1, {"basesize": True}, "basesize"),
 ], ids=["class_id-above-nc", "class_id-zero", "class-id-not-position",
-        "iterator-out-of-range", "tref-above-nreft", "tref-zero"])
+        "iterator-out-of-range", "tref-above-nreft", "tref-zero", "cref-not-a-class",
+        "instance_size-negative", "basesize-true"])
 def test_cli_run_database_with_bad_class_values_is_runtime_error(tmp_path, capsys, owner,
                                                                 position, edit, field):
     table = {"object": "objects", "class": "classes"}[owner]
@@ -347,6 +365,16 @@ def first_iterator_entry_true(payload):
     iterator[0] = True
 
 
+def relink_to_wrong_class(payload):
+    """Edit: object 1's link to object 2 (class 1) goes to object 4 (class 2),
+    and both objects' backref lists follow, so only the class is wrong."""
+    objects = payload["objects"]
+    assert objects[0]["oref"] == [2] and objects[3]["class_id"] == 2
+    objects[0]["oref"] = [4]
+    set_backref(2, [], [[1, 0]])(payload)
+    set_backref(4, [[1, 0]], [])(payload)
+
+
 # In the 5-object database, object 1 (class 2) links to object 2, objects
 # 4 and 5 (class 2) link to object 3; objects 2 and 3 are class 1.
 @pytest.mark.parametrize("owner, position, field, edit", [
@@ -356,8 +384,10 @@ def first_iterator_entry_true(payload):
     ("class", 1, "iterator", move_last_iterator_entry),
     ("class", 2, "iterator", duplicate_iterator_entry),
     ("class", 2, "iterator", first_iterator_entry_true),
+    ("object", 1, "oref", relink_to_wrong_class),
 ], ids=["backref-without-link", "backrefs-reordered", "backref-slot-false",
-        "iterator-entry-moved", "iterator-entry-duplicated", "iterator-entry-true"])
+        "iterator-entry-moved", "iterator-entry-duplicated", "iterator-entry-true",
+        "oref-target-of-another-class"])
 def test_cli_run_database_with_underived_lists_is_runtime_error(tmp_path, capsys, owner,
                                                                position, field, edit):
     err = run_edited_database(tmp_path, capsys, edit)
@@ -518,8 +548,10 @@ def test_cli_env_seed_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_report_recomputable_from_csv_export(tmp_path):
+    from types import SimpleNamespace
+
     from ocb.metrics import aggregate
-    from ocb.workload import read_log_csv
+    from ocb.workload import CSV_COLUMNS, ExperimentLog, ReorgEvent
 
     out_dir = tmp_path / "r"
     assert main(["run", "--nc", "3", "--maxnref", "2", "--no", "60",
@@ -527,12 +559,19 @@ def test_report_recomputable_from_csv_export(tmp_path):
                  "--policy", "dstc", "--observation-period", "20",
                  "--buffer-pages", "4", "--out-dir", str(out_dir)]) == 0
     payload = json.loads((out_dir / "report.json").read_text())
-    log = read_log_csv(
-        str(out_dir / "report.csv"),
-        reorg_indices=[e["after_index"] for e in payload["reorganizations"]],
-        reorg_costs=[(e["reads"], e["writes"]) for e in payload["reorganizations"]])
-    log.overhead_reads = payload["counters"]["overhead_reads"]
-    log.overhead_writes = payload["counters"]["overhead_writes"]
+    with open(out_dir / "report.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == CSV_COLUMNS
+    # the CSV holds no client, and aggregation reads none
+    records = [SimpleNamespace(index=i, phase=phase, type=kind, direction=direction,
+                               root=int(root), objects=int(objects), faults=int(faults),
+                               sim_time=float(sim_time))
+               for i, (phase, kind, direction, root, objects, faults, sim_time)
+               in enumerate(rows)]
+    log = ExperimentLog(records=records,
+                        reorgs=[ReorgEvent(**e) for e in payload["reorganizations"]],
+                        overhead_reads=payload["counters"]["overhead_reads"],
+                        overhead_writes=payload["counters"]["overhead_writes"])
     recomputed = aggregate(log, gain_window=payload["config"]["gain_window"],
                            fingerprint=payload["fingerprint"])
     assert recomputed.to_dict() == payload["metrics"]

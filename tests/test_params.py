@@ -11,7 +11,7 @@ import pytest
 from ocb.cli import build_parser
 from ocb.config import ALL_KEYS, GROUPS, ExperimentConfig, build_config
 from ocb.errors import ParameterError
-from ocb.generator import GeneratorParams
+from ocb.generator import GenerationReport, GeneratorParams
 from ocb.params import KINDS
 from ocb.storage import StorageParams
 
@@ -71,6 +71,7 @@ def test_text_config_round_trips_through_json(name):
     (GeneratorParams, "supclass", "2"), (GeneratorParams, "maxnref", [1, True]),
     (GeneratorParams, "acyclic_types", 1), (GeneratorParams, "dist1", 3),
     (StorageParams, "spanning", 1), (StorageParams, "io_cost", "1.0"),
+    (GenerationReport, "cycle_suppressed", True), (GenerationReport, "out_of_range", 1.0),
 ])
 def test_from_dict_rejects_a_json_value_of_the_wrong_type(group, key, value):
     stored = dict(group().to_dict(), **{key: value})

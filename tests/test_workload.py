@@ -1,3 +1,4 @@
+import csv
 import sys
 
 import pytest
@@ -18,10 +19,10 @@ from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
+    CSV_COLUMNS,
     WorkloadParams,
     choose_slot,
     hierarchy_traversal,
-    read_log_csv,
     run_protocol,
     set_oriented_access,
     simple_traversal,
@@ -361,12 +362,12 @@ def test_per_type_totals_sum_to_global():
 def test_csv_round_trip(tmp_path):
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=25, seed=3))
     log = run_protocol(db, storage_for(db), protocol_params(coldn=3, hotn=4), None)
-    path = tmp_path / "log.csv"
+    path = tmp_path / "report.csv"
     write_log_csv(log, str(path))
-    loaded = read_log_csv(str(path))
-    assert [(r.phase, r.type, r.direction, r.root, r.objects, r.faults, r.sim_time)
-            for r in loaded.records] == \
-           [(r.phase, r.type, r.direction, r.root, r.objects, r.faults, r.sim_time)
-            for r in log.records]
-    # the CSV holds no client, so none is made up
-    assert all(r.client is None for r in loaded.records)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == CSV_COLUMNS
+    assert rows == [[r.phase, r.type, r.direction, str(r.root), str(r.objects),
+                     str(r.faults), repr(r.sim_time)] for r in log.records]
+    # repr writes the shortest text that reads back as the same float
+    assert all(float(row[6]) == r.sim_time for row, r in zip(rows, log.records))
