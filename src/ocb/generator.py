@@ -2,16 +2,15 @@
 
 Three steps: instantiate the schema (classes with typed reference slots),
 repair the schema so that cycle-forbidding reference types form DAGs and
-inheritance sizes propagate, then instantiate objects with inter-object
-references, from which class iterators and reverse references are derived.
+inheritance sizes propagate, then instantiate objects, derive the class
+iterators, and draw the inter-object references, each recorded as a reverse
+reference in its target.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .distributions import (
     Distribution,
@@ -292,19 +291,18 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                      report: GenerationReport | None = None) -> list[ObjectInstance]:
     """Instantiate `no` objects and wire their references.
 
-    Each object's class comes from dist3; the class iterators and the
-    reverse references are then derived (see `derive_iterators` and
-    `derive_backrefs`). Reference targets are iterator positions of the
-    slot's target class, drawn through dist4 with the object's own iterator
-    position as the locality anchor.
+    Each object's class comes from dist3; the class iterators are then
+    derived (see `derive_iterators`). Reference targets are iterator
+    positions of the slot's target class, drawn through dist4 with the
+    object's own iterator position as the locality anchor. Each link is
+    appended to its target's backref as it is drawn: sources in class
+    order, then in ascending id (the class iterators' order), slots
+    ascending.
     """
-    draw_class = bounded_drawer(params.dist3, substream(params.seed, "object-classes"),
-                                1, params.nc)
     rng_refs = substream(params.seed, "object-refs")
-    drawn = [schema[draw_class() - 1] for _ in range(params.no)]
     objects = [ObjectInstance(id=oid, class_id=cls.id, oref=[None] * len(cls.tref),
                               size=cls.instance_size)
-               for oid, cls in enumerate(drawn, start=1)]
+               for oid, cls in enumerate(_draw_classes(schema, params), start=1)]
     for cls, iterator in zip(schema, derive_iterators(len(schema), objects)):
         cls.iterator = iterator
 
@@ -330,13 +328,23 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                 if pos is None:
                     out_of_range += 1
                     continue
-                oref[k] = iterator[pos - 1]
-    for obj, backref in zip(objects, derive_backrefs(schema, objects)):
-        obj.backref = backref
+                target = oref[k] = iterator[pos - 1]
+                # in place: replacing every object's empty list afterwards
+                # leaves freed holes among the objects, and later runs over
+                # the database were about 5 % slower on dstc-club
+                objects[target - 1].backref.append((oid, k))
     if report is not None:
         report.empty_iterator += empty_iterator
         report.out_of_range += out_of_range
     return objects
+
+
+def _draw_classes(schema: list[ClassDescriptor],
+                  params: GeneratorParams) -> list[ClassDescriptor]:
+    """The class of every object, in id order, drawn through dist3."""
+    draw_class = bounded_drawer(params.dist3, substream(params.seed, "object-classes"),
+                                1, params.nc)
+    return [schema[draw_class() - 1] for _ in range(params.no)]
 
 
 def derive_iterators(nc: int, objects: list[ObjectInstance]) -> list[list[int]]:
@@ -345,23 +353,6 @@ def derive_iterators(nc: int, objects: list[ObjectInstance]) -> list[list[int]]:
     for obj in objects:
         iterators[obj.class_id - 1].append(obj.id)
     return iterators
-
-
-def derive_backrefs(classes: list[ClassDescriptor],
-                    objects: list[ObjectInstance]) -> list[list[tuple[int, int]]]:
-    """Every object's backref: a (source id, slot) pair per link to it.
-
-    Sources come in class order, then in ascending id (the class
-    iterators' order), slots ascending: the order in which generation
-    draws the links.
-    """
-    backrefs: list[list[tuple[int, int]]] = [[] for _ in objects]
-    for cls in classes:
-        for oid in cls.iterator:
-            for k, target in enumerate(objects[oid - 1].oref):
-                if target is not None:
-                    backrefs[target - 1].append((oid, k))
-    return backrefs
 
 
 def generate_database(params: GeneratorParams) -> Database:
@@ -379,8 +370,15 @@ def generate_database(params: GeneratorParams) -> Database:
 
 
 def save_database(db: Database, path: str) -> None:
-    """Write the database as a magic line followed by one canonical JSON body."""
-    payload = {
+    """Write the database as a magic line followed by its canonical body."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(DB_MAGIC + "\n")
+        fh.write(_body(db))
+
+
+def _payload(db: Database) -> dict:
+    """The JSON document of a database file."""
+    return {
         "format": DB_FORMAT,
         "params": db.params.to_dict(),
         "classes": [
@@ -395,67 +393,107 @@ def save_database(db: Database, path: str) -> None:
         ],
         "report": db.report.to_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DB_MAGIC + "\n")
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+
+
+def _canonical(value) -> str:
+    """JSON text with sorted keys and no spaces: equal values, equal text."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _body(db: Database) -> str:
+    """Everything `save_database` writes after the magic line."""
+    return _canonical(_payload(db)) + "\n"
 
 
 def load_database(path: str) -> Database:
     """Read a database file back; inverse of save_database.
 
-    Raises FormatError, naming the file, for a file that is not UTF-8 text,
-    a wrong magic line or format version, a malformed body (an integer
-    literal over CPython's 4300-digit limit included), `params` or a
-    `report` that `from_dict` or `validate()` rejects, or stored data that
-    `params` contradict: classes unequal to their regeneration (see
-    `_regenerated_classes`), an object value or link at odds with the
-    classes (see `_check_values`), or an `iterator` or `backref` list
-    unequal to its derivation (see `_check_derived`). So every link follows
-    a class edge of its reference type, and an acyclic type has no cycle
-    over the objects either. The objects are not regenerated: `infref`,
-    `supref`, `dist3` and `dist4` are not compared against them.
+    The file loads if and only if its body, the text after the magic line,
+    is the body that `save_database` writes for `generate_database` of its
+    `params`; the result is that regeneration. The params are read from the
+    end of the body (`,"params":{...},"report":{...}}`), so a file that
+    loads is compared as text and never parsed whole. `_regenerate` bounds
+    the generation by the body's length; `_reject` names the fault of a
+    file that does not load. Both raise FormatError, naming the file, and
+    so does a file that is not UTF-8 text or has a wrong magic line.
 
-    Each distinct integer literal of the file becomes one int object, as in
-    a generated database: an object's `id`, the `oref` targets that name it
-    and the derived `backref` sources and `iterator` entries are the same
-    object, and so are the link-table, placement and buffer keys built from
-    them. A dict or set probe that finds the very key it looks for skips
-    the value compare, and the database holds one int per id, not one per
-    occurrence. Only integer literals pass through the memo, so `true` or
-    `1.0` still reach the checks unchanged. The cyclic garbage collector is
-    suspended while the file is parsed and checked, and restored to the
-    caller's state on return, also when loading fails: the loaded database
-    holds no reference cycles, so a collector pass would find nothing.
+    The cyclic garbage collector is suspended while the file is read and
+    checked, and restored to the caller's state on return, also when
+    loading fails.
     """
     with collector_paused():
-        return _load_database(path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                magic = fh.readline().rstrip("\n")
+                if magic != DB_MAGIC:
+                    raise FormatError(f"{path}: bad magic header {magic!r}")
+                body = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
+        params = _tail_params(body)
+        if params is not None:
+            db = _regenerate(path, params, len(body))
+            if _body(db) == body:
+                return db
+        _reject(path, body)
 
 
-class _IntMemo(dict):
-    """JSON integer literal -> int, made once per distinct literal.
-
-    Its `__getitem__` is the `parse_int` hook of one load, so every
-    occurrence of an id in the file is the same int object.
-    """
-
-    def __missing__(self, literal: str) -> int:
-        value = self[literal] = int(literal)
-        return value
-
-
-def _load_database(path: str) -> Database:
+def _tail_params(body: str) -> GeneratorParams | None:
+    """The valid params at the end of a canonical body, or None."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            magic = fh.readline().rstrip("\n")
-            if magic != DB_MAGIC:
-                raise FormatError(f"{path}: bad magic header {magic!r}")
-            try:
-                payload = json.load(fh, parse_int=_IntMemo().__getitem__)
-            except ValueError as exc:  # a JSONDecodeError, or an int over 4300 digits
-                raise FormatError(f"{path}: malformed database body: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
+        tail = json.loads("{" + body[body.rindex(',"params":') + 1:])
+        params = GeneratorParams.from_dict(tail["params"])
+        params.validate()
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, ParameterError):
+        return None
+    return params
+
+
+# the text of the shortest class and object in a saved body
+_SHORTEST_CLASS = '{"basesize":0,"cref":[],"id":1,"instance_size":0,"iterator":[],"tref":[]}'
+_SHORTEST_OBJECT = '{"backref":[],"class_id":1,"id":1,"oref":[],"size":0}'
+
+
+def _regenerate(path: str, params: GeneratorParams, size: int) -> Database:
+    """`generate_database(params)`, once a body of `size` characters can hold it.
+
+    A saved body holds the text of every class and object, no shorter than
+    `_SHORTEST_CLASS` and `_SHORTEST_OBJECT`, and at least one character
+    per reference slot. So valid `params` that would need more than `size`
+    characters for their classes, objects, class slots or the slots of the
+    drawn objects raise FormatError before any object is built.
+    """
+    def check(key: str, count: int, things: str, chars: int = 1) -> None:
+        if count * chars > size:
+            raise FormatError(f"{path}: invalid generator parameters: {key} gives {count} "
+                              f"{things}, more than a body of {size} characters holds")
+
+    check("nc", params.nc, "classes", len(_SHORTEST_CLASS))
+    check("no", params.no, "objects", len(_SHORTEST_OBJECT))
+    maxnref = params.maxnref
+    check("maxnref", maxnref * params.nc if isinstance(maxnref, int) else sum(maxnref),
+          "class reference slots")
+    drawn = _draw_classes(generate_schema(params), params)
+    check("maxnref", sum(len(cls.tref) for cls in drawn), "reference slots over the objects")
+    return generate_database(params)
+
+
+def _reject(path: str, body: str) -> NoReturn:
+    """Raise FormatError naming the first fault of a body that did not load.
+
+    In order: the JSON parse (an integer literal over CPython's 4300-digit
+    limit fails it); the format version; `params` and `report` as
+    `from_dict` and `validate()` read them; the stored class, slot and
+    object counts against `nc`, `maxnref` and `no`; then, against the
+    regeneration, the first class or object field whose canonical JSON
+    differs (`true` or `1.0` for 1 does), and the first differing report
+    count. A body that passes them all is other JSON text of the same
+    document: other spacing, key order or an extra key.
+    """
+    try:
+        payload = json.loads(body)
+    except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
+        raise FormatError(f"{path}: malformed database body: {exc}") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: database body is not a JSON object")
     if payload.get("format") != DB_FORMAT:
@@ -465,116 +503,35 @@ def _load_database(path: str) -> Database:
         params = GeneratorParams.from_dict(payload["params"])
         params.validate()
         group = "generation report"
-        report = GenerationReport.from_dict(payload["report"])
-        classes = _regenerated_classes(path, params, payload["classes"])
-        objects = [
-            ObjectInstance(id=o["id"], class_id=o["class_id"], oref=list(o["oref"]),
-                           backref=o["backref"], size=o["size"])
-            for o in payload["objects"]
-        ]
+        GenerationReport.from_dict(payload["report"])
+        group = "generator parameters"
+        classes, objects = payload["classes"], payload["objects"]
+        if len(classes) != params.nc:
+            raise ParameterError(f"nc={params.nc}, but the file stores {len(classes)} classes")
+        for class_id, twin in enumerate(classes, start=1):
+            if len(twin["tref"]) != params.maxnref_of(class_id):
+                raise ParameterError(f"maxnref gives class {class_id} "
+                                     f"{params.maxnref_of(class_id)} slots, but the "
+                                     f"file stores {len(twin['tref'])}")
+        if len(objects) != params.no:
+            raise ParameterError(f"no={params.no}, but the file stores {len(objects)} objects")
+        expected = _payload(_regenerate(path, params, len(body)))
+        for owner, key in (("class", "classes"), ("object", "objects")):
+            for position, (twin, item) in enumerate(zip(payload[key], expected[key]),
+                                                    start=1):
+                for name, value in item.items():
+                    if _canonical(twin[name]) != _canonical(value):
+                        raise FormatError(f"{path}: {owner} {position} has an invalid "
+                                          f"{name!r}: {twin[name]!r} (its parameters "
+                                          f"give {value!r})")
+        group = "generation report"
+        for name, value in expected["report"].items():
+            if payload["report"][name] != value:
+                raise ParameterError(f"{name}={payload['report'][name]}, but its "
+                                     f"parameters give {value}")
     except ParameterError as exc:
         raise FormatError(f"{path}: invalid {group}: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(
             f"{path}: malformed database body: {type(exc).__name__}: {exc}") from None
-    _check_values(path, classes, objects)
-    _check_derived(path, classes, objects)
-    return Database(params=params, classes=classes, objects=objects, report=report)
-
-
-def _regenerated_classes(path: str, params: GeneratorParams,
-                         stored: list[dict]) -> list[ClassDescriptor]:
-    """The classes that `params` generate, each checked against its stored twin.
-
-    Raise FormatError unless the file stores `nc` classes, each with the
-    slots `maxnref` gives it, and each stored `id`, `tref`, `cref`,
-    `basesize` and `instance_size` equals the generated value, type for
-    type: `true` or `1.0` for 1 fails. The counts come first, so that an
-    edited `nc` or `maxnref` cannot make the regeneration larger than the
-    stored classes. The stored `iterator`s are kept for `_check_derived`.
-    """
-    if len(stored) != params.nc:
-        raise FormatError(f"{path}: invalid generator parameters: nc={params.nc}, "
-                          f"but the file stores {len(stored)} classes")
-    for class_id, twin in enumerate(stored, start=1):
-        if len(twin["tref"]) != params.maxnref_of(class_id):
-            raise FormatError(f"{path}: invalid generator parameters: maxnref gives class "
-                              f"{class_id} {params.maxnref_of(class_id)} slots, but the "
-                              f"file stores {len(twin['tref'])}")
-    classes = enforce_consistency(generate_schema(params), params)
-    for cls, twin in zip(classes, stored):
-        for name in ("id", "tref", "cref", "basesize", "instance_size"):
-            value = getattr(cls, name)
-            if json.dumps(twin[name]) != json.dumps(value):
-                raise FormatError(f"{path}: class {cls.id} has an invalid {name!r}: "
-                                  f"{twin[name]!r} (its parameters give {value!r})")
-        cls.iterator = twin["iterator"]
-    return classes
-
-
-def _check_values(path: str, classes: list[ClassDescriptor],
-                  objects: list[ObjectInstance]) -> None:
-    """Raise FormatError naming the first object, and its field, that is at
-    odds with the classes.
-
-    Object N must have id N, a `class_id` in 1..len(classes), its class's
-    `instance_size` as `size`, and one `oref` entry per slot of its class.
-    Once every object passes, each `oref` entry must be None or the id of
-    an object of the slot's `cref` class. `iterator` and `backref` lists
-    are checked against their derivation (see `_check_derived`).
-    """
-    nc = len(classes)
-    count = len(objects)
-    # per class id; entry 0 is a placeholder
-    sizes = [0, *map(attrgetter("instance_size"), classes)]
-    crefs = [[], *map(attrgetter("cref"), classes)]
-    for position, obj in enumerate(objects, start=1):
-        class_id = obj.class_id
-        if type(obj.id) is not int or obj.id != position:
-            field_name, value, bounds = "id", obj.id, f"object ids run from 1 to {count}"
-        elif type(class_id) is not int or not 1 <= class_id <= nc:
-            field_name, value, bounds = "class_id", class_id, f"classes run from 1 to {nc}"
-        elif type(obj.size) is not int or obj.size != sizes[class_id]:
-            field_name, value = "size", obj.size
-            bounds = f"its class has an 'instance_size' of {sizes[class_id]}"
-        elif len(obj.oref) != len(crefs[class_id]):
-            field_name, value = "oref", obj.oref
-            bounds = f"its class has {len(crefs[class_id])} slots"
-        else:
-            continue
-        raise FormatError(f"{path}: object {position} has an invalid {field_name!r}: "
-                          f"{value!r} ({bounds})")
-    # class of every object id; entry 0 matches no class
-    class_of = [0, *map(attrgetter("class_id"), objects)]
-    for obj in objects:
-        for target, cref in zip(obj.oref, crefs[obj.class_id]):
-            if target is None:
-                continue
-            if type(target) is not int or not 1 <= target <= count:
-                bounds = f"object ids run from 1 to {count}"
-            elif class_of[target] != cref:
-                bounds = f"object {target} is of class {class_of[target]}, not {cref}"
-            else:
-                continue
-            raise FormatError(f"{path}: object {obj.id} has an invalid 'oref': "
-                              f"{obj.oref!r} ({bounds})")
-
-
-def _check_derived(path: str, classes: list[ClassDescriptor],
-                   objects: list[ObjectInstance]) -> None:
-    """Replace each stored `iterator` and `backref` by its derivation.
-
-    Raise FormatError at the first stored list, classes first, that does
-    not equal the derived one int for int: `true` or `1.0` for 1 fails.
-    """
-    for cls, iterator in zip(classes, derive_iterators(len(classes), objects)):
-        if cls.iterator != iterator or not set(map(type, cls.iterator)) <= {int}:
-            raise FormatError(f"{path}: class {cls.id} has an invalid 'iterator': "
-                              f"{cls.iterator!r} (its objects are {iterator!r})")
-        cls.iterator = iterator
-    for obj, backref in zip(objects, derive_backrefs(classes, objects)):
-        pairs = list(map(list, backref))
-        if obj.backref != pairs or not set(map(type, chain(*obj.backref))) <= {int}:
-            raise FormatError(f"{path}: object {obj.id} has an invalid 'backref': "
-                              f"{obj.backref!r} (the links to it are {pairs!r})")
-        obj.backref = backref
+    raise FormatError(f"{path}: the database body is not the canonical text of its params")

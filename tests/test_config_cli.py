@@ -11,7 +11,7 @@ from ocb.cli import main
 from ocb.config import build_config, read_config_file
 from ocb.distributions import Constant, Special
 from ocb.errors import ParameterError
-from ocb.generator import GeneratorParams, load_database
+from ocb.generator import GeneratorParams, generate_database, load_database, save_database
 from ocb.policies import DstcParams
 from ocb.storage import StorageParams
 from ocb.workload import WorkloadParams
@@ -246,8 +246,14 @@ UNKNOWN_REPORT_KEY = json.dumps({
     "report": {"a": 1}})
 
 
-@pytest.mark.parametrize("body", ['{"format": 1}\n', "[1,2]\n", UNKNOWN_REPORT_KEY + "\n"],
-                         ids=["missing-fields", "not-an-object", "report-unknown-key"])
+# JSON nested past the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000 + "\n"
+
+
+@pytest.mark.parametrize("body", ['{"format": 1}\n', "[1,2]\n", UNKNOWN_REPORT_KEY + "\n",
+                                  DEEP_JSON],
+                         ids=["missing-fields", "not-an-object", "report-unknown-key",
+                              "nested-too-deep"])
 def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     path = tmp_path / "bad.ocb"
     path.write_text("OCBDB1\n" + body)
@@ -255,22 +261,37 @@ def test_cli_run_malformed_database_is_runtime_error(tmp_path, capsys, body):
     assert str(path) in capsys.readouterr().err
 
 
-def run_edited_database(tmp_path, capsys, edit) -> str:
-    """Exit code 3 and the error text of `ocb run` on a 5-object database
-    whose JSON body `edit` changed in place; the text has the path removed."""
-    path = tmp_path / "bad.ocb"
+def canonical(payload) -> str:
+    """JSON text as `save_database` writes it: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_edited_database(path, edit) -> dict:
+    """Write a 5-object database to `path`, its JSON body changed in place
+    by `edit` and written back as canonical text; return the edited body."""
     assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
                  "--out", str(path)]) == 0
     magic, body = path.read_text().splitlines()
     payload = json.loads(body)
     edit(payload)
-    path.write_text(f"{magic}\n{json.dumps(payload)}\n")
+    path.write_text(f"{magic}\n{canonical(payload)}\n")
+    return payload
+
+
+# every transaction type, both directions: each reads the links it walks
+ALL_TRANSACTION_TYPES = ["--coldn", "50", "--hotn", "50", "--phier", "0.5", "--pset", "0.2",
+                         "--psimple", "0.1", "--pstoch", "0.2",
+                         "--reverse-probability", "0.5"]
+
+
+def run_edited_database(tmp_path, capsys, edit) -> str:
+    """Exit code 3 and the error text of `ocb run` on a 5-object database
+    whose JSON body `edit` changed in place; the text has the path removed."""
+    path = tmp_path / "bad.ocb"
+    write_edited_database(path, edit)
     capsys.readouterr()
     out_dir = tmp_path / "out"
-    # every transaction type, both directions: each reads the links it walks
-    assert main(["run", "--db", str(path), "--coldn", "50", "--hotn", "50",
-                 "--phier", "0.5", "--pset", "0.2", "--psimple", "0.1",
-                 "--pstoch", "0.2", "--reverse-probability", "0.5",
+    assert main(["run", "--db", str(path), *ALL_TRANSACTION_TYPES,
                  "--out-dir", str(out_dir)]) == 3
     assert not out_dir.exists()
     err = capsys.readouterr().err
@@ -302,20 +323,76 @@ def test_cli_run_database_with_bad_values_is_runtime_error(tmp_path, capsys,
     assert f"object {position} has an invalid {field!r}" in err
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda params: params.pop("seed"), "seed"),
-    (lambda params: params.update(frobnicate=1), "frobnicate"),
-    (lambda params: params.update(nc="x"), "nc"),
-    (lambda params: params.update(nc=0), "nc"),
-    (lambda params: params.update(dist4="bogus"), "dist4"),
-    (lambda params: params.update(nc=99), "nc"),
-    (lambda params: params.update(maxnref=3), "maxnref"),
+def build_no_objects(*args, **kwargs):
+    raise AssertionError("objects were built")
+
+
+# The 5-object body has about 830 characters. With `builds` False, the
+# edited params need more of them for their classes (at least 73 each),
+# objects or reference slots over the drawn objects (three of class 2):
+# once the file is written, building any object fails the test.
+@pytest.mark.parametrize("edit, key, builds", [
+    (lambda params: params.pop("seed"), "seed", True),
+    (lambda params: params.update(frobnicate=1), "frobnicate", True),
+    (lambda params: params.update(nc="x"), "nc", True),
+    (lambda params: params.update(nc=0), "nc", True),
+    (lambda params: params.update(dist4="bogus"), "dist4", True),
+    (lambda params: params.update(nc=99), "nc", False),
+    (lambda params: params.update(maxnref=3), "maxnref", True),
+    (lambda params: params.update(no=10 ** 5), "no", False),
+    (lambda params: params.update(maxnref=[1, 500]), "maxnref", False),
 ], ids=["missing-seed", "extra-key", "nc-not-int", "nc-zero", "dist4-bogus",
-        "nc-not-class-count", "maxnref-not-slot-count"])
-def test_cli_run_database_with_bad_params_is_runtime_error(tmp_path, capsys, edit, key):
-    err = run_edited_database(tmp_path, capsys, lambda payload: edit(payload["params"]))
+        "nc-not-class-count", "maxnref-not-slot-count", "no-beyond-the-body",
+        "drawn-slots-beyond-the-body"])
+def test_cli_run_database_with_bad_params_is_runtime_error(tmp_path, capsys, monkeypatch,
+                                                          edit, key, builds):
+    def edit_params(payload):
+        edit(payload["params"])
+        if not builds:
+            monkeypatch.setattr("ocb.generator.generate_objects", build_no_objects)
+
+    err = run_edited_database(tmp_path, capsys, edit_params)
     assert "invalid generator parameters" in err
     assert re.search(rf"\b{key}\b", err)
+
+
+# The edits of a 5-object file that loaded before load regenerated the
+# objects. Two of them give the very text that their params generate.
+@pytest.mark.parametrize("edit, loads", [
+    (lambda payload: payload["params"].update(supref=3), True),
+    (lambda payload: payload["params"].update(inheritance_types=[]), True),
+    (lambda payload: payload["params"].update(infref=2), False),
+    (lambda payload: payload["params"].update(dist3="constant:1"), False),
+    (lambda payload: payload["report"].update(cycle_suppressed=7), False),
+], ids=["supref-3", "no-inheritance-types", "infref-2", "dist3-constant",
+        "cycle_suppressed-7"])
+def test_cli_run_database_loads_if_and_only_if_it_is_the_text_of_its_params(
+        tmp_path, capsys, edit, loads):
+    path, regenerated = tmp_path / "edited.ocb", tmp_path / "regenerated.ocb"
+    params = GeneratorParams.from_dict(write_edited_database(path, edit)["params"])
+    save_database(generate_database(params), str(regenerated))
+    assert (path.read_bytes() == regenerated.read_bytes()) is loads
+    capsys.readouterr()
+    code = main(["run", "--db", str(path), *ALL_TRANSACTION_TYPES,
+                 "--out-dir", str(tmp_path / "out")])
+    if loads:
+        assert code == 0
+        assert load_database(str(path)) == generate_database(params)
+    else:
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
+
+def test_cli_run_database_with_non_canonical_text_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "indented.ocb"
+    assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
+                 "--out", str(path)]) == 0
+    magic, body = path.read_text().splitlines()
+    path.write_text(f"{magic}\n{json.dumps(json.loads(body), indent=1)}\n")
+    capsys.readouterr()
+    assert main(["run", "--db", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "not the canonical text of its params" in err
 
 
 @pytest.mark.parametrize("owner, position, edit, field", [

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy import stats
 
 from helpers import kahn_is_dag, links_of, reference_generate_objects, typed_links_of
+from ocb import generator
 from ocb.config import build_config
 from ocb.distributions import Constant, Special, Uniform
 from ocb.errors import FormatError, ParameterError
@@ -458,6 +460,20 @@ def test_save_load_empty_database(tmp_path):
     loaded = load_database(str(path))
     assert loaded.objects == []
     assert loaded == db
+
+
+def test_load_bound_assumes_the_shortest_class_and_object_text(tmp_path):
+    # the load's bound counts this much text per class and object; a longer
+    # constant would reject valid files
+    db = generate_database(GeneratorParams(nc=1, maxnref=0, basesize=0, no=1, seed=0))
+    path = tmp_path / "smallest.ocb"
+    save_database(db, str(path))
+    payload = json.loads(path.read_text().splitlines()[1])
+    shortest_class = dict(payload["classes"][0], iterator=[])
+    assert json.dumps(shortest_class, separators=(",", ":")) == generator._SHORTEST_CLASS
+    assert json.dumps(payload["objects"][0], separators=(",", ":")) == \
+        generator._SHORTEST_OBJECT
+    assert load_database(str(path)) == db
 
 
 def test_load_rejects_wrong_magic(tmp_path):
