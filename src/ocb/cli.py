@@ -128,7 +128,7 @@ def _load_report(path: str) -> MetricsReport:
             payload = json.load(fh)
     except UnicodeDecodeError as exc:
         raise OcbError(f"{path}: report is not UTF-8 text: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError, or an int over 4300 digits
+    except (ValueError, RecursionError) as exc:  # also an int over 4300 digits, deep nesting
         raise OcbError(f"{path}: report is not readable JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise OcbError(f"{path}: report is not a JSON object")

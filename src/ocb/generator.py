@@ -339,12 +339,12 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
     return objects
 
 
-def _draw_classes(schema: list[ClassDescriptor],
-                  params: GeneratorParams) -> list[ClassDescriptor]:
-    """The class of every object, in id order, drawn through dist3."""
+def _draw_classes(per_class: list, params: GeneratorParams) -> list:
+    """The class of every object, in id order, drawn through dist3, as the
+    class's entry of `per_class` (the schema, or anything indexed like it)."""
     draw_class = bounded_drawer(params.dist3, substream(params.seed, "object-classes"),
                                 1, params.nc)
-    return [schema[draw_class() - 1] for _ in range(params.no)]
+    return [per_class[draw_class() - 1] for _ in range(params.no)]
 
 
 def derive_iterators(nc: int, objects: list[ObjectInstance]) -> list[list[int]]:
@@ -431,11 +431,12 @@ def load_database(path: str) -> Database:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
         params = _tail_params(body)
+        db = None
         if params is not None:
             db = _regenerate(path, params, len(body))
             if _body(db) == body:
                 return db
-        _reject(path, body)
+        _reject(path, body, db)
 
 
 def _tail_params(body: str) -> GeneratorParams | None:
@@ -473,12 +474,12 @@ def _regenerate(path: str, params: GeneratorParams, size: int) -> Database:
     maxnref = params.maxnref
     check("maxnref", maxnref * params.nc if isinstance(maxnref, int) else sum(maxnref),
           "class reference slots")
-    drawn = _draw_classes(generate_schema(params), params)
-    check("maxnref", sum(len(cls.tref) for cls in drawn), "reference slots over the objects")
+    slots = [params.maxnref_of(class_id) for class_id in range(1, params.nc + 1)]
+    check("maxnref", sum(_draw_classes(slots, params)), "reference slots over the objects")
     return generate_database(params)
 
 
-def _reject(path: str, body: str) -> NoReturn:
+def _reject(path: str, body: str, loaded: Database | None) -> NoReturn:
     """Raise FormatError naming the first fault of a body that did not load.
 
     In order: the JSON parse (an integer literal over CPython's 4300-digit
@@ -488,7 +489,8 @@ def _reject(path: str, body: str) -> NoReturn:
     regeneration, the first class or object field whose canonical JSON
     differs (`true` or `1.0` for 1 does), and the first differing report
     count. A body that passes them all is other JSON text of the same
-    document: other spacing, key order or an extra key.
+    document: other spacing, key order or an extra key. The regeneration is
+    `loaded`, the load's own, when its params equal the body's.
     """
     try:
         payload = json.loads(body)
@@ -515,7 +517,9 @@ def _reject(path: str, body: str) -> NoReturn:
                                      f"file stores {len(twin['tref'])}")
         if len(objects) != params.no:
             raise ParameterError(f"no={params.no}, but the file stores {len(objects)} objects")
-        expected = _payload(_regenerate(path, params, len(body)))
+        if loaded is None or loaded.params != params:
+            loaded = _regenerate(path, params, len(body))
+        expected = _payload(loaded)
         for owner, key in (("class", "classes"), ("object", "objects")):
             for position, (twin, item) in enumerate(zip(payload[key], expected[key]),
                                                     start=1):

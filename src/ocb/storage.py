@@ -5,24 +5,27 @@ clustering policy's cost never pollutes the workload's own fault counts:
 object accesses count transaction reads, placement rewrites count overhead
 reads and writes.
 
-An object access costs one dict lookup and one LRU step when the object fits
-on one page, as every object of the `default` and `dstc-club` presets does.
-An object larger than a page spans a run of pages and takes a slower path
-that touches each page of its run in order. Page runs depend only on object
-sizes, so a `StorageState` derives them once, when it is made.
+A placement puts each object at a (page, offset) position and gives it the
+bytes from `page * page_size + offset`. It is valid by one rule: pages are
+>= 0; an object that fits on a page takes its `size` bytes at an offset in
+[0, page_size - size]; a larger one takes all of a run of pages, from
+offset 0; and no byte is taken twice. Runs depend only on object sizes, so
+a `StorageState` derives them once, when it is made, and refuses them there
+when `spanning` is off.
 
-A placement rewrite costs one validation loop over the objects; the rest is
-a few passes at C level (comparing positions, collecting the pages that
-moved objects leave and land on, rebuilding the page map), plus one step
-per oversized object. The first-fit packing that produces a new
-placement stays one Python loop over the objects in the requested order.
+An object access costs one dict lookup and one LRU step when the object fits
+on one page, as every object of the `default` and `dstc-club` presets does;
+an object in a run touches each page of its run in order. A placement
+rewrite costs one validation loop over the objects and two sorts, then a
+few passes at C level. The first-fit packing that produces a new placement
+is one Python loop over the objects in the requested order.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter, ne
+from itertools import compress, islice
+from operator import itemgetter, lt, ne
 
 from .errors import ParameterError, PlacementError, require_finite
 from .params import ParamGroup
@@ -48,44 +51,6 @@ class StorageParams(ParamGroup):
             raise ParameterError("io_cost and cpu_cost must be >= 0")
 
 
-def _pack_first_fit(order, sizes, page_size, spanning):
-    """First-fit pack object ids (in the given order) onto pages.
-
-    Returns the placement. An object larger than a page gets a dedicated
-    run of contiguous pages when spanning is allowed.
-    """
-    placement: dict[int, tuple[int, int]] = {}
-    free: list[int] = []  # free bytes per open page, index = page id
-    order_sizes = list(map(sizes.__getitem__, order))
-    min_size = min(order_sizes, default=0)
-    open_pages: list[int] = []  # page ids that can still take min_size bytes
-    for oid, size in zip(order, order_sizes):
-        if size > page_size:
-            if not spanning:
-                raise PlacementError(
-                    f"object {oid} ({size} bytes) exceeds page size {page_size}")
-            start = len(free)
-            run = -(-size // page_size)  # ceil division
-            free.extend([0] * run)
-            placement[oid] = (start, 0)
-            continue
-        for page in open_pages:
-            left = free[page]
-            if left >= size:
-                break
-        else:
-            page = len(free)
-            left = page_size
-            free.append(left)
-            open_pages.append(page)
-        placement[oid] = (page, page_size - left)
-        left -= size
-        free[page] = left
-        if left < min_size:
-            open_pages.remove(page)
-    return placement
-
-
 class StorageState:
     """Mutable per-experiment state: placement, page map, buffer, counters.
 
@@ -105,6 +70,10 @@ class StorageState:
         # oversized object id -> page run length
         self._runs: dict[int, int] = {oid: -(-size // page_size)
                                       for oid, size in sizes.items() if size > page_size}
+        if self._runs and not params.spanning:
+            oid = next(iter(self._runs))
+            raise PlacementError(
+                f"object {oid} ({sizes[oid]} bytes) exceeds page size {page_size}")
         self._page_of: dict[int, int] = {}  # single-page object id -> its page
         self._buffer: "OrderedDict[int, None]" = OrderedDict()
         self.transaction_reads = 0
@@ -126,9 +95,36 @@ class StorageState:
         return range(page, page + self._runs.get(object_id, 1))
 
     def pack_order(self, order) -> dict[int, tuple[int, int]]:
-        """First-fit placement for the given object order (not applied)."""
-        return _pack_first_fit(order, self.sizes, self.params.page_size,
-                               self.params.spanning)
+        """First-fit placement for the given object order (not applied).
+
+        An object larger than a page gets a run of new pages to itself.
+        """
+        page_size = self.params.page_size
+        placement: dict[int, tuple[int, int]] = {}
+        free: list[int] = []  # free bytes per open page, index = page id
+        order_sizes = list(map(self.sizes.__getitem__, order))
+        min_size = min(order_sizes, default=0)
+        open_pages: list[int] = []  # page ids that can still take min_size bytes
+        for oid, size in zip(order, order_sizes):
+            if size > page_size:
+                placement[oid] = (len(free), 0)
+                free.extend([0] * self._runs[oid])
+                continue
+            for page in open_pages:
+                left = free[page]
+                if left >= size:
+                    break
+            else:
+                page = len(free)
+                left = page_size
+                free.append(left)
+                open_pages.append(page)
+            placement[oid] = (page, page_size - left)
+            left -= size
+            free[page] = left
+            if left < min_size:
+                open_pages.remove(page)
+        return placement
 
     # -- access ------------------------------------------------------------
 
@@ -167,38 +163,42 @@ class StorageState:
             buffer.popitem(last=False)
         return True
 
-    def buffered_pages(self) -> list[int]:
-        return list(self._buffer)
-
     # -- reorganization ----------------------------------------------------
 
     def _validate_placement(self, placement: dict[int, tuple[int, int]]) -> None:
+        """Raise PlacementError unless `placement` obeys the module's rule.
+
+        It must place exactly the placed objects. Their extents are disjoint
+        when, with the starts and the ends each sorted, no start lies before
+        the end before it; the message names where the first overlap begins.
+        """
         if placement.keys() != self.placement.keys():
             raise PlacementError("new placement must cover exactly the placed objects")
         page_size = self.params.page_size
-        fill: dict[int, int] = {}
-        run_pages: set[int] = set()
+        sizes, runs = self.sizes, self._runs
+        starts, ends = [], []
         for oid, (page, offset) in placement.items():
-            size = self.sizes[oid]
-            if size > page_size:
-                if not self.params.spanning:
-                    raise PlacementError(
-                        f"object {oid} ({size} bytes) exceeds page size {page_size}")
-                if offset:
-                    raise PlacementError(
-                        f"oversized object {oid} must start at offset 0 of page {page}")
-                for p in range(page, page + self._runs[oid]):
-                    if p in run_pages or p in fill:
-                        raise PlacementError(f"page {p} overlaps an oversized run")
-                    run_pages.add(p)
+            run = runs.get(oid)
+            if run is None:
+                length = sizes[oid]
+                if page < 0 or not 0 <= offset <= page_size - length:
+                    raise PlacementError(f"object {oid} ({length} bytes) does not fit "
+                                         f"at offset {offset} of page {page}")
+            elif offset or page < 0:
+                raise PlacementError(f"oversized object {oid} must start at offset 0 of "
+                                     f"a page >= 0, not at offset {offset} of page {page}")
             else:
-                if offset + size > page_size:
-                    raise PlacementError(f"object {oid} overflows page {page}")
-                fill[page] = fill.get(page, 0) + size
-                if fill[page] > page_size:
-                    raise PlacementError(f"page {page} overfull")
-        if run_pages & set(fill):
-            raise PlacementError("oversized page run shared with other objects")
+                length = run * page_size
+            start = page * page_size + offset
+            starts.append(start)
+            ends.append(start + length)
+        starts.sort()
+        ends.sort()
+        overlap = next(compress(islice(starts, 1, None),
+                                map(lt, islice(starts, 1, None), ends)), None)
+        if overlap is not None:
+            page, offset = divmod(overlap, page_size)
+            raise PlacementError(f"objects overlap from offset {offset} of page {page}")
 
     def rewrite_placement(self, new_placement: dict[int, tuple[int, int]]) -> tuple[int, int]:
         """Move objects to a new placement, counting relocation I/O.
@@ -237,8 +237,6 @@ class StorageState:
 
 def place_sequential(db, storage_params: StorageParams) -> StorageState:
     """Baseline placement: objects packed first-fit in ascending id order."""
-    sizes = {obj.id: obj.size for obj in db.objects}
-    state = StorageState(storage_params, sizes)
-    state._install(_pack_first_fit([obj.id for obj in db.objects], sizes,
-                                   storage_params.page_size, storage_params.spanning))
+    state = StorageState(storage_params, {obj.id: obj.size for obj in db.objects})
+    state._install(state.pack_order([obj.id for obj in db.objects]))
     return state

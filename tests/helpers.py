@@ -224,6 +224,35 @@ def first_fit_oracle(order, sizes, page_size):
     return placement
 
 
+def placement_valid_oracle(placement, sizes, page_size):
+    """Whether a placement is valid, decided byte by byte.
+
+    Every object marks the (page, byte) pairs it occupies: one that fits on
+    a page its `size` bytes from its offset, which must keep them on that
+    page; a larger one every byte of its ceil(size / page_size) pages, and
+    it must start at offset 0. No page below 0 exists, and no pair may be
+    marked twice.
+    """
+    occupied = set()
+    for oid, (page, offset) in placement.items():
+        size = sizes[oid]
+        if page < 0:
+            return False
+        if size > page_size:
+            if offset != 0:
+                return False
+            run = range(page, page + (size + page_size - 1) // page_size)
+            extent = {(p, byte) for p in run for byte in range(page_size)}
+        else:
+            if offset < 0 or offset + size > page_size:
+                return False
+            extent = {(page, byte) for byte in range(offset, offset + size)}
+        if occupied & extent:
+            return False
+        occupied |= extent
+    return True
+
+
 def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
     """LRU page buffer on a plain list, least recently used page first.
 

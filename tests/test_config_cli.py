@@ -575,8 +575,8 @@ def test_cli_compare_mismatched_seeds_requires_force(tmp_path):
     assert main(["compare", report_a, report_b, "--force"]) == 0
 
 
-@pytest.mark.parametrize("body", ["x\n", '{"format": 1}\n'],
-                         ids=["not-json", "no-metrics"])
+@pytest.mark.parametrize("body", ["x\n", '{"format": 1}\n', DEEP_JSON],
+                         ids=["not-json", "no-metrics", "nested-too-deep"])
 def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
     path = tmp_path / "r.json"
     path.write_text(body)

@@ -490,6 +490,23 @@ def test_load_rejects_bad_body(tmp_path):
         load_database(str(path))
 
 
+def test_a_failing_load_generates_its_objects_once(tmp_path, monkeypatch):
+    db = generate_database(small_params(seed=13))
+    db.objects[0].size += 1
+    path = tmp_path / "edited.ocb"
+    save_database(db, str(path))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_objects(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "generate_objects", counted)
+    with pytest.raises(FormatError, match="object 1 has an invalid 'size'"):
+        load_database(str(path))
+    assert len(calls) == 1
+
+
 def test_save_is_byte_deterministic(tmp_path):
     db_a = generate_database(small_params(seed=13))
     db_b = generate_database(small_params(seed=13))

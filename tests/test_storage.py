@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_db, first_fit_oracle, lru_oracle
+from helpers import build_db, first_fit_oracle, lru_oracle, placement_valid_oracle
 from ocb.cli import main
 from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
@@ -85,12 +85,12 @@ def test_unknown_object_raises():
     for oid in (1, 2, 3):
         state.access_object(oid)
     before = (state.transaction_reads, state.objects_accessed,
-              state.overhead_reads, state.overhead_writes, state.buffered_pages())
+              state.overhead_reads, state.overhead_writes, list(state._buffer))
     with pytest.raises(KeyError, match="unknown object id 99"):
         state.access_object(99)
     assert (state.transaction_reads, state.objects_accessed,
             state.overhead_reads, state.overhead_writes,
-            state.buffered_pages()) == before
+            list(state._buffer)) == before
 
 
 def test_alternating_two_pages_thrash():
@@ -120,7 +120,7 @@ def test_buffer_never_exceeds_capacity():
     state = place_sequential(db, StorageParams(buffer_pages=5))
     for oid in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9):
         state.access_object(oid)
-        assert len(state.buffered_pages()) <= 5
+        assert len(list(state._buffer)) <= 5
 
 
 def test_identity_rewrite_costs_nothing():
@@ -192,6 +192,39 @@ def test_rewrite_rejects_partial_or_overfull_placements():
     with pytest.raises(PlacementError, match="oversized object 3"):
         state.rewrite_placement({1: (0, 0), 2: (0, 10), 3: (1, 40)})
     assert (state.overhead_reads, state.overhead_writes) == (0, 0)
+    # objects may not overlap, start before their page or lie before page 0
+    state.access_object(1)
+    state.access_object(3)
+    before = (state.transaction_reads, state.overhead_reads, state.overhead_writes,
+              list(state._buffer))
+    for placement, message in [
+            ({1: (0, 0), 2: (0, 5), 3: (1, 0)}, "overlap from offset 5 of page 0"),
+            ({1: (0, -5), 2: (0, 10), 3: (1, 0)}, "object 1 .* offset -5 of page 0"),
+            ({1: (-3, 0), 2: (0, 10), 3: (1, 0)}, "object 1 .* offset 0 of page -3")]:
+        with pytest.raises(PlacementError, match=message):
+            state.rewrite_placement(placement)
+        assert (state.transaction_reads, state.overhead_reads, state.overhead_writes,
+                list(state._buffer)) == before
+
+
+# a handful of objects on tiny pages, so positions often collide; pages
+# from -1 and offsets from -1 to the page size, sizes up to two pages
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_rewrite_accepts_exactly_the_placements_the_byte_oracle_accepts(page_size, data):
+    sizes = data.draw(st.lists(st.integers(0, 2 * page_size), min_size=1, max_size=5),
+                      label="sizes")
+    state = place_sequential(sized_db(sizes), StorageParams(page_size=page_size))
+    placement = {oid: data.draw(st.tuples(st.integers(-1, 4), st.integers(-1, page_size)),
+                                label=f"object {oid}")
+                 for oid in range(1, len(sizes) + 1)}
+    valid = placement_valid_oracle(placement, dict(enumerate(sizes, start=1)), page_size)
+    if valid:
+        state.rewrite_placement(placement)
+        assert state.placement == placement
+    else:
+        with pytest.raises(PlacementError):
+            state.rewrite_placement(placement)
 
 
 def test_simulated_time_is_monotone_in_counters():
@@ -260,7 +293,7 @@ def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     assert rewrite_io == oracle_rewrite_io
     assert state.overhead_reads == sum(r for r, _w in rewrite_io)
     assert state.overhead_writes == sum(w for _r, w in rewrite_io)
-    assert state.buffered_pages() == buffer
+    assert list(state._buffer) == buffer
 
 
 @given(object_sizes, st.data())
