@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, filterfalse, pairwise, repeat
 
 from .errors import ParameterError, require_finite
 from .params import ParamGroup
@@ -27,18 +27,21 @@ from .params import ParamGroup
 class ClusteringPolicy:
     """Hook surface invoked by the protocol runner.
 
-    `on_link_crossing(sources, accessed)` runs once per transaction, after
-    its walk and before its accesses go through the buffer. It receives
-    every link the walk crossed, in crossing order, as two lists: crossing
-    i is (sources[i], accessed[i + 1]). `on_transaction_end` and
+    `on_link_crossing(accessed, links, expanded)` runs once per
+    transaction, after its walk and before its accesses go through the
+    buffer. It receives the walk's result as the traversal returns it (see
+    `ocb.workload`): with a link table, the walk crossed the pairs (a, t)
+    for a in `expanded` and t in `links[a]`; with `links` None, it crossed
+    the consecutive pairs of `accessed`. `on_transaction_end` and
     `maybe_reorganize` run after every transaction. Hooks must not change
-    which objects a traversal visits, nor the lists they are handed; they
-    may only affect physical placement and overhead I/O.
+    which objects a traversal visits, nor the lists and tables they are
+    handed; they may only affect physical placement and overhead I/O.
     """
 
     name = "none"
 
-    def on_link_crossing(self, sources: list[int], accessed: list[int]) -> None:
+    def on_link_crossing(self, accessed: list[int], links: list[tuple[int, ...]] | None,
+                         expanded: list[int]) -> None:
         pass
 
     def on_transaction_end(self) -> None:
@@ -88,12 +91,19 @@ class DstcState:
     matrices in insertion order. Both presets have 20 000 objects, so their
     `base` ends at 32 768 and every key stays a one-digit int below 2**30;
     larger ids still decode correctly, with multi-digit keys.
+
+    Whole link rows a period crossed are not keyed one crossing at a time:
+    `expansions` maps each link table's id() to the table and a Counter of
+    the ids whose rows were crossed, and `flush` adds them to
+    `observation_matrix`. They hold plain ids, so `grow` leaves them alone.
     """
 
     observation_matrix: Counter[int] = field(default_factory=Counter)
     consolidated_matrix: dict[int, float] = field(default_factory=dict)
     clustering_units: list[list[int]] = field(default_factory=list)
     base: int = 1
+    expansions: dict[int, tuple[list[tuple[int, ...]], Counter[int]]] = field(
+        default_factory=dict)
 
     def key(self, a: int, b: int) -> int:
         return a * self.base + b
@@ -115,27 +125,62 @@ class DstcState:
         self.observation_matrix = Counter(rekey(self.observation_matrix))
         self.consolidated_matrix = rekey(self.consolidated_matrix)
 
+    def flush(self) -> None:
+        """Count the recorded row expansions into `observation_matrix`.
 
-def dstc_observe(state: DstcState, sources: list[int], accessed: list[int]) -> None:
-    """Phase 1: count one transaction's link crossings.
+        An id a expanded n times in a table adds n to key(a, t) for every
+        t != a in its row, then the expansions are cleared. Every t was
+        accessed, so `base` is already above it.
+        """
+        counts = self.observation_matrix
+        get = counts.get
+        base = self.base
+        for links, expanded in self.expansions.values():
+            for a, n in expanded.items():
+                row = a * base
+                for t in links[a]:
+                    if t != a:
+                        key = row + t
+                        counts[key] = get(key, 0) + n
+        self.expansions.clear()
 
-    Crossing i is (sources[i], accessed[i + 1]). Pairs keep their crossing
-    direction; unit ordering exploits it. Self-links carry no co-location
-    information and are ignored. A key decodes as long as its target is
-    below `base`, and every target is accessed, so one max() per
-    transaction is the only check.
+
+def dstc_observe(state: DstcState, accessed: list[int],
+                 links: list[tuple[int, ...]] | None, expanded: list[int]) -> None:
+    """Phase 1: record one transaction's link crossings.
+
+    A walk over a link table crossed the whole row `links[a]` of each a in
+    `expanded`; those ids are only counted here, per table, and
+    `DstcState.flush` keys their rows at period end. A walk without a table
+    (`links` None) is a path, and its consecutive pairs are keyed at once.
+    Pairs keep their crossing direction; unit ordering exploits it.
+    Self-links carry no co-location information and are ignored. A key
+    decodes as long as its target is below `base`, and every target is
+    accessed, so one max() per transaction is the only check.
     """
     base = state.base
     top = max(accessed) if accessed else 0
     if top >= base:
         state.grow(top)
         base = state.base
-    state.observation_matrix.update(
-        [a * base + b for a, b in zip(sources, accessed[1:]) if a != b])
+    if links is None:
+        state.observation_matrix.update(
+            [a * base + b for a, b in pairwise(accessed) if a != b])
+    elif expanded:
+        entry = state.expansions.get(id(links))
+        if entry is None:
+            entry = state.expansions[id(links)] = (links, Counter())
+        entry[1].update(expanded)
 
 
 def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
-    """Phase 2: keep only pairs crossed often enough, clear the period."""
+    """Phase 2: count the period's crossings, keep only pairs crossed often
+    enough, and clear the period.
+
+    The first step is `state.flush()`, which keys the period's row
+    expansions; the counts are a multiset, so the order they are added in
+    changes no count."""
+    state.flush()
     threshold = params.selection_threshold
     filtered = {pair: count for pair, count in state.observation_matrix.items()
                 if count >= threshold}
@@ -205,9 +250,20 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
 
     outgoing: dict[int, list[int]] = {}
     incoming: dict[int, list[int]] = {}
+    out_get = outgoing.get
+    in_get = incoming.get
     for a, b in pairs:
-        outgoing.setdefault(a, []).append(b)
-        incoming.setdefault(b, []).append(a)
+        # get-then-append: setdefault(x, []) would allocate a list per edge
+        children = out_get(a)
+        if children is None:
+            outgoing[a] = [b]
+        else:
+            children.append(b)
+        parents = in_get(b)
+        if parents is None:
+            incoming[b] = [a]
+        else:
+            parents.append(a)
 
     cap = params.max_unit_size
     follow_incoming = cap == 0
@@ -225,10 +281,11 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         while True:
             parents = incoming.get(node, empty)
             count = len(parents)
-            i = parent_cursor.get(node, 0)
+            i = start = parent_cursor.get(node, 0)
             while i < count and parents[i] in claimed:
                 i += 1
-            parent_cursor[node] = i
+            if i != start:
+                parent_cursor[node] = i
             # parents on the climb are passed over without moving the cursor
             while i < count:
                 parent = parents[i]
@@ -261,10 +318,9 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
                     break
         return unit
 
-    for a, b in pairs:
-        for seed in (a, b):
-            if seed not in claimed:
-                units.append(grow(entry_point(seed)))
+    # seeds in pair order, a before b; `claimed` is read as each is reached
+    for seed in filterfalse(claimed.__contains__, chain.from_iterable(pairs)):
+        units.append(grow(entry_point(seed)))
 
     units = [u for u in units if len(u) > 1]
     state.clustering_units = units

@@ -9,14 +9,19 @@ over the recorded back references. They walk the database's link tables
 (`Database.link_table`) without recursion: the set-oriented access level by
 level, the two depth-first walks on one explicit stack.
 
-A traversal is a walk over the object graph alone. It returns two lists:
-`accessed`, the ids it accessed, in order, and `sources`, where crossing i
-is the link (sources[i], accessed[i + 1]). Every access after the root is
-the target of exactly one crossing, in crossing order, so
-len(sources) == len(accessed) - 1. `run_protocol` hands both lists to the
-policy's crossing hook once per transaction, then replays `accessed`
-through the page buffer and derives the transaction's faults and
-simulated time from it.
+A traversal is a walk over the object graph alone. It returns three
+values: `accessed`, the ids it accessed, in order; `links`, the link table
+it walked; and `expanded`, each node whose whole row `links[node]` it
+crossed, once per time it crossed it. The set, simple and hierarchy walks
+cross only whole rows, so their crossings are the pairs (a, t) for a in
+`expanded` and t in `links[a]`, and sum(len(links[a]) for a in expanded)
+== len(accessed) - 1. `links` is the database's cached table, never
+copied. A stochastic walk picks one slot per hop, so it returns `links`
+None and `expanded` empty: its crossings are the consecutive pairs of
+`accessed`. No traversal builds a list with one entry per crossing.
+`run_protocol` hands all three to the policy's crossing hook once per
+transaction, then replays `accessed` through the page buffer and derives
+the transaction's faults and simulated time from it.
 """
 from __future__ import annotations
 
@@ -45,6 +50,9 @@ TYPE_STOCHASTIC = "stochastic"
 TRANSACTION_TYPES = (TYPE_SET, TYPE_SIMPLE, TYPE_HIERARCHY, TYPE_STOCHASTIC)
 
 CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_time")
+
+# a traversal's (accessed, links, expanded); see the module docstring
+Walk = tuple[list[int], list[tuple[int, ...]] | None, list[int]]
 
 
 @dataclass
@@ -127,8 +135,7 @@ class ExperimentLog:
     overhead_writes: int = 0
 
 
-def set_oriented_access(db, root, depth,
-                        direction=FORWARD) -> tuple[list[int], list[int]]:
+def set_oriented_access(db, root, depth, direction=FORWARD) -> Walk:
     """Breadth-first expansion up to `depth` hops, one level at a time.
 
     Duplicates reached through different branches are accessed (and
@@ -136,7 +143,7 @@ def set_oriented_access(db, root, depth,
     """
     links = db.link_table(direction == REVERSE)
     accessed = [root]
-    sources: list[int] = []
+    expanded: list[int] = []
     visited: set[int] = set()
     level = [root]
     for _ in range(depth):
@@ -145,25 +152,25 @@ def set_oriented_access(db, root, depth,
             if oid in visited:
                 continue
             visited.add(oid)
-            targets = links[oid]
-            following += targets
-            sources += [oid] * len(targets)
+            expanded.append(oid)
+            following += links[oid]
         if not following:
             break
         accessed += following
         level = following
-    return accessed, sources
+    return accessed, links, expanded
 
 
-def _depth_first(links, root, depth) -> tuple[list[int], list[int]]:
+def _depth_first(links, root, depth) -> Walk:
     """Preorder walk of `links` from `root`, `depth` hops deep, duplicates
     included, on an explicit stack of (node, hops of its children, iterator
-    over its remaining children)."""
+    over its remaining children). Every node pushed crosses its whole row,
+    so `expanded` is the pushed nodes in push order."""
     accessed = [root]
-    sources: list[int] = []
     append = accessed.append
-    append_source = sources.append
     stack = [(root, 1, iter(links[root]))] if depth > 0 else []
+    expanded = [root] if depth > 0 else []
+    expand = expanded.append
     push = stack.append
     pop = stack.pop
     while stack:
@@ -171,8 +178,8 @@ def _depth_first(links, root, depth) -> tuple[list[int], list[int]]:
         if hops < depth:
             # descend into the next child; the frame resumes after it
             for target in targets:
-                append_source(node)
                 append(target)
+                expand(target)
                 push((target, hops + 1, iter(links[target])))
                 break
             else:
@@ -180,19 +187,16 @@ def _depth_first(links, root, depth) -> tuple[list[int], list[int]]:
         else:
             # the children are leaves: access them all and drop the frame
             pop()
-            leaves = links[node]
-            accessed += leaves
-            sources += [node] * len(leaves)
-    return accessed, sources
+            accessed += links[node]
+    return accessed, links, expanded
 
 
-def simple_traversal(db, root, depth, direction=FORWARD) -> tuple[list[int], list[int]]:
+def simple_traversal(db, root, depth, direction=FORWARD) -> Walk:
     """Depth-first walk over every reference slot, duplicates included."""
     return _depth_first(db.link_table(direction == REVERSE), root, depth)
 
 
-def hierarchy_traversal(db, root, depth, ref_type,
-                        direction=FORWARD) -> tuple[list[int], list[int]]:
+def hierarchy_traversal(db, root, depth, ref_type, direction=FORWARD) -> Walk:
     """Depth-first walk restricted to slots of one reference type."""
     return _depth_first(db.link_table(direction == REVERSE, ref_type), root, depth)
 
@@ -213,13 +217,14 @@ def choose_slot(rng: random.Random, slot_count: int) -> int | None:
 
 
 def stochastic_traversal(db, root, depth, direction=FORWARD,
-                         rng: random.Random | None = None) -> tuple[list[int], list[int]]:
+                         rng: random.Random | None = None) -> Walk:
     """Random walk choosing one slot per hop; stops on a NULL choice,
     a dead end, the residual stop mass, or after `depth` hops.
 
     Forward, the choice runs over every `oref` slot, NULL ones included;
     reversed, over the object's back references. The walk is a path, so
-    each access is the source of the next crossing."""
+    each access is the source of the next crossing: it returns no link
+    table and expands nothing."""
     if rng is None:
         rng = random.Random(0)
     reverse_links = db.link_table(True) if direction == REVERSE else None
@@ -240,7 +245,7 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
             break
         oid = target
         hops += 1
-    return accessed, accessed[:-1]
+    return accessed, None, []
 
 
 class _ClientStreams:
@@ -275,8 +280,8 @@ def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
 
 
 def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction: str,
-                    rng: random.Random | None = None) -> tuple[list[int], list[int]]:
-    """Run one traversal of type `kind`; return its (accessed, sources)."""
+                    rng: random.Random | None = None) -> Walk:
+    """Run one traversal of type `kind`; return its (accessed, links, expanded)."""
     if kind == TYPE_SET:
         return set_oriented_access(db, root, params.setdepth, direction)
     if kind == TYPE_SIMPLE:
@@ -295,7 +300,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     Clients are independent seeded streams interleaved round-robin, one
     transaction each, against the shared buffer. Once a transaction's walk
     ends, the policy sees all of its link crossings in one
-    `on_link_crossing(sources, accessed)` call, and its access list is
+    `on_link_crossing(accessed, links, expanded)` call, and its access list is
     replayed through the buffer; the faults it takes and its simulated time
     are counted here and nowhere else. Then the policy's period bookkeeping
     and optional physical reorganization run. A `policy` of None runs
@@ -336,9 +341,9 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
                     reversed_run = (params.reverse_probability > 0.0
                                     and s.directions.random() < params.reverse_probability)
                     direction = REVERSE if reversed_run else FORWARD
-                    accessed, sources = run_transaction(db, params, kind, root, direction,
-                                                        s.stochastic)
-                    policy.on_link_crossing(sources, accessed)
+                    accessed, links, expanded = run_transaction(db, params, kind, root,
+                                                                direction, s.stochastic)
+                    policy.on_link_crossing(accessed, links, expanded)
                     reads_before = storage.transaction_reads
                     for oid in accessed:
                         access(oid)

@@ -77,7 +77,8 @@ def bfs_oracle(db, root, depth, direction="forward", events=None):
     """Breadth-first access order: expand each object once, re-access dups.
 
     With `events`, also appends ("access", oid) and ("cross", source, target)
-    in the order a traversal must access objects and cross links; the same
+    in the order a traversal must access objects and cross links, and
+    ("expand", oid) before oid's links are crossed, all of them; the same
     holds for the other traversal oracles.
     """
     events = [] if events is None else events
@@ -93,6 +94,7 @@ def bfs_oracle(db, root, depth, direction="forward", events=None):
         expanded.add(oid)
         if hops == depth:
             continue
+        events.append(("expand", oid))
         for _slot, nxt in links_of(db, oid, direction):
             events.append(("cross", oid, nxt))
             queue.append((nxt, hops + 1))
@@ -109,6 +111,7 @@ def dfs_oracle(db, root, depth, direction="forward", events=None):
         events.append(("access", oid))
         if hops == depth:
             return
+        events.append(("expand", oid))
         for _slot, nxt in links_of(db, oid, direction):
             events.append(("cross", oid, nxt))
             walk(nxt, hops + 1)
@@ -138,6 +141,7 @@ def hierarchy_oracle(db, root, depth, ref_type, direction="forward", events=None
         events.append(("access", oid))
         if hops == depth:
             return
+        events.append(("expand", oid))
         for nxt in typed_links_of(db, oid, ref_type, direction):
             events.append(("cross", oid, nxt))
             walk(nxt, hops + 1)
@@ -160,6 +164,7 @@ def stack_preorder(children, root, depth):
             events.append(("cross", source, oid))
         events.append(("access", oid))
         if hops < depth:
+            events.append(("expand", oid))
             stack.extend((oid, nxt, hops + 1) for nxt in reversed(children(oid)))
     return events
 

@@ -1,11 +1,19 @@
 from collections import Counter
-from itertools import chain
+from itertools import chain, pairwise
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_db, reference_build_units
+from helpers import (
+    bfs_oracle,
+    build_db,
+    dfs_oracle,
+    hierarchy_oracle,
+    reference_build_units,
+    stochastic_oracle,
+)
+from ocb.distributions import substream
 from ocb import policies
 from ocb.errors import ParameterError
 from ocb.generator import GeneratorParams, generate_database
@@ -22,7 +30,7 @@ from ocb.policies import (
     make_policy,
 )
 from ocb.storage import StorageParams, place_sequential
-from ocb.workload import WorkloadParams, run_protocol
+from ocb.workload import WorkloadParams, run_protocol, run_transaction
 
 
 def encode(state, matrix):
@@ -45,51 +53,85 @@ def reference_units(state, params):
 # -- observation ---------------------------------------------------------
 
 
+def crossings_of(accessed, links, expanded):
+    """One transaction's crossings, one pair each: a path's consecutive
+    pairs, or every target of each expanded row."""
+    if links is None:
+        return list(pairwise(accessed))
+    return [(a, t) for a in expanded for t in links[a]]
+
+
 def observe_oracle(transactions):
     """Count each transaction's non-self crossings, one pair at a time."""
     counts = Counter()
-    for sources, accessed in transactions:
-        for i, source in enumerate(sources):
-            if source != accessed[i + 1]:
-                counts[source, accessed[i + 1]] += 1
+    for transaction in transactions:
+        for source, target in crossings_of(*transaction):
+            if source != target:
+                counts[source, target] += 1
     return counts
+
+
+def flushed(state):
+    """The (source, target)-keyed counts once the recorded rows are keyed."""
+    state.flush()
+    assert state.expansions == {}
+    return decode(state, state.observation_matrix)
 
 
 def test_observe_counts_crossings():
     state = DstcState()
-    # one transaction: 1 crosses to 2 three times
-    dstc_observe(state, [1, 1, 1], [1, 2, 2, 2])
+    # one transaction: 1 crosses to 2 three times, over one row
+    links = [(), (2, 2, 2), ()]
+    dstc_observe(state, [1, 2, 2, 2], links, [1])
+    assert state.observation_matrix == Counter()  # rows are keyed at flush
+    state.flush()
     assert state.observation_matrix == Counter({state.key(1, 2): 3})
     assert decode(state, state.observation_matrix) == {(1, 2): 3}
 
 
 def test_observe_keeps_direction_and_skips_self_links():
     state = DstcState()
-    dstc_observe(state, [2, 1, 5, 5], [2, 1, 2, 5, 5])
-    assert decode(state, state.observation_matrix) == {(2, 1): 1, (1, 2): 1}
+    dstc_observe(state, [2, 1, 2, 5, 5], None, [])  # a path
+    links = [(), (2,), (1,), (), (), (5, 5, 1)]
+    dstc_observe(state, [5, 5, 5, 1], links, [5])  # a row with self links
+    assert flushed(state) == {(2, 1): 1, (1, 2): 1, (2, 5): 1, (5, 1): 1}
 
 
-@given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=12),
-                min_size=1, max_size=5), st.data())
-def test_observe_matches_per_pair_oracle(accesses, data):
-    # ids drawn from 1..4, so self-links are frequent
-    transactions = [(data.draw(st.lists(st.integers(1, 4), min_size=len(accessed) - 1,
-                                        max_size=len(accessed) - 1)), accessed)
-                    for accessed in accesses]
-    state = DstcState()
-    for sources, accessed in transactions:
-        dstc_observe(state, sources, accessed)
-    assert decode(state, state.observation_matrix) == observe_oracle(transactions)
+@st.composite
+def link_tables(draw, ids, size):
+    """A link table of `size` + 1 rows over `ids`; row 0 is empty."""
+    rows = draw(st.lists(st.lists(ids, max_size=4).map(tuple),
+                         min_size=size, max_size=size))
+    return [(), *rows]
 
 
 @st.composite
 def walks(draw, ids, min_top=None):
-    """One (sources, accessed) pair; with `min_top`, a target of at least that id."""
-    accessed = draw(st.lists(ids, min_size=1, max_size=12))
-    if min_top is not None:
-        accessed.insert(1, draw(st.integers(min_top, 4 * min_top)))
-    sources = draw(st.lists(ids, min_size=len(accessed) - 1, max_size=len(accessed) - 1))
-    return sources, accessed
+    """One (accessed, links, expanded) transaction: a path, or whole rows of
+    a link table over `ids`; with `min_top`, it crosses to an id of at least
+    that."""
+    top = draw(st.integers(min_top, 4 * min_top)) if min_top is not None else None
+    if draw(st.booleans()):
+        accessed = draw(st.lists(ids, min_size=1, max_size=12))
+        if top is not None:
+            accessed.insert(1, top)
+        return accessed, None, []
+    size = draw(ids)
+    links = draw(link_tables(ids, size))
+    expanded = draw(st.lists(st.integers(1, size), min_size=1, max_size=6))
+    if top is not None:
+        links[expanded[0]] += (top,)
+    return ([expanded[0], *chain.from_iterable(links[a] for a in expanded)],
+            links, expanded)
+
+
+@given(st.lists(walks(st.integers(1, 4)), min_size=1, max_size=5))
+def test_observe_matches_per_pair_oracle(transactions):
+    # ids drawn from 1..4, so self-links are frequent
+    state = DstcState()
+    for transaction in transactions:
+        dstc_observe(state, *transaction)
+    assert flushed(state) == observe_oracle(transactions)
 
 
 @given(st.lists(walks(st.integers(1, 7)), min_size=1, max_size=4),
@@ -99,13 +141,14 @@ def test_observe_matches_oracle_across_base_growth(early, late, crossing):
     # ids below 8 fix base at 8 or less; `crossing` reaches it partway through
     stream = early + [crossing] + late
     state = DstcState()
-    for count, (sources, accessed) in enumerate(stream, start=1):
+    for count, transaction in enumerate(stream, start=1):
         if count == len(early) + 1:
             base_before = state.base
-        dstc_observe(state, sources, accessed)
-        assert decode(state, state.observation_matrix) == observe_oracle(stream[:count])
+        dstc_observe(state, *transaction)
+        assert flushed(state) == observe_oracle(stream[:count])
     assert base_before <= 8 < state.base
-    assert all(target < state.base for _sources, accessed in stream for target in accessed)
+    assert all(target < state.base for accessed, _links, _expanded in stream
+               for target in accessed)
 
 
 def test_observe_matches_recount_oracle():
@@ -114,8 +157,8 @@ def test_observe_matches_recount_oracle():
     transactions = []
 
     class Recorder(NoClustering):
-        def on_link_crossing(self, sources, accessed):
-            transactions.append((list(sources), list(accessed)))
+        def on_link_crossing(self, accessed, links, expanded):
+            transactions.append((list(accessed), links, list(expanded)))
 
     recorder = Recorder()
     params = WorkloadParams(coldn=10, hotn=10, seed=3)
@@ -123,11 +166,82 @@ def test_observe_matches_recount_oracle():
     assert len(transactions) == 20
 
     state = DstcState()
-    for sources, accessed in transactions:
-        dstc_observe(state, sources, accessed)
-    assert decode(state, state.observation_matrix) == observe_oracle(transactions)
+    for transaction in transactions:
+        dstc_observe(state, *transaction)
+    assert flushed(state) == observe_oracle(transactions)
 
 
+KINDS = ("set", "simple", "hierarchy", "stochastic")
+DIRECTIONS = ("forward", "reverse")
+
+
+def oracle_crossings(db, kind, root, direction, params, rng):
+    """The crossings of one transaction, from the brute-force traversal oracles."""
+    events = []
+    if kind == "set":
+        bfs_oracle(db, root, params.setdepth, direction, events)
+    elif kind == "simple":
+        dfs_oracle(db, root, params.simdepth, direction, events)
+    elif kind == "hierarchy":
+        hierarchy_oracle(db, root, params.hiedepth, params.hierarchy_ref_type,
+                         direction, events)
+    else:
+        stochastic_oracle(db, root, params.stodepth, rng, direction, events)
+    return [event[1:] for event in events if event[0] == "cross"]
+
+
+@st.composite
+def flush_periods(draw):
+    """A database and one period's (kind, direction, root) stream over it.
+
+    Ids 1..small link only among themselves, and object 1 links to itself;
+    ids small+1..top, all above 16, link only among themselves. The period
+    runs every kind in both directions among the small ids first, so their
+    rows are recorded while `base` is at most 16, then roots at the large
+    ids, which grow it."""
+    small = draw(st.integers(3, 10))
+    top = draw(st.integers(17, 40))
+
+    def slots(ids):
+        return st.lists(ids.map(lambda t: t or None), min_size=3, max_size=3)
+
+    specs = [(1, [1, *draw(slots(st.integers(0, small)))[1:]])]
+    specs += [(1, draw(slots(st.integers(0, small)))) for _ in range(2, small + 1)]
+    specs += [(1, draw(slots(st.integers(small + 1, top) | st.just(0))))
+              for _ in range(small + 1, top + 1)]
+    db = build_db(specs, class_trefs=[[1, 2, 1]], nreft=2)
+    roots = st.integers(1, small)
+    early = [(kind, direction, draw(roots)) for kind in KINDS for direction in DIRECTIONS]
+    early += draw(st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(DIRECTIONS),
+                                     roots), min_size=4, max_size=12))
+    late = draw(st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(DIRECTIONS),
+                                   st.integers(17, top)), min_size=2, max_size=8))
+    return db, draw(st.permutations(early)), late
+
+
+@settings(max_examples=100)
+@given(flush_periods(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 1000))
+def test_period_flush_matches_per_crossing_oracle(period, depth, stodepth, seed):
+    db, early, late = period
+    params = WorkloadParams(setdepth=depth, simdepth=depth, hiedepth=depth + 1,
+                            stodepth=stodepth, hierarchy_ref_type=1)
+    state = DstcState()
+    transactions = []
+    for step, (kind, direction, root) in enumerate(early + late):
+        if step == len(early):
+            # every kind ran in both directions, and each table walk
+            # expands its root: all four tables hold rows
+            assert len(state.expansions) == 4
+            base_before = state.base
+        label = f"flush-{step}"
+        transaction = run_transaction(db, params, kind, root, direction,
+                                      substream(seed, label))
+        assert Counter(crossings_of(*transaction)) == Counter(
+            oracle_crossings(db, kind, root, direction, params, substream(seed, label)))
+        dstc_observe(state, *transaction)
+        transactions.append(transaction)
+    assert base_before <= 16 < state.base
+    assert flushed(state) == observe_oracle(transactions)
 # -- selection -----------------------------------------------------------
 
 
@@ -230,7 +344,7 @@ def test_rekeying_mid_run_keeps_weights_bit_equal(periods, weight, split, top):
     state.observation_matrix = Counter(encode(state, {(2, 1): 3, (1, 2): 5}))
     before = decode(state, state.consolidated_matrix)
     base_before = state.base
-    dstc_observe(state, [1], [1, top])  # an id at or above base re-keys both matrices
+    dstc_observe(state, [1, top], None, [])  # an id at or above base re-keys both matrices
     assert base_before <= 16 <= top < state.base
     after = decode(state, state.consolidated_matrix)
     assert after == before and list(after) == list(before)
@@ -358,16 +472,18 @@ def test_build_units_independent_of_base(matrix, cap, threshold, extra_bits):
 def test_rebase_past_one_digit_keys(cap):
     # a chain walked first among small ids, then across 2**15 and up to 2**20
     params = DstcParams(selection_threshold=1, max_unit_size=cap)
+    # the small chain is walked as rows of a link table, the large one as a path
     small = list(range(1, 40))
+    chain_links = [(), *((oid + 1,) for oid in small[:-1]), ()]
     large = [2 ** 15 - 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 7, 70_000, 2 ** 20]
-    stream = [(small[:-1], small)] * 2 + [(large[:-1], large), (large[:-1], large)]
+    stream = [(small, chain_links, small[:-1])] * 2 + [(large, None, [])] * 2
     state = DstcState()
     built = []
     for start in (0, 2):  # two periods of two transactions each
         period = stream[start:start + 2]
-        for sources, accessed in period:
-            dstc_observe(state, sources, accessed)
-        assert decode(state, state.observation_matrix) == observe_oracle(period)
+        for transaction in period:
+            dstc_observe(state, *transaction)
+        assert flushed(state) == observe_oracle(period)
         dstc_consolidate(state, dstc_select(state, params), params)
         expected = reference_units(state, params)
         assert dstc_build_units(state, params) == expected
@@ -489,7 +605,7 @@ def test_dstc_policy_periods_and_trigger():
     db = sized_db(4, size=100, links={1: [2], 2: [3]})
     storage = place_sequential(db, StorageParams())
     for tx in range(1, 21):
-        policy.on_link_crossing([1, 2], [1, 2, 3])
+        policy.on_link_crossing([1, 2, 3], db.link_table(), [1, 2])
         policy.on_transaction_end()
         placement = policy.maybe_reorganize(storage)
         if tx % 10 == 0:

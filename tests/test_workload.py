@@ -1,5 +1,6 @@
 import csv
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,25 +36,41 @@ def storage_for(db, buffer_pages=512):
     return place_sequential(db, StorageParams(buffer_pages=buffer_pages))
 
 
+def row_crossings(links, expanded):
+    """The crossings of a walk over a link table: each expanded row, whole."""
+    return [(a, t) for a in expanded for t in links[a]]
+
+
+def walked(result, table):
+    """(accessed, expanded, crossings) of a table walk over `table`, which it
+    must return itself, not a copy."""
+    accessed, links, expanded = result
+    assert links is table
+    return accessed, expanded, row_crossings(links, expanded)
+
+
 def test_set_access_isolated_root():
     db = build_db([(1, [])])
-    assert set_oriented_access(db, 1, depth=5) == ([1], [])
+    assert walked(set_oriented_access(db, 1, depth=5), db.link_table()) == ([1], [1], [])
 
 
 def test_set_access_binary_tree_depth_one():
     db = build_db([(1, [2, 3]), (1, []), (1, [])])
-    assert set_oriented_access(db, 1, depth=1) == ([1, 2, 3], [1, 1])
+    assert walked(set_oriented_access(db, 1, depth=1), db.link_table()) == \
+        ([1, 2, 3], [1], [(1, 2), (1, 3)])
 
 
 def test_set_access_counts_duplicates_but_expands_once():
     # both 2 and 3 point at 4: BFS accesses 4 twice, expands it once
     db = build_db([(1, [2, 3]), (1, [4]), (1, [4]), (1, [2])])
-    assert set_oriented_access(db, 1, depth=3) == ([1, 2, 3, 4, 4, 2], [1, 1, 2, 3, 4])
+    assert walked(set_oriented_access(db, 1, depth=3), db.link_table()) == \
+        ([1, 2, 3, 4, 4, 2], [1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4), (4, 2)])
 
 
 def test_simple_traversal_chain():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [])])
-    assert simple_traversal(db, 1, depth=3) == ([1, 2, 3, 4], [1, 2, 3])
+    assert walked(simple_traversal(db, 1, depth=3), db.link_table()) == \
+        ([1, 2, 3, 4], [1, 2, 3], [(1, 2), (2, 3), (3, 4)])
 
 
 def test_simple_traversal_full_fanout_emulation():
@@ -61,9 +78,11 @@ def test_simple_traversal_full_fanout_emulation():
     # other three, so a 7-hop walk realizes the full fan-out tree
     db = build_db([(1, [oid for oid in range(1, 5) if oid != me])
                    for me in range(1, 5)])
-    accessed, sources = simple_traversal(db, 1, depth=7)
+    accessed, expanded, crossings = walked(simple_traversal(db, 1, depth=7),
+                                           db.link_table())
     assert len(accessed) == 3280
-    assert len(sources) == 3279
+    assert len(expanded) == sum(3 ** i for i in range(7))  # every inner node
+    assert len(crossings) == 3279
     assert len(accessed) == sum(3 ** i for i in range(8))
 
 
@@ -71,15 +90,19 @@ def test_hierarchy_traversal_follows_one_type():
     db = build_db(
         [(1, [2, 6]), (1, [3, 6]), (1, [4, 6]), (1, [5, 6]), (1, [None, 6]), (1, [])],
         class_trefs=[[1, 2]])
-    assert hierarchy_traversal(db, 1, depth=5, ref_type=1) == \
-        ([1, 2, 3, 4, 5], [1, 2, 3, 4])
-    assert hierarchy_traversal(db, 1, depth=5, ref_type=3) == ([1], [])
+    # 5 is expanded too: it lies 4 hops deep, and its type-1 row is empty
+    assert walked(hierarchy_traversal(db, 1, depth=5, ref_type=1),
+                  db.link_table(False, 1)) == \
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
+    assert walked(hierarchy_traversal(db, 1, depth=5, ref_type=3),
+                  db.link_table(False, 3)) == ([1], [1], [])
 
 
 def test_hierarchy_five_link_chain_counts_six():
     db = build_db([(1, [2]), (1, [3]), (1, [4]), (1, [5]), (1, [6]), (1, [])])
-    accessed, _sources = hierarchy_traversal(db, 1, depth=5, ref_type=1)
+    accessed, _links, expanded = hierarchy_traversal(db, 1, depth=5, ref_type=1)
     assert len(accessed) == 6
+    assert expanded == [1, 2, 3, 4, 5]
 
 
 def test_choose_slot_distribution():
@@ -97,15 +120,16 @@ def test_choose_slot_distribution():
 
 def test_stochastic_zero_slots_stops_immediately():
     db = build_db([(1, [])])
-    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == ([1], [])
+    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == ([1], None, [])
 
 
 def test_stochastic_replays_against_oracle():
     db = generate_database(GeneratorParams(nc=3, maxnref=3, no=30, seed=9))
     for seed in range(5):
-        accessed, sources = stochastic_traversal(db, 7, depth=50,
-                                                 rng=substream(seed, "sto"))
-        assert sources == accessed[:-1]
+        # a path: no link table, nothing expanded
+        accessed, links, expanded = stochastic_traversal(db, 7, depth=50,
+                                                         rng=substream(seed, "sto"))
+        assert links is None and expanded == []
         assert accessed == stochastic_oracle(db, 7, 50, substream(seed, "sto"))
 
 
@@ -123,39 +147,53 @@ def test_traversals_match_oracles_on_generated_db():
 
 def test_reverse_uses_backrefs():
     db = build_db([(1, [3]), (1, [3]), (1, [])])
-    assert set_oriented_access(db, 3, depth=1, direction="reverse") == ([3, 1, 2], [3, 3])
+    assert walked(set_oriented_access(db, 3, depth=1, direction="reverse"),
+                  db.link_table(True)) == ([3, 1, 2], [3], [(3, 1), (3, 2)])
 
 
 # -- the traversal engine against the oracles, event by event -------------
 #
-# A traversal returns its accesses and, for each access after the root, the
-# id it was reached from, so the two are compared with the oracle's events
-# as two ordered streams. How accesses interleave with crossings is not part
-# of the design: the policy and the buffer see a transaction only after its
-# walk.
+# A traversal returns its accesses in order, and its crossings as whole
+# link-table rows, one per expanded node, or as a path. So the accesses and
+# the expansions are compared with the oracle's as ordered streams, and the
+# crossings as a multiset. How accesses interleave with crossings is not
+# part of the design: the policy and the buffer see a transaction only
+# after its walk.
 
 
 def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
-    """(accesses, crossings) of one traversal, as oracle-style event lists."""
+    """(accesses, expansions, crossing multiset) of one traversal, built
+    from oracle-style events."""
     if kind == "set":
-        accessed, sources = set_oriented_access(db, root, depth, direction)
+        accessed, links, expanded = set_oriented_access(db, root, depth, direction)
     elif kind == "simple":
-        accessed, sources = simple_traversal(db, root, depth, direction)
+        accessed, links, expanded = simple_traversal(db, root, depth, direction)
     elif kind == "hierarchy":
-        accessed, sources = hierarchy_traversal(db, root, depth, ref_type, direction)
+        accessed, links, expanded = hierarchy_traversal(db, root, depth, ref_type,
+                                                        direction)
     else:
-        accessed, sources = stochastic_traversal(db, root, depth, direction,
-                                                 substream(seed, "engine"))
+        accessed, links, expanded = stochastic_traversal(db, root, depth, direction,
+                                                         substream(seed, "engine"))
+    if links is None:
+        assert expanded == []
+        crossings = list(zip(accessed, accessed[1:]))
+    else:
+        assert links is db.link_table(direction == "reverse",
+                                      ref_type if kind == "hierarchy" else None)
+        crossings = row_crossings(links, expanded)
     # every access after the root is the target of exactly one crossing
-    assert len(sources) == len(accessed) - 1
+    assert len(crossings) == len(accessed) - 1
     return ([("access", oid) for oid in accessed],
-            [("cross", source, target) for source, target in zip(sources, accessed[1:])])
+            [("expand", oid) for oid in expanded],
+            Counter(("cross", source, target) for source, target in crossings))
 
 
 def split_events(events):
-    """An oracle's interleaved events as (accesses, crossings), each in order."""
+    """An oracle's interleaved events as (accesses, expansions, crossing
+    multiset), the first two in order."""
     return ([e for e in events if e[0] == "access"],
-            [e for e in events if e[0] == "cross"])
+            [e for e in events if e[0] == "expand"],
+            Counter(e for e in events if e[0] == "cross"))
 
 
 def oracle_events(db, kind, root, depth, direction, ref_type=1, seed=0):
@@ -217,7 +255,8 @@ def test_depth_zero_accesses_only_the_root(direction):
     for root in (1, 2, 3):
         for kind in ("set", "simple", "hierarchy", "stochastic"):
             args = (db, kind, root, 0, direction, 1, root)
-            assert engine_events(*args) == oracle_events(*args) == ([("access", root)], [])
+            assert engine_events(*args) == oracle_events(*args) == \
+                ([("access", root)], [], Counter())
 
 
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
@@ -233,8 +272,9 @@ def test_depth_first_walks_past_the_recursion_limit(direction):
     assert hierarchy == split_events(stack_preorder(
         lambda oid: typed_links_of(db, oid, 1, direction), 1, depth))
     # the type-1 cycle alone: one access per hop, never cut short
-    accesses, _crossings = hierarchy
+    accesses, expansions, _crossings = hierarchy
     assert len(accesses) == depth + 1
+    assert len(expansions) == depth
     assert engine_events(db, "set", root, depth, direction) == \
         oracle_events(db, "set", root, depth, direction)
 
