@@ -9,9 +9,15 @@ Each matrix keys a crossing pair (a, b) by one int, `a * base + b`, where
 `base` is a power of two above every object id seen so far, held in
 `DstcState`. When an observed id reaches `base`, it grows to the next power
 of two above that id, and both matrices are re-keyed in insertion order.
-Sorted keys are in (a, b) order, so unit building sorts ints, not tuples.
-With ids below 2**15 every key stays below 2**30, a one-digit CPython int:
-it hashes to itself, and the list sort takes its int fast path.
+Sorted keys are in (a, b) order, so unit building sorts ints, not tuples,
+and decodes them with a shift and a mask. With ids below 2**15 every key
+stays below 2**30, a one-digit CPython int: it hashes to itself, and the
+list sort takes its int fast path.
+
+Observation records whole link rows, not crossings. Selection keys the
+rows of the table with the most expanded ids in bulk where it can, and
+unit building works on lists indexed by object id, sized by the largest
+id among its edges.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, filterfalse, pairwise, repeat
+from operator import and_, rshift
 
 from .errors import ParameterError, require_finite
 from .params import ParamGroup
@@ -93,17 +100,19 @@ class DstcState:
     larger ids still decode correctly, with multi-digit keys.
 
     Whole link rows a period crossed are not keyed one crossing at a time:
-    `expansions` maps each link table's id() to the table and a Counter of
-    the ids whose rows were crossed, and `flush` adds them to
-    `observation_matrix`. They hold plain ids, so `grow` leaves them alone.
+    `expansions` maps each link table's id() to the table, a Counter of the
+    ids whose rows the period crossed, and a cache of which of its rows are
+    clean (see `dstc_select`). `dstc_select` keys the rows and clears the
+    Counters; an entry, and so its cache, lives as long as the state. They
+    hold plain ids, so `grow` leaves them alone.
     """
 
     observation_matrix: Counter[int] = field(default_factory=Counter)
     consolidated_matrix: dict[int, float] = field(default_factory=dict)
     clustering_units: list[list[int]] = field(default_factory=list)
     base: int = 1
-    expansions: dict[int, tuple[list[tuple[int, ...]], Counter[int]]] = field(
-        default_factory=dict)
+    expansions: dict[int, tuple[list[tuple[int, ...]], Counter[int], dict[int, bool]]] = (
+        field(default_factory=dict))
 
     def key(self, a: int, b: int) -> int:
         return a * self.base + b
@@ -125,25 +134,6 @@ class DstcState:
         self.observation_matrix = Counter(rekey(self.observation_matrix))
         self.consolidated_matrix = rekey(self.consolidated_matrix)
 
-    def flush(self) -> None:
-        """Count the recorded row expansions into `observation_matrix`.
-
-        An id a expanded n times in a table adds n to key(a, t) for every
-        t != a in its row, then the expansions are cleared. Every t was
-        accessed, so `base` is already above it.
-        """
-        counts = self.observation_matrix
-        get = counts.get
-        base = self.base
-        for links, expanded in self.expansions.values():
-            for a, n in expanded.items():
-                row = a * base
-                for t in links[a]:
-                    if t != a:
-                        key = row + t
-                        counts[key] = get(key, 0) + n
-        self.expansions.clear()
-
 
 def dstc_observe(state: DstcState, accessed: list[int],
                  links: list[tuple[int, ...]] | None, expanded: list[int]) -> None:
@@ -151,7 +141,7 @@ def dstc_observe(state: DstcState, accessed: list[int],
 
     A walk over a link table crossed the whole row `links[a]` of each a in
     `expanded`; those ids are only counted here, per table, and
-    `DstcState.flush` keys their rows at period end. A walk without a table
+    `dstc_select` keys their rows at period end. A walk without a table
     (`links` None) is a path, and its consecutive pairs are keyed at once.
     Pairs keep their crossing direction; unit ordering exploits it.
     Self-links carry no co-location information and are ignored. A key
@@ -169,7 +159,7 @@ def dstc_observe(state: DstcState, accessed: list[int],
     elif expanded:
         entry = state.expansions.get(id(links))
         if entry is None:
-            entry = state.expansions[id(links)] = (links, Counter())
+            entry = state.expansions[id(links)] = (links, Counter(), {})
         entry[1].update(expanded)
 
 
@@ -177,14 +167,67 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
     """Phase 2: count the period's crossings, keep only pairs crossed often
     enough, and clear the period.
 
-    The first step is `state.flush()`, which keys the period's row
-    expansions; the counts are a multiset, so the order they are added in
-    changes no count."""
-    state.flush()
+    An id a whose row was expanded n times adds n to key(a, t) for each
+    t != a in `links[a]`. A row is clean when its targets are distinct and
+    none is a itself: each of its keys then gets exactly n from it. In the
+    table with the most expanded ids, a clean row whose n reaches the
+    threshold goes into `filtered` in one C-level update, and a clean row
+    below it is never keyed. Every other contribution (its unclean rows,
+    the other tables' rows and the path pairs in `observation_matrix`) is
+    summed per key; each of those keys then adds the n of its clean row, if
+    that row was expanded too. The counts are a multiset, so the order they
+    are added in changes no count. A row's cleanness is computed once per
+    table and id, and cached in the table's `expansions` entry.
+    """
     threshold = params.selection_threshold
-    filtered = {pair: count for pair, count in state.observation_matrix.items()
-                if count >= threshold}
-    state.observation_matrix.clear()
+    base = state.base
+    counts = state.observation_matrix
+    get = counts.get
+
+    def count_rows(links, rows):
+        for a, n in rows:
+            row = a * base
+            for t in links[a]:
+                if t != a:
+                    key = row + t
+                    counts[key] = get(key, 0) + n
+
+    # the clean rows of the table with the most expanded ids are keyed in
+    # bulk, every other row is summed into `counts`; a state with no table
+    # gets an empty one
+    entries = sorted(state.expansions.values(), key=lambda entry: len(entry[1]),
+                     reverse=True) or [((), Counter(), {})]
+    (links, expanded, clean), others = entries[0], entries[1:]
+    filtered: dict[int, int] = {}
+    add = filtered.update
+    is_clean = clean.get
+    unclean = []
+    for a, n in expanded.items():
+        row_clean = is_clean(a)
+        if row_clean is None:
+            targets = links[a]
+            row_clean = clean[a] = a not in targets and len(set(targets)) == len(targets)
+        if not row_clean:
+            unclean.append((a, n))
+        elif n >= threshold:
+            add(zip(map((a * base).__add__, links[a]), repeat(n)))
+    count_rows(links, unclean)
+    for other_links, other_expanded, _clean in others:
+        count_rows(other_links, other_expanded.items())
+        other_expanded.clear()
+
+    shift = base.bit_length() - 1
+    mask = base - 1
+    row_n = expanded.get
+    for key, count in counts.items():
+        a = key >> shift
+        n = row_n(a)
+        if n is not None and clean[a] and (key & mask) in links[a]:
+            count += n
+        if count >= threshold:
+            filtered[key] = count
+    expanded.clear()
+    counts.clear()
     return filtered
 
 
@@ -232,34 +275,35 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
 
     The edges are the matrix's own int keys, sorted, which is (a, b)
     order, and then, stably, by weight, heaviest first. They are decoded
-    into (a, b) pairs once, and one pass fills both adjacency maps with
-    plain ids: outgoing[a] comes out in (-weight, b) order and incoming[b]
-    in (-weight, a) order, so no list is sorted again, and only growth with
-    max_unit_size = 0, which merges the two, looks weights up. A per-node
-    cursor into incoming[node] moves past claimed parents for good, since
-    nothing is unclaimed within one call.
+    once, into a list of sources (a shift) and one of targets (a mask), and
+    one pass fills both adjacency lists with plain ids: outgoing[a] comes
+    out in (-weight, b) order and incoming[b] in (-weight, a) order, so no
+    list is sorted again, and only growth with max_unit_size = 0, which
+    merges the two, looks weights up. A per-node cursor into incoming[node]
+    moves past claimed parents for good, since nothing is unclaimed within
+    one call. The adjacency lists, the cursors and `claimed` are indexed by
+    object id and sized by the largest id among the edges, not by `base`.
     The cost is thus linear in the edges plus the climb steps, plus the
     parents on the current climb that a step passes over.
     """
     threshold = params.unit_link_threshold
     matrix = state.consolidated_matrix
-    base = state.base
+    shift = state.base.bit_length() - 1
     edges = sorted(key for key, weight in matrix.items() if weight >= threshold)
     edges.sort(key=matrix.__getitem__, reverse=True)
-    pairs = list(map(divmod, edges, repeat(base)))
+    sources = list(map(rshift, edges, repeat(shift)))
+    targets = list(map(and_, edges, repeat(state.base - 1)))
 
-    outgoing: dict[int, list[int]] = {}
-    incoming: dict[int, list[int]] = {}
-    out_get = outgoing.get
-    in_get = incoming.get
-    for a, b in pairs:
-        # get-then-append: setdefault(x, []) would allocate a list per edge
-        children = out_get(a)
+    size = max(max(sources, default=0), max(targets, default=0)) + 1
+    outgoing: list[list[int] | None] = [None] * size
+    incoming: list[list[int] | None] = [None] * size
+    for a, b in zip(sources, targets):
+        children = outgoing[a]
         if children is None:
             outgoing[a] = [b]
         else:
             children.append(b)
-        parents = in_get(b)
+        parents = incoming[b]
         if parents is None:
             incoming[b] = [a]
         else:
@@ -268,10 +312,10 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     cap = params.max_unit_size
     follow_incoming = cap == 0
     empty: list[int] = []
-    claimed: set[int] = set()
+    claimed = bytearray(size)
     units: list[list[int]] = []
     # incoming[node][:parent_cursor[node]] holds only claimed parents
-    parent_cursor: dict[int, int] = {}
+    parent_cursor = [0] * size
 
     def entry_point(seed: int) -> int:
         # Climb unclaimed incoming crossings (heaviest first) so the unit
@@ -279,17 +323,19 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         node = seed
         path = {seed}
         while True:
-            parents = incoming.get(node, empty)
+            parents = incoming[node]
+            if parents is None:
+                return node
             count = len(parents)
-            i = start = parent_cursor.get(node, 0)
-            while i < count and parents[i] in claimed:
+            i = start = parent_cursor[node]
+            while i < count and claimed[parents[i]]:
                 i += 1
             if i != start:
                 parent_cursor[node] = i
             # parents on the climb are passed over without moving the cursor
             while i < count:
                 parent = parents[i]
-                if parent not in path and parent not in claimed:
+                if parent not in path and not claimed[parent]:
                     break
                 i += 1
             else:
@@ -299,27 +345,27 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
 
     def grow(seed: int) -> list[int]:
         unit = [seed]
-        claimed.add(seed)
+        claimed[seed] = 1
         cursor = 0
         while cursor < len(unit) and (cap == 0 or len(unit) < cap):
             node = unit[cursor]
             cursor += 1
-            neighbors = outgoing.get(node, empty)
+            neighbors = outgoing[node] or empty
             if follow_incoming:
                 neighbors = [other for _neg_w, other in sorted(
-                    [(-matrix[node * base + b], b) for b in neighbors]
-                    + [(-matrix[a * base + node], a) for a in incoming.get(node, empty)])]
+                    [(-matrix[node << shift | b], b) for b in neighbors]
+                    + [(-matrix[a << shift | node], a) for a in incoming[node] or empty])]
             for other in neighbors:
-                if other in claimed:
+                if claimed[other]:
                     continue
-                claimed.add(other)
+                claimed[other] = 1
                 unit.append(other)
                 if cap and len(unit) >= cap:
                     break
         return unit
 
     # seeds in pair order, a before b; `claimed` is read as each is reached
-    for seed in filterfalse(claimed.__contains__, chain.from_iterable(pairs)):
+    for seed in filterfalse(claimed.__getitem__, chain.from_iterable(zip(sources, targets))):
         units.append(grow(entry_point(seed)))
 
     units = [u for u in units if len(u) > 1]

@@ -26,6 +26,7 @@ the transaction's faults and simulated time from it.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -304,7 +305,8 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     replayed through the buffer; the faults it takes and its simulated time
     are counted here and nowhere else. Then the policy's period bookkeeping
     and optional physical reorganization run. A `policy` of None runs
-    without clustering.
+    without clustering. A run whose simulated clock overflows to infinity
+    raises RunError, so no report holds an infinite time.
 
     Once the parameters are checked, the cyclic garbage collector is
     suspended for the whole run, transactions, policy phases and storage
@@ -365,6 +367,10 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
                         log.reorgs.append(ReorgEvent(after_index=index,
                                                      reads=reads, writes=writes))
                     index += 1
+        if not math.isfinite(log.clock):
+            # every term is >= 0, so a finite clock bounds every sim_time too
+            raise RunError(f"the simulated clock overflowed to {log.clock}: io_cost, "
+                           f"cpu_cost or think is too large for this run")
         log.transaction_reads = storage.transaction_reads
         log.overhead_reads = storage.overhead_reads
         log.overhead_writes = storage.overhead_writes

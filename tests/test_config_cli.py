@@ -515,6 +515,16 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag", ["--io-cost", "--think"])
+def test_cli_clock_overflow_is_runtime_error(tmp_path, capsys, flag):
+    # each value is finite, but the clock they add up to is not: a report
+    # would hold Infinity, which strict JSON parsers reject
+    assert main(["run", "--no", "500", "--coldn", "50", "--hotn", "100",
+                 flag, "1e308", "--out-dir", str(tmp_path)]) == 3
+    assert "simulated clock overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("group, field", [
     (StorageParams, "io_cost"), (StorageParams, "cpu_cost"),
     (WorkloadParams, "think"), (WorkloadParams, "pset"),

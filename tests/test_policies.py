@@ -14,7 +14,7 @@ from helpers import (
     stochastic_oracle,
 )
 from ocb.distributions import substream
-from ocb import policies
+from ocb import policies, workload
 from ocb.errors import ParameterError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import (
@@ -71,11 +71,13 @@ def observe_oracle(transactions):
     return counts
 
 
-def flushed(state):
-    """The (source, target)-keyed counts once the recorded rows are keyed."""
-    state.flush()
-    assert state.expansions == {}
-    return decode(state, state.observation_matrix)
+def selected(state):
+    """The period's (source, target)-keyed counts, all kept: `dstc_select`
+    at threshold 1 keeps every observed count, and clears the period."""
+    filtered = dstc_select(state, DstcParams(selection_threshold=1))
+    assert state.observation_matrix == {}
+    assert not any(expanded for _links, expanded, _clean in state.expansions.values())
+    return decode(state, filtered)
 
 
 def test_observe_counts_crossings():
@@ -83,10 +85,10 @@ def test_observe_counts_crossings():
     # one transaction: 1 crosses to 2 three times, over one row
     links = [(), (2, 2, 2), ()]
     dstc_observe(state, [1, 2, 2, 2], links, [1])
-    assert state.observation_matrix == Counter()  # rows are keyed at flush
-    state.flush()
-    assert state.observation_matrix == Counter({state.key(1, 2): 3})
-    assert decode(state, state.observation_matrix) == {(1, 2): 3}
+    assert state.observation_matrix == Counter()  # rows are keyed at selection
+    filtered = dstc_select(state, DstcParams(selection_threshold=1))
+    assert filtered == {state.key(1, 2): 3}
+    assert decode(state, filtered) == {(1, 2): 3}
 
 
 def test_observe_keeps_direction_and_skips_self_links():
@@ -94,7 +96,7 @@ def test_observe_keeps_direction_and_skips_self_links():
     dstc_observe(state, [2, 1, 2, 5, 5], None, [])  # a path
     links = [(), (2,), (1,), (), (), (5, 5, 1)]
     dstc_observe(state, [5, 5, 5, 1], links, [5])  # a row with self links
-    assert flushed(state) == {(2, 1): 1, (1, 2): 1, (2, 5): 1, (5, 1): 1}
+    assert selected(state) == {(2, 1): 1, (1, 2): 1, (2, 5): 1, (5, 1): 1}
 
 
 @st.composite
@@ -131,21 +133,23 @@ def test_observe_matches_per_pair_oracle(transactions):
     state = DstcState()
     for transaction in transactions:
         dstc_observe(state, *transaction)
-    assert flushed(state) == observe_oracle(transactions)
+    assert selected(state) == observe_oracle(transactions)
 
 
 @given(st.lists(walks(st.integers(1, 7)), min_size=1, max_size=4),
        st.lists(walks(st.integers(1, 40)), max_size=3),
        walks(st.integers(1, 40), min_top=8))
 def test_observe_matches_oracle_across_base_growth(early, late, crossing):
-    # ids below 8 fix base at 8 or less; `crossing` reaches it partway through
+    # ids below 8 fix base at 8 or less; `crossing` reaches it partway through.
+    # Selection clears the period, so each prefix is observed from scratch.
     stream = early + [crossing] + late
-    state = DstcState()
-    for count, transaction in enumerate(stream, start=1):
-        if count == len(early) + 1:
+    for count in range(1, len(stream) + 1):
+        state = DstcState()
+        for transaction in stream[:count]:
+            dstc_observe(state, *transaction)
+        if count == len(early):
             base_before = state.base
-        dstc_observe(state, *transaction)
-        assert flushed(state) == observe_oracle(stream[:count])
+        assert selected(state) == observe_oracle(stream[:count])
     assert base_before <= 8 < state.base
     assert all(target < state.base for accessed, _links, _expanded in stream
                for target in accessed)
@@ -168,7 +172,7 @@ def test_observe_matches_recount_oracle():
     state = DstcState()
     for transaction in transactions:
         dstc_observe(state, *transaction)
-    assert flushed(state) == observe_oracle(transactions)
+    assert selected(state) == observe_oracle(transactions)
 
 
 KINDS = ("set", "simple", "hierarchy", "stochastic")
@@ -241,7 +245,7 @@ def test_period_flush_matches_per_crossing_oracle(period, depth, stodepth, seed)
         dstc_observe(state, *transaction)
         transactions.append(transaction)
     assert base_before <= 16 < state.base
-    assert flushed(state) == observe_oracle(transactions)
+    assert selected(state) == observe_oracle(transactions)
 # -- selection -----------------------------------------------------------
 
 
@@ -269,6 +273,71 @@ def test_select_matches_filter_oracle(matrix, threshold):
     state.observation_matrix = Counter(encode(state, matrix))
     filtered = dstc_select(state, DstcParams(selection_threshold=threshold))
     assert decode(state, filtered) == {p: c for p, c in matrix.items() if c >= threshold}
+
+
+@st.composite
+def selection_periods(draw):
+    """Two periods of transactions over a full link table and a hierarchy
+    table that keeps some of each full row's links, ids 1..size.
+
+    Row 1 repeats a target and row 2 links to itself. Each period walks
+    both tables over the same expanded ids at least once, and paths that
+    mostly follow full-table links, so their pairs land on row keys. In
+    the first period, a path reaches an id above 16 after rows were
+    recorded, which grows `base` past every id of the tables."""
+    size = draw(st.integers(3, 12))
+    ids = st.integers(1, size)
+    full = [(), *(tuple(draw(st.lists(ids, min_size=1, max_size=5))) for _ in range(size))]
+    full[1] += full[1][:1]
+    full[2] += (2,)
+    hierarchy = [tuple(t for t in row if draw(st.booleans())) for row in full]
+
+    def walk(links, expanded):
+        return [*expanded, *chain.from_iterable(links[a] for a in expanded)], links, expanded
+
+    def path():
+        accessed = [draw(ids)]
+        for _ in range(draw(st.integers(1, 6))):
+            row = full[accessed[-1]]
+            accessed.append(draw(st.sampled_from(row) if draw(st.integers(0, 3)) else ids))
+        return accessed, None, []
+
+    def transaction():
+        kind = draw(st.sampled_from((full, hierarchy, None)))
+        if kind is None:
+            return path()
+        return walk(kind, draw(st.lists(ids, min_size=1, max_size=6)))
+
+    def period(min_size):
+        shared = draw(st.lists(ids, min_size=1, max_size=6))
+        transactions = [walk(full, shared), walk(hierarchy, shared),
+                        *(transaction() for _ in range(draw(st.integers(min_size, 10))))]
+        return draw(st.permutations(transactions))
+
+    growth = ([draw(ids), draw(st.integers(17, 200))], None, [])
+    late = [transaction() for _ in range(draw(st.integers(0, 4)))]
+    return [period(3) + [growth] + late, period(1)]
+
+
+@settings(max_examples=100)
+@given(selection_periods())
+def test_select_matches_per_crossing_oracle(periods):
+    for threshold in (0, 1, 2, 2.5, 3):
+        params = DstcParams(selection_threshold=threshold)
+        state = DstcState()
+        for number, period in enumerate(periods):
+            for transaction in period:
+                dstc_observe(state, *transaction)
+            if number == 0:
+                assert state.base > 16
+            filtered = dstc_select(state, params)
+            assert decode(state, filtered) == {
+                pair: count for pair, count in observe_oracle(period).items()
+                if count >= threshold}
+            assert all(type(count) is int for count in filtered.values())
+            assert state.observation_matrix == {}
+            assert not any(expanded for _links, expanded, _clean
+                           in state.expansions.values())
 
 
 # -- consolidation -------------------------------------------------------
@@ -469,6 +538,21 @@ def test_build_units_independent_of_base(matrix, cap, threshold, extra_bits):
 
 
 @pytest.mark.parametrize("cap", [64, 0])
+def test_build_units_on_sparse_ids(cap):
+    # one heavy edge between ids 3 and 2**20 - 1 under a base of 2**40:
+    # lists sized by base, not by the largest id, could not be allocated
+    matrix = {(3, 2 ** 20 - 1): 5.0}
+    params = DstcParams(max_unit_size=cap)
+    state = DstcState()
+    state.grow(2 ** 40 - 1)
+    state.consolidated_matrix = encode(state, matrix)
+    assert state.base == 2 ** 40
+    units = dstc_build_units(state, params)
+    assert units == reference_build_units(SimpleNamespace(consolidated_matrix=matrix), params)
+    assert units == [[3, 2 ** 20 - 1]]
+
+
+@pytest.mark.parametrize("cap", [64, 0])
 def test_rebase_past_one_digit_keys(cap):
     # a chain walked first among small ids, then across 2**15 and up to 2**20
     params = DstcParams(selection_threshold=1, max_unit_size=cap)
@@ -483,8 +567,9 @@ def test_rebase_past_one_digit_keys(cap):
         period = stream[start:start + 2]
         for transaction in period:
             dstc_observe(state, *transaction)
-        assert flushed(state) == observe_oracle(period)
-        dstc_consolidate(state, dstc_select(state, params), params)
+        filtered = dstc_select(state, params)  # threshold 1 keeps every count
+        assert decode(state, filtered) == observe_oracle(period)
+        dstc_consolidate(state, filtered, params)
         expected = reference_units(state, params)
         assert dstc_build_units(state, params) == expected
         built.append(expected)
@@ -613,3 +698,40 @@ def test_dstc_policy_periods_and_trigger():
             storage.rewrite_placement(placement)
         else:
             assert placement is None
+
+
+def test_protocol_calls_the_phases_through_the_module_globals(monkeypatch):
+    # a layered profile wraps exactly these names; a run that bypassed one
+    # would leave its wrapper with no calls and no time
+    calls = Counter()
+
+    def count_calls(module, name):
+        function = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("dstc_select", "dstc_consolidate", "dstc_build_units", "dstc_reorganize"):
+        count_calls(policies, name)
+    count_calls(workload, "run_transaction")
+    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=120, seed=8))
+    storage = place_sequential(db, StorageParams(buffer_pages=4))
+    access = storage.access_object
+    accesses = []
+
+    def counted_access(oid):
+        accesses.append(oid)
+        return access(oid)
+
+    storage.access_object = counted_access
+    policy = DstcPolicy(DstcParams(observation_period=10))
+    log = run_protocol(db, storage, WorkloadParams(coldn=20, hotn=30, seed=4), policy)
+    assert len(log.records) == 50 and log.reorgs
+    periods = len(log.records) // 10
+    assert calls == {"dstc_select": periods, "dstc_consolidate": periods,
+                     "dstc_build_units": periods, "dstc_reorganize": len(log.reorgs),
+                     "run_transaction": len(log.records)}
+    assert len(accesses) == sum(record.objects for record in log.records)
