@@ -136,7 +136,7 @@ def _load_report(path: str) -> MetricsReport:
         raise OcbError(f"{path}: unsupported report format {payload.get('format')!r}")
     try:
         report = MetricsReport.from_dict(payload["metrics"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
         raise OcbError(f"{path}: malformed report metrics: "
                        f"{type(exc).__name__}: {exc}") from None
     report.fingerprint = payload.get("fingerprint")

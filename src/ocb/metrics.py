@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ComparisonError
+from .params import ParamGroup, read_json
 from .workload import TRANSACTION_TYPES, ExperimentLog
 
 ALL = "all"
@@ -22,7 +23,7 @@ REPORT_CSV_COLUMNS = ("phase", "type", "count", "total_objects", "mean_objects",
 
 
 @dataclass
-class TypeStats:
+class TypeStats(ParamGroup):
     count: int = 0
     total_objects: int = 0
     mean_objects: float = 0.0
@@ -49,10 +50,12 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        """Inverse of `to_dict`; a missing `fingerprint` reads as None."""
-        values = {f.name: d[f.name] for f in fields(cls) if f.name != "fingerprint"}
-        values["stats"] = {phase: {kind: TypeStats(**s) for kind, s in kinds.items()}
-                           for phase, kinds in values["stats"].items()}
+        """Inverse of `to_dict`; a missing `fingerprint` reads as None. A value
+        of the wrong JSON type raises ParameterError naming its field."""
+        values = {f.name: read_json(f.type, f.name, d[f.name])
+                  for f in fields(cls) if f.name not in ("stats", "fingerprint")}
+        values["stats"] = {phase: {kind: TypeStats.from_dict(s) for kind, s in kinds.items()}
+                           for phase, kinds in d["stats"].items()}
         return cls(**values, fingerprint=d.get("fingerprint"))
 
 
@@ -62,7 +65,11 @@ def _stats_of(records) -> TypeStats:
         return TypeStats()
     total_objects = sum(r.objects for r in records)
     total_faults = sum(r.faults for r in records)
-    total_time = sum(r.sim_time for r in records)
+    # left to right: sum() of floats is compensated from Python 3.12 on, so
+    # its result, and the report bytes, would depend on the interpreter
+    total_time = 0.0
+    for r in records:
+        total_time += r.sim_time
     return TypeStats(count=n, total_objects=total_objects,
                      mean_objects=total_objects / n,
                      total_faults=total_faults,

@@ -60,6 +60,7 @@ KINDS: dict[str, Kind] = {
     "int": Kind(int, _exactly(int)),
     "int | None": Kind(int, _exactly(int, type(None))),
     "float": Kind(_finite, lambda v: float(_exactly(float, int)(v))),
+    "float | None": Kind(_finite, _exactly(float, int, type(None))),
     "bool": Kind(_boolean, _exactly(bool)),
     "str": Kind(str, _exactly(str)),
     # one value for every class, or a comma list with one entry per class
@@ -78,6 +79,11 @@ def _decode(reader: Callable, key: str, value):
         return reader(value)
     except (TypeError, ValueError, ParameterError) as exc:
         raise ParameterError(f"bad value for {key}: {exc}") from None
+
+
+def read_json(annotation: str, key: str, value):
+    """Read one value from its JSON form; ParameterError names `key`."""
+    return _decode(KINDS[annotation].load, key, value)
 
 
 def read_text(annotation: str, key: str, value):
@@ -102,5 +108,4 @@ class ParamGroup:
             missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
             raise ParameterError(f"keys must be the fields: missing {missing}, "
                                  f"unknown {unknown}")
-        return cls(**{f.name: _decode(KINDS[f.type].load, f.name, d[f.name])
-                      for f in fields(cls)})
+        return cls(**{f.name: read_json(f.type, f.name, d[f.name]) for f in fields(cls)})

@@ -6,13 +6,12 @@ agglomerates heavy pairs into clustering units, and periodically rewrites
 the physical placement so unit members become page neighbors.
 
 Each matrix keys a crossing pair (a, b) by one int, `a * base + b`, where
-`base` is a power of two above every object id seen so far, held in
-`DstcState`. When an observed id reaches `base`, it grows to the next power
-of two above that id, and both matrices are re-keyed in insertion order.
-Sorted keys are in (a, b) order, so unit building sorts ints, not tuples,
-and decodes them with a shift and a mask. With ids below 2**15 every key
-stays below 2**30, a one-digit CPython int: it hashes to itself, and the
-list sort takes its int fast path.
+`base` is the least power of two above every object id, fixed once from
+the first link table observed (see `DstcState`). Sorted keys are in (a, b)
+order, so unit building sorts ints, not tuples, and decodes them with a
+shift and a mask. With ids below 2**15 every key stays below 2**30, a
+one-digit CPython int: it hashes to itself, and the list sort takes its
+int fast path.
 
 Observation records whole link rows, not crossings. Selection keys the
 rows of the table with the most expanded ids in bulk where it can, and
@@ -27,7 +26,7 @@ from functools import partial
 from itertools import chain, filterfalse, pairwise, repeat
 from operator import and_, rshift
 
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, RunError, require_finite
 from .params import ParamGroup
 
 
@@ -37,9 +36,9 @@ class ClusteringPolicy:
     `on_link_crossing(accessed, links, expanded)` runs once per
     transaction, after its walk and before its accesses go through the
     buffer. It receives the walk's result as the traversal returns it (see
-    `ocb.workload`): with a link table, the walk crossed the pairs (a, t)
-    for a in `expanded` and t in `links[a]`; with `links` None, it crossed
-    the consecutive pairs of `accessed`. `on_transaction_end` and
+    `ocb.workload`), with its direction's link table: a walk crossed the
+    pairs (a, t) for a in `expanded` and t in `links[a]`, or, expanding
+    none, the consecutive pairs of `accessed`. `on_transaction_end` and
     `maybe_reorganize` run after every transaction. Hooks must not change
     which objects a traversal visits, nor the lists and tables they are
     handed; they may only affect physical placement and overhead I/O.
@@ -47,7 +46,7 @@ class ClusteringPolicy:
 
     name = "none"
 
-    def on_link_crossing(self, accessed: list[int], links: list[tuple[int, ...]] | None,
+    def on_link_crossing(self, accessed: list[int], links: list[tuple[int, ...]],
                          expanded: list[int]) -> None:
         pass
 
@@ -92,71 +91,49 @@ class DstcParams(ParamGroup):
 class DstcState:
     """Crossing statistics and the clustering units built from them.
 
-    Both matrices key the pair (a, b) as `a * base + b`; `pair(key)` is
-    `divmod(key, base)`. `base` starts at 1, and `grow` raises it to the
-    next power of two above an observed id that reaches it, re-keying both
-    matrices in insertion order. Both presets have 20 000 objects, so their
-    `base` ends at 32 768 and every key stays a one-digit int below 2**30;
-    larger ids still decode correctly, with multi-digit keys.
+    Both matrices key the pair (a, b) as `a * base + b`. `base` is 0 until
+    the first observation fixes it: the least power of two at or above the
+    length of its link table (one row per id, and row 0), so above every
+    id. Both presets have 20 000 objects, so their `base` is 32 768 and
+    every key a one-digit int; larger ids give multi-digit keys.
 
     Whole link rows a period crossed are not keyed one crossing at a time:
     `expansions` maps each link table's id() to the table, a Counter of the
     ids whose rows the period crossed, and a cache of which of its rows are
     clean (see `dstc_select`). `dstc_select` keys the rows and clears the
-    Counters; an entry, and so its cache, lives as long as the state. They
-    hold plain ids, so `grow` leaves them alone.
+    Counters; an entry, and so its cache, lives as long as the state.
     """
 
     observation_matrix: Counter[int] = field(default_factory=Counter)
     consolidated_matrix: dict[int, float] = field(default_factory=dict)
     clustering_units: list[list[int]] = field(default_factory=list)
-    base: int = 1
+    base: int = 0
     expansions: dict[int, tuple[list[tuple[int, ...]], Counter[int], dict[int, bool]]] = (
         field(default_factory=dict))
 
-    def key(self, a: int, b: int) -> int:
-        return a * self.base + b
-
-    def pair(self, key: int) -> tuple[int, int]:
-        return divmod(key, self.base)
-
-    def grow(self, top: int) -> None:
-        """Raise `base` above id `top`, re-keying both matrices in order."""
-        old = self.base
-        if top < old:
-            return
-        new = self.base = 1 << top.bit_length()
-
-        def rekey(matrix):
-            return {a * new + b: value for (a, b), value
-                    in zip(map(divmod, matrix, repeat(old)), matrix.values())}
-
-        self.observation_matrix = Counter(rekey(self.observation_matrix))
-        self.consolidated_matrix = rekey(self.consolidated_matrix)
-
 
 def dstc_observe(state: DstcState, accessed: list[int],
-                 links: list[tuple[int, ...]] | None, expanded: list[int]) -> None:
+                 links: list[tuple[int, ...]], expanded: list[int]) -> None:
     """Phase 1: record one transaction's link crossings.
 
-    A walk over a link table crossed the whole row `links[a]` of each a in
-    `expanded`; those ids are only counted here, per table, and
-    `dstc_select` keys their rows at period end. A walk without a table
-    (`links` None) is a path, and its consecutive pairs are keyed at once.
+    The rows `links[a]` of the ids a in `expanded` are only counted here,
+    per table, and `dstc_select` keys them at period end. A walk that
+    expanded none is a path, and its consecutive pairs are keyed at once.
     Pairs keep their crossing direction; unit ordering exploits it.
-    Self-links carry no co-location information and are ignored. A key
-    decodes as long as its target is below `base`, and every target is
-    accessed, so one max() per transaction is the only check.
+    Self-links carry no co-location information and are ignored. The first
+    call fixes `base`; a later table too long for it raises RunError rather
+    than mis-key its ids.
     """
     base = state.base
-    top = max(accessed) if accessed else 0
-    if top >= base:
-        state.grow(top)
-        base = state.base
-    if links is None:
+    if len(links) > base:
+        if base:
+            raise RunError(f"a link table of {len(links)} rows does not fit "
+                           f"the key base {base} fixed by the first one")
+        base = state.base = 1 << (len(links) - 1).bit_length()
+    if not expanded:
         state.observation_matrix.update(
             [a * base + b for a, b in pairwise(accessed) if a != b])
-    elif expanded:
+    else:
         entry = state.expansions.get(id(links))
         if entry is None:
             entry = state.expansions[id(links)] = (links, Counter(), {})
@@ -167,10 +144,10 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
     """Phase 2: count the period's crossings, keep only pairs crossed often
     enough, and clear the period.
 
-    An id a whose row was expanded n times adds n to key(a, t) for each
-    t != a in `links[a]`. A row is clean when its targets are distinct and
-    none is a itself: each of its keys then gets exactly n from it. In the
-    table with the most expanded ids, a clean row whose n reaches the
+    An id a whose row was expanded n times adds n to the key of (a, t) for
+    each t != a in `links[a]`. A row is clean when its targets are distinct
+    and none is a itself: each of its keys then gets exactly n from it. In
+    the table with the most expanded ids, a clean row whose n reaches the
     threshold goes into `filtered` in one C-level update, and a clean row
     below it is never keyed. Every other contribution (its unclean rows,
     the other tables' rows and the path pairs in `observation_matrix`) is

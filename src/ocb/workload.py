@@ -10,15 +10,15 @@ over the recorded back references. They walk the database's link tables
 level, the two depth-first walks on one explicit stack.
 
 A traversal is a walk over the object graph alone. It returns three
-values: `accessed`, the ids it accessed, in order; `links`, the link table
-it walked; and `expanded`, each node whose whole row `links[node]` it
-crossed, once per time it crossed it. The set, simple and hierarchy walks
-cross only whole rows, so their crossings are the pairs (a, t) for a in
-`expanded` and t in `links[a]`, and sum(len(links[a]) for a in expanded)
-== len(accessed) - 1. `links` is the database's cached table, never
-copied. A stochastic walk picks one slot per hop, so it returns `links`
-None and `expanded` empty: its crossings are the consecutive pairs of
-`accessed`. No traversal builds a list with one entry per crossing.
+values: `accessed`, the ids it accessed, in order; `links`, the database's
+cached link table of its direction, never copied; and `expanded`, each
+node whose whole row `links[node]` it crossed, once per time it crossed
+it. The set, simple and hierarchy walks cross only whole rows: the pairs
+(a, t) for a in `expanded` and t in `links[a]`, one per access after the
+root. A walk that expanded none is a path, and its crossings are the
+consecutive pairs of `accessed`: a stochastic walk, which picks one slot
+per hop, or any walk at depth 0. No traversal builds a list with one
+entry per crossing.
 `run_protocol` hands all three to the policy's crossing hook once per
 transaction, then replays `accessed` through the page buffer and derives
 the transaction's faults and simulated time from it.
@@ -53,7 +53,7 @@ TRANSACTION_TYPES = (TYPE_SET, TYPE_SIMPLE, TYPE_HIERARCHY, TYPE_STOCHASTIC)
 CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_time")
 
 # a traversal's (accessed, links, expanded); see the module docstring
-Walk = tuple[list[int], list[tuple[int, ...]] | None, list[int]]
+Walk = tuple[list[int], list[tuple[int, ...]], list[int]]
 
 
 @dataclass
@@ -224,11 +224,12 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
 
     Forward, the choice runs over every `oref` slot, NULL ones included;
     reversed, over the object's back references. The walk is a path, so
-    each access is the source of the next crossing: it returns no link
-    table and expands nothing."""
+    each access is the source of the next crossing: it returns the link
+    table of its direction and expands nothing."""
     if rng is None:
         rng = random.Random(0)
-    reverse_links = db.link_table(True) if direction == REVERSE else None
+    reverse = direction == REVERSE
+    links = db.link_table(reverse)
     objects = db.objects
     accessed: list[int] = []
     oid = root
@@ -237,7 +238,7 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
         accessed.append(oid)
         if hops == depth:
             break
-        slots = objects[oid - 1].oref if reverse_links is None else reverse_links[oid]
+        slots = links[oid] if reverse else objects[oid - 1].oref
         choice = choose_slot(rng, len(slots))
         if choice is None:
             break
@@ -246,7 +247,7 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
             break
         oid = target
         hops += 1
-    return accessed, None, []
+    return accessed, links, []
 
 
 class _ClientStreams:

@@ -594,6 +594,27 @@ def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phase, field, value", [
+    ("HOT", "mean_faults", "x"),
+    (None, "gain_factor", "x"),
+    ("HOT", "mean_faults", True),
+], ids=["string-mean-faults", "string-gain-factor", "true-mean-faults"])
+def test_cli_compare_wrong_typed_metric_is_runtime_error(tmp_path, capsys, phase, field,
+                                                         value):
+    out_dir = tmp_path / "r"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "report.json"
+    assert main(["compare", str(path), str(path)]) == 0
+    payload = json.loads(path.read_text())
+    metrics = payload["metrics"]
+    (metrics if phase is None else metrics["stats"][phase]["all"])[field] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
 def write_huge_int(path, key):
     """Rewrite the first `key` value in the JSON text of `path` as a
     5000-digit literal, over CPython's 4300-digit int conversion limit."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -89,6 +90,15 @@ def test_totals_equal_sum_of_types():
         report.phase_type("HOT", k).total_objects
         for k in ("set", "simple", "hierarchy", "stochastic"))
     assert total.count == 200
+
+
+def test_mean_time_sums_left_to_right_on_every_interpreter():
+    # a compensated sum, which sum() of floats is from Python 3.12 on, gives
+    # 1.000000000000001 here; left to right, each 1e-16 is lost against 1.0
+    times = [1.0] + [1e-16] * 10
+    assert math.fsum(times) != 1.0
+    log = ExperimentLog(records=[record(i, "HOT", sim_time=t) for i, t in enumerate(times)])
+    assert aggregate(log).phase_type("HOT").mean_time == 1.0 / 11
 
 
 def test_report_dict_round_trip():

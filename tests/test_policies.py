@@ -15,7 +15,7 @@ from helpers import (
 )
 from ocb.distributions import substream
 from ocb import policies, workload
-from ocb.errors import ParameterError
+from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import (
     DstcParams,
@@ -33,15 +33,18 @@ from ocb.storage import StorageParams, place_sequential
 from ocb.workload import WorkloadParams, run_protocol, run_transaction
 
 
+# a key base above every id the tests below put in a matrix by hand
+BASE = 128
+
+
 def encode(state, matrix):
-    """Key a (source, target) matrix by `state`'s ints, growing its base to fit."""
-    state.grow(max(chain.from_iterable(matrix), default=0))
-    return {state.key(a, b): value for (a, b), value in matrix.items()}
+    """Key a (source, target) matrix by `state`'s ints."""
+    return {a * state.base + b: value for (a, b), value in matrix.items()}
 
 
 def decode(state, matrix):
     """The (source, target)-keyed copy of one of `state`'s matrices, in order."""
-    return {state.pair(key): value for key, value in matrix.items()}
+    return {divmod(key, state.base): value for key, value in matrix.items()}
 
 
 def reference_units(state, params):
@@ -54,9 +57,9 @@ def reference_units(state, params):
 
 
 def crossings_of(accessed, links, expanded):
-    """One transaction's crossings, one pair each: a path's consecutive
-    pairs, or every target of each expanded row."""
-    if links is None:
+    """One transaction's crossings, one pair each: every target of each
+    expanded row, or, with none expanded, a path's consecutive pairs."""
+    if not expanded:
         return list(pairwise(accessed))
     return [(a, t) for a in expanded for t in links[a]]
 
@@ -85,16 +88,17 @@ def test_observe_counts_crossings():
     # one transaction: 1 crosses to 2 three times, over one row
     links = [(), (2, 2, 2), ()]
     dstc_observe(state, [1, 2, 2, 2], links, [1])
+    assert state.base == 4  # the least power of two at or above 3 rows
     assert state.observation_matrix == Counter()  # rows are keyed at selection
     filtered = dstc_select(state, DstcParams(selection_threshold=1))
-    assert filtered == {state.key(1, 2): 3}
+    assert filtered == {1 * 4 + 2: 3}
     assert decode(state, filtered) == {(1, 2): 3}
 
 
 def test_observe_keeps_direction_and_skips_self_links():
     state = DstcState()
-    dstc_observe(state, [2, 1, 2, 5, 5], None, [])  # a path
     links = [(), (2,), (1,), (), (), (5, 5, 1)]
+    dstc_observe(state, [2, 1, 2, 5, 5], links, [])  # a path
     dstc_observe(state, [5, 5, 5, 1], links, [5])  # a row with self links
     assert selected(state) == {(2, 1): 1, (1, 2): 1, (2, 5): 1, (5, 1): 1}
 
@@ -108,51 +112,51 @@ def link_tables(draw, ids, size):
 
 
 @st.composite
-def walks(draw, ids, min_top=None):
-    """One (accessed, links, expanded) transaction: a path, or whole rows of
-    a link table over `ids`; with `min_top`, it crosses to an id of at least
-    that."""
-    top = draw(st.integers(min_top, 4 * min_top)) if min_top is not None else None
-    if draw(st.booleans()):
-        accessed = draw(st.lists(ids, min_size=1, max_size=12))
-        if top is not None:
-            accessed.insert(1, top)
-        return accessed, None, []
-    size = draw(ids)
+def walks(draw, size):
+    """One (accessed, links, expanded) transaction over ids 1..`size`, with
+    a link table of its own of `size` + 1 rows: a path, which reads no row
+    of it, or whole rows of it."""
+    ids = st.integers(1, size)
     links = draw(link_tables(ids, size))
-    expanded = draw(st.lists(st.integers(1, size), min_size=1, max_size=6))
-    if top is not None:
-        links[expanded[0]] += (top,)
+    if draw(st.booleans()):
+        return draw(st.lists(ids, min_size=1, max_size=12)), links, []
+    expanded = draw(st.lists(ids, min_size=1, max_size=6))
     return ([expanded[0], *chain.from_iterable(links[a] for a in expanded)],
             links, expanded)
 
 
-@given(st.lists(walks(st.integers(1, 4)), min_size=1, max_size=5))
+@given(st.lists(walks(4), min_size=1, max_size=5))
 def test_observe_matches_per_pair_oracle(transactions):
     # ids drawn from 1..4, so self-links are frequent
     state = DstcState()
     for transaction in transactions:
         dstc_observe(state, *transaction)
+    assert state.base == 8  # fixed by the first table's 5 rows
     assert selected(state) == observe_oracle(transactions)
 
 
-@given(st.lists(walks(st.integers(1, 7)), min_size=1, max_size=4),
-       st.lists(walks(st.integers(1, 40)), max_size=3),
-       walks(st.integers(1, 40), min_top=8))
-def test_observe_matches_oracle_across_base_growth(early, late, crossing):
-    # ids below 8 fix base at 8 or less; `crossing` reaches it partway through.
-    # Selection clears the period, so each prefix is observed from scratch.
-    stream = early + [crossing] + late
-    for count in range(1, len(stream) + 1):
-        state = DstcState()
-        for transaction in stream[:count]:
-            dstc_observe(state, *transaction)
-        if count == len(early):
-            base_before = state.base
-        assert selected(state) == observe_oracle(stream[:count])
-    assert base_before <= 8 < state.base
-    assert all(target < state.base for accessed, _links, _expanded in stream
-               for target in accessed)
+def test_observe_fixes_base_once_and_rejects_a_longer_table():
+    state = DstcState()
+    dstc_observe(state, [1, 2], [(), (2,), (), ()], [])  # ids 1..3
+    assert state.base == 4
+    dstc_observe(state, [2, 1], [(), (), (1,)], [])  # a shorter table fits
+    assert state.base == 4
+    with pytest.raises(RunError, match="key base 4"):
+        dstc_observe(state, [4, 1], [(), (), (), (), (1,)], [4])
+    assert state.base == 4
+    assert decode(state, state.observation_matrix) == {(1, 2): 1, (2, 1): 1}
+
+
+def test_dstc_run_on_a_preset_sized_database_fixes_base_at_2_15():
+    db = generate_database(GeneratorParams(seed=1))
+    assert len(db.objects) == 20_000
+    storage = place_sequential(db, StorageParams())
+    policy = DstcPolicy(DstcParams(observation_period=10, selection_threshold=1))
+    params = WorkloadParams(coldn=10, hotn=20, seed=2, reverse_probability=0.5)
+    log = run_protocol(db, storage, params, policy)
+    assert log.reorgs
+    assert policy.state.base == 32768
+    assert max(policy.state.consolidated_matrix) < 2 ** 30
 
 
 def test_observe_matches_recount_oracle():
@@ -201,8 +205,8 @@ def flush_periods(draw):
     Ids 1..small link only among themselves, and object 1 links to itself;
     ids small+1..top, all above 16, link only among themselves. The period
     runs every kind in both directions among the small ids first, so their
-    rows are recorded while `base` is at most 16, then roots at the large
-    ids, which grow it."""
+    rows are recorded before any walk reaches an id above 16, then roots at
+    the large ids."""
     small = draw(st.integers(3, 10))
     top = draw(st.integers(17, 40))
 
@@ -236,7 +240,6 @@ def test_period_flush_matches_per_crossing_oracle(period, depth, stodepth, seed)
             # every kind ran in both directions, and each table walk
             # expands its root: all four tables hold rows
             assert len(state.expansions) == 4
-            base_before = state.base
         label = f"flush-{step}"
         transaction = run_transaction(db, params, kind, root, direction,
                                       substream(seed, label))
@@ -244,13 +247,14 @@ def test_period_flush_matches_per_crossing_oracle(period, depth, stodepth, seed)
             oracle_crossings(db, kind, root, direction, params, substream(seed, label)))
         dstc_observe(state, *transaction)
         transactions.append(transaction)
-    assert base_before <= 16 < state.base
+    # fixed by the first walk's table, one row per object plus row 0
+    assert state.base == 1 << len(db.objects).bit_length()
     assert selected(state) == observe_oracle(transactions)
 # -- selection -----------------------------------------------------------
 
 
 def test_select_drops_below_threshold_and_clears():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.observation_matrix = Counter(encode(state, {(1, 2): 3, (3, 4): 1}))
     filtered = dstc_select(state, DstcParams(selection_threshold=2))
     assert decode(state, filtered) == {(1, 2): 3}
@@ -258,7 +262,7 @@ def test_select_drops_below_threshold_and_clears():
 
 
 def test_select_threshold_zero_is_identity():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.observation_matrix = Counter(encode(state, {(1, 2): 1, (8, 9): 4}))
     filtered = dstc_select(state, DstcParams(selection_threshold=0))
     assert decode(state, filtered) == {(1, 2): 1, (8, 9): 4}
@@ -269,7 +273,7 @@ def test_select_threshold_zero_is_identity():
     st.integers(1, 10), min_size=1, max_size=20),
     st.integers(0, 5))
 def test_select_matches_filter_oracle(matrix, threshold):
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.observation_matrix = Counter(encode(state, matrix))
     filtered = dstc_select(state, DstcParams(selection_threshold=threshold))
     assert decode(state, filtered) == {p: c for p, c in matrix.items() if c >= threshold}
@@ -282,9 +286,7 @@ def selection_periods(draw):
 
     Row 1 repeats a target and row 2 links to itself. Each period walks
     both tables over the same expanded ids at least once, and paths that
-    mostly follow full-table links, so their pairs land on row keys. In
-    the first period, a path reaches an id above 16 after rows were
-    recorded, which grows `base` past every id of the tables."""
+    mostly follow full-table links, so their pairs land on row keys."""
     size = draw(st.integers(3, 12))
     ids = st.integers(1, size)
     full = [(), *(tuple(draw(st.lists(ids, min_size=1, max_size=5))) for _ in range(size))]
@@ -300,7 +302,7 @@ def selection_periods(draw):
         for _ in range(draw(st.integers(1, 6))):
             row = full[accessed[-1]]
             accessed.append(draw(st.sampled_from(row) if draw(st.integers(0, 3)) else ids))
-        return accessed, None, []
+        return accessed, full, []
 
     def transaction():
         kind = draw(st.sampled_from((full, hierarchy, None)))
@@ -314,9 +316,7 @@ def selection_periods(draw):
                         *(transaction() for _ in range(draw(st.integers(min_size, 10))))]
         return draw(st.permutations(transactions))
 
-    growth = ([draw(ids), draw(st.integers(17, 200))], None, [])
-    late = [transaction() for _ in range(draw(st.integers(0, 4)))]
-    return [period(3) + [growth] + late, period(1)]
+    return [period(3), period(1)]
 
 
 @settings(max_examples=100)
@@ -325,11 +325,9 @@ def test_select_matches_per_crossing_oracle(periods):
     for threshold in (0, 1, 2, 2.5, 3):
         params = DstcParams(selection_threshold=threshold)
         state = DstcState()
-        for number, period in enumerate(periods):
+        for period in periods:
             for transaction in period:
                 dstc_observe(state, *transaction)
-            if number == 0:
-                assert state.base > 16
             filtered = dstc_select(state, params)
             assert decode(state, filtered) == {
                 pair: count for pair, count in observe_oracle(period).items()
@@ -344,14 +342,14 @@ def test_select_matches_per_crossing_oracle(periods):
 
 
 def test_consolidate_weight_one_replaces():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 9.0, (3, 4): 1.0})
     dstc_consolidate(state, encode(state, {(1, 2): 4}), DstcParams(consolidation_weight=1.0))
     assert decode(state, state.consolidated_matrix) == {(1, 2): 4.0}
 
 
 def test_consolidate_weight_zero_keeps_old():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 9.0})
     dstc_consolidate(state, encode(state, {(1, 2): 4, (5, 6): 7}),
                      DstcParams(consolidation_weight=0.0))
@@ -360,20 +358,20 @@ def test_consolidate_weight_zero_keeps_old():
 
 def test_consolidate_two_periods_hand_computed():
     # pair seen 4 then 2 with w = 0.5: weight 2.0 after both periods
-    state = DstcState()
+    state = DstcState(base=BASE)
     params = DstcParams(consolidation_weight=0.5)
     dstc_consolidate(state, encode(state, {(1, 2): 4}), params)
-    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
+    assert decode(state, state.consolidated_matrix)[1, 2] == pytest.approx(2.0)
     dstc_consolidate(state, encode(state, {(1, 2): 2}), params)
-    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
+    assert decode(state, state.consolidated_matrix)[1, 2] == pytest.approx(2.0)
 
 
 def test_consolidate_absent_pairs_decay():
-    state = DstcState()
+    state = DstcState(base=BASE)
     params = DstcParams(consolidation_weight=0.5)
     dstc_consolidate(state, encode(state, {(1, 2): 8}), params)
     dstc_consolidate(state, {}, params)
-    assert state.consolidated_matrix[state.key(1, 2)] == pytest.approx(2.0)
+    assert decode(state, state.consolidated_matrix)[1, 2] == pytest.approx(2.0)
 
 
 # a period may be empty, but not every period: an all-empty run checks nothing
@@ -382,7 +380,7 @@ def test_consolidate_absent_pairs_decay():
     st.integers(0, 20), max_size=6), min_size=1, max_size=6).filter(any),
     st.floats(0.05, 0.95))
 def test_consolidation_matches_closed_form(periods, weight):
-    state = DstcState()
+    state = DstcState(base=BASE)
     params = DstcParams(consolidation_weight=weight)
     for filtered in periods:
         dstc_consolidate(state, encode(state, filtered), params)
@@ -397,60 +395,31 @@ def test_consolidation_matches_closed_form(periods, weight):
         assert got == pytest.approx(expected, abs=1e-9)
 
 
-@given(st.lists(st.dictionaries(
-    st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda p: p[0] != p[1]),
-    st.integers(1, 20), min_size=1, max_size=6), min_size=2, max_size=6),
-    st.floats(0.05, 0.95), st.integers(1, 4), st.integers(16, 2 ** 20))
-def test_rekeying_mid_run_keeps_weights_bit_equal(periods, weight, split, top):
-    split = min(split, len(periods) - 1)
-    params = DstcParams(consolidation_weight=weight)
-    wide = DstcState()  # never re-keyed: base above every id from the start
-    wide.grow(2 ** 20)
-    state = DstcState()
-    for filtered in periods[:split]:
-        dstc_consolidate(wide, encode(wide, filtered), params)
-        dstc_consolidate(state, encode(state, filtered), params)
-    state.observation_matrix = Counter(encode(state, {(2, 1): 3, (1, 2): 5}))
-    before = decode(state, state.consolidated_matrix)
-    base_before = state.base
-    dstc_observe(state, [1, top], None, [])  # an id at or above base re-keys both matrices
-    assert base_before <= 16 <= top < state.base
-    after = decode(state, state.consolidated_matrix)
-    assert after == before and list(after) == list(before)
-    assert list(decode(state, state.observation_matrix).items()) == [
-        ((2, 1), 3), ((1, 2), 5), ((1, top), 1)]
-    for filtered in periods[split:]:
-        dstc_consolidate(wide, encode(wide, filtered), params)
-        dstc_consolidate(state, encode(state, filtered), params)
-    # exact float equality, not approx: re-keying moves no weight
-    assert decode(state, state.consolidated_matrix) == decode(wide, wide.consolidated_matrix)
-
-
 # -- unit building -------------------------------------------------------
 
 
 def test_build_units_greedy_example():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 5.0, (2, 3): 4.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0))
     assert units == [[1, 2, 3]]
 
 
 def test_build_units_below_threshold_empty():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 0.5, (3, 4): 0.9})
     assert dstc_build_units(state, DstcParams(unit_link_threshold=1.0)) == []
 
 
 def test_build_units_disjoint_pairs_two_units():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 5.0, (3, 4): 4.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0))
     assert units == [[1, 2], [3, 4]]
 
 
 def test_build_units_respects_capacity():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, k): 5.0 for k in range(2, 12)})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0,
                                                max_unit_size=4))
@@ -460,7 +429,7 @@ def test_build_units_respects_capacity():
 
 
 def test_build_units_unbounded_covers_component():
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, {(1, 2): 5.0, (3, 2): 4.0, (3, 4): 3.0})
     units = dstc_build_units(state, DstcParams(unit_link_threshold=1.0,
                                                max_unit_size=0))
@@ -472,9 +441,9 @@ def test_build_units_unbounded_covers_component():
     st.tuples(st.integers(1, 25), st.integers(1, 25)).filter(lambda p: p[0] != p[1]),
     st.floats(0.1, 9.0), min_size=3, max_size=30))
 def test_build_units_disjoint_and_deterministic(matrix):
-    state_a = DstcState()
+    state_a = DstcState(base=BASE)
     state_a.consolidated_matrix = encode(state_a, matrix)
-    state_b = DstcState()
+    state_b = DstcState(base=BASE)
     state_b.consolidated_matrix = encode(state_b, dict(reversed(list(matrix.items()))))
     params = DstcParams(unit_link_threshold=1.0)
     units_a = dstc_build_units(state_a, params)
@@ -514,7 +483,7 @@ def test_build_units_matches_reference_oracle(matrix, cap, threshold):
     params = DstcParams(unit_link_threshold=threshold, max_unit_size=cap)
     expected = reference_build_units(SimpleNamespace(consolidated_matrix=dict(matrix)),
                                      params)
-    state = DstcState()
+    state = DstcState(base=BASE)
     state.consolidated_matrix = encode(state, matrix)
     assert dstc_build_units(state, params) == expected
     assert state.clustering_units == expected
@@ -525,12 +494,11 @@ def test_build_units_matches_reference_oracle(matrix, cap, threshold):
        st.sampled_from((0.0, 1.0, 2.0, 2.5)), st.integers(1, 40))
 def test_build_units_independent_of_base(matrix, cap, threshold, extra_bits):
     params = DstcParams(unit_link_threshold=threshold, max_unit_size=cap)
-    narrow = DstcState()
+    # the least power of two above every id, and that times 2**extra_bits
+    narrow = DstcState(base=1 << max(chain.from_iterable(matrix), default=0).bit_length())
     narrow.consolidated_matrix = encode(narrow, matrix)
-    wide = DstcState()
-    wide.grow((narrow.base << extra_bits) - 1)
+    wide = DstcState(base=narrow.base << extra_bits)
     wide.consolidated_matrix = encode(wide, matrix)
-    assert wide.base == narrow.base << extra_bits
     units = dstc_build_units(narrow, params)
     assert dstc_build_units(wide, params) == units
     assert units == reference_build_units(SimpleNamespace(consolidated_matrix=dict(matrix)),
@@ -543,10 +511,8 @@ def test_build_units_on_sparse_ids(cap):
     # lists sized by base, not by the largest id, could not be allocated
     matrix = {(3, 2 ** 20 - 1): 5.0}
     params = DstcParams(max_unit_size=cap)
-    state = DstcState()
-    state.grow(2 ** 40 - 1)
+    state = DstcState(base=2 ** 40)
     state.consolidated_matrix = encode(state, matrix)
-    assert state.base == 2 ** 40
     units = dstc_build_units(state, params)
     assert units == reference_build_units(SimpleNamespace(consolidated_matrix=matrix), params)
     assert units == [[3, 2 ** 20 - 1]]
@@ -554,14 +520,16 @@ def test_build_units_on_sparse_ids(cap):
 
 @pytest.mark.parametrize("cap", [64, 0])
 def test_rebase_past_one_digit_keys(cap):
-    # a chain walked first among small ids, then across 2**15 and up to 2**20
+    # a chain walked first among small ids, then across 2**15 and up to 2**20,
+    # under a base fixed at 2**21 as a database of 2**20 objects would fix it
     params = DstcParams(selection_threshold=1, max_unit_size=cap)
-    # the small chain is walked as rows of a link table, the large one as a path
+    # the small chain is walked as rows of a link table, the large one as a
+    # path, which reads no row of its table
     small = list(range(1, 40))
     chain_links = [(), *((oid + 1,) for oid in small[:-1]), ()]
     large = [2 ** 15 - 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 7, 70_000, 2 ** 20]
-    stream = [(small, chain_links, small[:-1])] * 2 + [(large, None, [])] * 2
-    state = DstcState()
+    stream = [(small, chain_links, small[:-1])] * 2 + [(large, chain_links, [])] * 2
+    state = DstcState(base=2 ** 21)
     built = []
     for start in (0, 2):  # two periods of two transactions each
         period = stream[start:start + 2]

@@ -120,17 +120,20 @@ def test_choose_slot_distribution():
 
 def test_stochastic_zero_slots_stops_immediately():
     db = build_db([(1, [])])
-    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == ([1], None, [])
+    assert stochastic_traversal(db, 1, depth=50, rng=substream(1, "s")) == \
+        ([1], db.link_table(), [])
 
 
 def test_stochastic_replays_against_oracle():
     db = generate_database(GeneratorParams(nc=3, maxnref=3, no=30, seed=9))
-    for seed in range(5):
-        # a path: no link table, nothing expanded
-        accessed, links, expanded = stochastic_traversal(db, 7, depth=50,
-                                                         rng=substream(seed, "sto"))
-        assert links is None and expanded == []
-        assert accessed == stochastic_oracle(db, 7, 50, substream(seed, "sto"))
+    for direction in ("forward", "reverse"):
+        for seed in range(5):
+            # a path: nothing expanded, and its direction's cached table
+            accessed, links, expanded = stochastic_traversal(
+                db, 7, depth=50, direction=direction, rng=substream(seed, "sto"))
+            assert links is db.link_table(direction == "reverse") and expanded == []
+            assert accessed == stochastic_oracle(db, 7, 50, substream(seed, "sto"),
+                                                 direction)
 
 
 def test_traversals_match_oracles_on_generated_db():
@@ -174,13 +177,14 @@ def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
     else:
         accessed, links, expanded = stochastic_traversal(db, root, depth, direction,
                                                          substream(seed, "engine"))
-    if links is None:
-        assert expanded == []
-        crossings = list(zip(accessed, accessed[1:]))
-    else:
-        assert links is db.link_table(direction == "reverse",
-                                      ref_type if kind == "hierarchy" else None)
+    assert links is db.link_table(direction == "reverse",
+                                  ref_type if kind == "hierarchy" else None)
+    if expanded:
         crossings = row_crossings(links, expanded)
+    else:
+        # a path: a stochastic walk, or any walk at depth 0
+        assert kind == "stochastic" or depth == 0
+        crossings = list(zip(accessed, accessed[1:]))
     # every access after the root is the target of exactly one crossing
     assert len(crossings) == len(accessed) - 1
     return ([("access", oid) for oid in accessed],
