@@ -44,6 +44,18 @@ def _finite(text: str) -> float:
     return number
 
 
+def _finite_json(value):
+    """JSON reader for a finite float or int; an int past the float range is not."""
+    _exactly(float, int)(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("not a finite number")
+    return value
+
+
 def _boolean(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -59,8 +71,8 @@ def _ints(text: str) -> tuple[int, ...]:
 KINDS: dict[str, Kind] = {
     "int": Kind(int, _exactly(int)),
     "int | None": Kind(int, _exactly(int, type(None))),
-    "float": Kind(_finite, lambda v: float(_exactly(float, int)(v))),
-    "float | None": Kind(_finite, _exactly(float, int, type(None))),
+    "float": Kind(_finite, lambda v: float(_finite_json(v))),
+    "float | None": Kind(_finite, lambda v: v if v is None else _finite_json(v)),
     "bool": Kind(_boolean, _exactly(bool)),
     "str": Kind(str, _exactly(str)),
     # one value for every class, or a comma list with one entry per class

@@ -15,7 +15,9 @@ when `spanning` is off.
 
 An object access costs one dict lookup and one LRU step when the object fits
 on one page, as every object of the `default` and `dstc-club` presets does;
-an object in a run touches each page of its run in order. A placement
+an object in a run touches each page of its run in order. The buffer is
+always full (see `StorageState`), so a page fault is one insert and one
+eviction of the least recently used frame, with no size test. A placement
 rewrite costs one validation loop over the objects and two sorts, then a
 few passes at C level. The first-fit packing that produces a new placement
 is one Python loop over the objects in the requested order.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import itemgetter, lt, ne
 
 from .errors import ParameterError, PlacementError, require_finite
@@ -59,6 +61,17 @@ class StorageState:
     `place_sequential` and `rewrite_placement`, derives from it the page
     map that `access_object` reads, so an edit made anywhere else would
     leave it stale.
+
+    The LRU buffer `_buffer`, least recently used first, is always full: it
+    holds F frames, F = min(buffer_pages, the most pages a placement can
+    occupy: one per object plus the extra pages of each run). A frame with
+    no page in it holds a sentinel, a unique negative id. No access touches
+    a sentinel, as pages are >= 0, so sentinels stay at the least recent
+    end and evicting one is taking a free frame. Pages never outnumber F,
+    since only occupied pages stay buffered: a rewrite drops each page that
+    objects leave and puts a fresh sentinel at the least recent end for
+    each page it drops. So with buffer_pages above F no page is evicted, as
+    in a buffer of buffer_pages frames.
     """
 
     def __init__(self, params: StorageParams, sizes: dict[int, int]):
@@ -75,7 +88,10 @@ class StorageState:
             raise PlacementError(
                 f"object {oid} ({sizes[oid]} bytes) exceeds page size {page_size}")
         self._page_of: dict[int, int] = {}  # single-page object id -> its page
-        self._buffer: "OrderedDict[int, None]" = OrderedDict()
+        frames = min(params.buffer_pages,
+                     len(sizes) + sum(self._runs.values()) - len(self._runs))
+        self._buffer: "OrderedDict[int, None]" = OrderedDict.fromkeys(range(-frames, 0))
+        self._sentinels = count(-frames - 1, -1)  # fresh ids for frames a rewrite frees
         self.transaction_reads = 0
         self.overhead_reads = 0
         self.overhead_writes = 0
@@ -150,8 +166,7 @@ class StorageState:
                     fault = True
                     self.transaction_reads += 1
                     buffer[page] = None
-                    if len(buffer) > self.params.buffer_pages:
-                        buffer.popitem(last=False)
+                    buffer.popitem(False)
             return fault
         self.objects_accessed += 1
         if page in buffer:
@@ -159,8 +174,7 @@ class StorageState:
             return False
         self.transaction_reads += 1
         buffer[page] = None
-        if len(buffer) > self.params.buffer_pages:
-            buffer.popitem(last=False)
+        buffer.popitem(False)
         return True
 
     # -- reorganization ----------------------------------------------------
@@ -205,8 +219,8 @@ class StorageState:
 
         Each page that moved objects leave is one overhead read, each page
         they land on is one overhead write, however many objects share it;
-        pages whose contents changed are dropped from the buffer. Returns
-        (reads, writes).
+        pages whose contents changed are dropped from the buffer, each
+        leaving a free frame. Returns (reads, writes).
 
         Besides validation, a rewrite is a few passes at C level: one
         comparison of old and new positions marks the moved objects (any
@@ -231,6 +245,9 @@ class StorageState:
         buffer = self._buffer
         for page in (old_pages | new_pages).intersection(buffer):
             del buffer[page]
+            free = next(self._sentinels)
+            buffer[free] = None
+            buffer.move_to_end(free, last=False)
         self._install(new_placement)
         return len(old_pages), len(new_pages)
 

@@ -598,7 +598,11 @@ def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
     ("HOT", "mean_faults", "x"),
     (None, "gain_factor", "x"),
     ("HOT", "mean_faults", True),
-], ids=["string-mean-faults", "string-gain-factor", "true-mean-faults"])
+    ("HOT", "mean_faults", float("nan")),
+    (None, "gain_factor", float("inf")),
+    ("HOT", "mean_faults", 10**400),
+], ids=["string-mean-faults", "string-gain-factor", "true-mean-faults", "nan-mean-faults",
+        "infinite-gain-factor", "mean-faults-past-the-float-range"])
 def test_cli_compare_wrong_typed_metric_is_runtime_error(tmp_path, capsys, phase, field,
                                                          value):
     out_dir = tmp_path / "r"

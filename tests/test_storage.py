@@ -115,12 +115,33 @@ def test_lru_cycle_faults_only_first_round(k):
     assert state.transaction_reads == k
 
 
+def frame_bound(sizes, page_size, buffer_pages):
+    """Frames of an always-full buffer: buffer_pages, or fewer when no
+    placement of these objects can occupy that many pages."""
+    return min(buffer_pages, sum(max(1, -(-size // page_size)) for size in sizes))
+
+
+def assert_buffer_holds(state, pages, frames):
+    """The buffer holds `pages`, least recent first, behind sentinels only."""
+    buffer = list(state._buffer)
+    assert len(buffer) == frames
+    assert buffer[len(buffer) - len(pages):] == pages
+    assert all(entry < 0 for entry in buffer[:len(buffer) - len(pages)])
+
+
 def test_buffer_never_exceeds_capacity():
-    db = flat_db(20, 3000)
-    state = place_sequential(db, StorageParams(buffer_pages=5))
-    for oid in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9):
-        state.access_object(oid)
-        assert len(list(state._buffer)) <= 5
+    # 20 one-page objects: the frame bound binds above 20 buffer pages
+    for buffer_pages in (1, 5, 20, 30):
+        state = place_sequential(flat_db(20, 3000), StorageParams(buffer_pages=buffer_pages))
+        frames = frame_bound([3000] * 20, 4096, buffer_pages)
+        reversed_order = state.pack_order(list(range(20, 0, -1)))
+        for step in (3, 1, 4, 1, 5, 9, 2, 6, reversed_order, 5, 3, 5, 8, 9, 7, 9):
+            if isinstance(step, dict):
+                state.rewrite_placement(step)
+            else:
+                state.access_object(step)
+            assert len(state._buffer) == frames
+            assert sum(page >= 0 for page in state._buffer) <= buffer_pages
 
 
 def test_identity_rewrite_costs_nothing():
@@ -260,8 +281,9 @@ object_sizes = st.lists(st.one_of(st.integers(PAGE // 4, PAGE),
                         min_size=3, max_size=25)
 
 
+# up to 25 objects occupy at most 100 pages, so the frame bound often binds
 @settings(max_examples=200)
-@given(object_sizes, st.integers(1, 6), st.data())
+@given(object_sizes, st.integers(1, 64), st.data())
 def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     state = place_sequential(sized_db(sizes), StorageParams(page_size=PAGE,
                                                             buffer_pages=buffer_pages))
@@ -293,7 +315,7 @@ def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     assert rewrite_io == oracle_rewrite_io
     assert state.overhead_reads == sum(r for r, _w in rewrite_io)
     assert state.overhead_writes == sum(w for _r, w in rewrite_io)
-    assert list(state._buffer) == buffer
+    assert_buffer_holds(state, buffer, frame_bound(sizes, PAGE, buffer_pages))
 
 
 @given(object_sizes, st.data())
@@ -319,6 +341,35 @@ def test_lru_inclusion_through_run_protocol():
         reads.append(run_protocol(db, storage, params, make_policy("none")).transaction_reads)
     assert reads == sorted(reads, reverse=True)
     assert reads[0] > reads[-1]
+
+
+def test_huge_buffer_holds_one_frame_per_page_a_placement_can_occupy(tmp_path):
+    # buffer_pages far above any page count: the buffer is as large as the
+    # pages the objects can occupy, and it never evicts, as LRU over
+    # buffer_pages frames would not
+    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=300, seed=8))
+    sizes = {obj.id: obj.size for obj in db.objects}
+    state = place_sequential(db, StorageParams(buffer_pages=10**12))
+    frames = frame_bound(sizes.values(), 4096, 10**12)
+    assert len(state._buffer) == frames < 10**12
+    initial = state.placement
+    order = list(sizes)
+    random.Random(5).shuffle(order)
+    rng = random.Random(7)
+    steps = [rng.choice(order) for _ in range(400)]
+    steps.insert(200, state.pack_order(order))
+    faults = []
+    for step in steps:
+        if isinstance(step, dict):
+            state.rewrite_placement(step)
+        else:
+            faults.append(state.access_object(step))
+    reads, _rewrites, buffer = lru_oracle(initial, sizes, 4096, 10**12, steps)
+    assert faults == [count > 0 for count in reads]
+    assert state.transaction_reads == sum(reads)
+    assert_buffer_holds(state, buffer, frames)
+    assert main(["run", "--no", "300", "--coldn", "20", "--hotn", "20",
+                 "--buffer-pages", "1000000000000", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_traversals_do_not_depend_on_placement():
