@@ -205,11 +205,12 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except OcbError as exc:
+    except (OcbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: this configuration needs more memory than is available",
+              file=sys.stderr)
         return 3
 
 

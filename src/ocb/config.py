@@ -12,8 +12,9 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ParameterError
 from .generator import GeneratorParams
+from .metrics import DEFAULT_GAIN_WINDOW
 from .params import read_text
-from .policies import DstcParams
+from .policies import DstcParams, make_policy
 from .presets import preset_overrides
 from .storage import StorageParams
 from .workload import WorkloadParams
@@ -26,15 +27,14 @@ class ExperimentConfig:
     workload: WorkloadParams = field(default_factory=WorkloadParams)
     dstc: DstcParams = field(default_factory=DstcParams)
     policy: str = "none"
-    gain_window: int = 500
+    gain_window: int = DEFAULT_GAIN_WINDOW
     seed: int = 0
     preset: str | None = None
 
     def validate(self) -> None:
         for name in GROUPS:
             getattr(self, name).validate()
-        if self.policy not in ("none", "dstc"):
-            raise ParameterError(f"unknown policy {self.policy!r}")
+        make_policy(self.policy)  # raises ParameterError for an unknown name
         if self.gain_window < 1:
             raise ParameterError("gain_window must be >= 1")
 

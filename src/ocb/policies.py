@@ -1,5 +1,8 @@
 """Clustering policies: the no-op baseline and five-phase dynamic clustering.
 
+`NoClustering` states the hooks the protocol calls, and `make_policy` is
+the one place that maps a policy name to a policy.
+
 The dynamic policy observes inter-object link crossings per period, keeps
 only significant counts, blends them into a persistent consolidated matrix,
 agglomerates heavy pairs into clustering units, and periodically rewrites
@@ -30,8 +33,8 @@ from .errors import ParameterError, RunError, require_finite
 from .params import ParamGroup
 
 
-class ClusteringPolicy:
-    """Hook surface invoked by the protocol runner.
+class NoClustering:
+    """Baseline, and the hook surface every policy provides to the protocol.
 
     `on_link_crossing(accessed, links, expanded)` runs once per
     transaction, after its walk and before its accesses go through the
@@ -41,10 +44,9 @@ class ClusteringPolicy:
     none, the consecutive pairs of `accessed`. `on_transaction_end` and
     `maybe_reorganize` run after every transaction. Hooks must not change
     which objects a traversal visits, nor the lists and tables they are
-    handed; they may only affect physical placement and overhead I/O.
+    handed; they may only affect physical placement and overhead I/O. This
+    one never touches placement and never spends overhead I/O.
     """
-
-    name = "none"
 
     def on_link_crossing(self, accessed: list[int], links: list[tuple[int, ...]],
                          expanded: list[int]) -> None:
@@ -56,10 +58,6 @@ class ClusteringPolicy:
     def maybe_reorganize(self, storage):
         """Return a new placement dict to apply, or None to leave it alone."""
         return None
-
-
-class NoClustering(ClusteringPolicy):
-    """Baseline: never touches placement, never spends overhead I/O."""
 
 
 @dataclass
@@ -357,10 +355,9 @@ def dstc_reorganize(state: DstcState, storage) -> dict[int, tuple[int, int]]:
     return storage.pack_order(order)
 
 
-class DstcPolicy(ClusteringPolicy):
-    """Wire the five phases into the protocol's hook surface."""
-
-    name = "dstc"
+class DstcPolicy:
+    """Wire the five phases into the protocol's hook surface (see
+    `NoClustering`)."""
 
     def __init__(self, params: DstcParams | None = None):
         self.params = params or DstcParams()
@@ -388,9 +385,11 @@ class DstcPolicy(ClusteringPolicy):
         return dstc_reorganize(self.state, storage)
 
 
-def make_policy(name: str, dstc_params: DstcParams | None = None) -> ClusteringPolicy:
-    if name == "none":
-        return NoClustering()
-    if name == "dstc":
-        return DstcPolicy(dstc_params)
-    raise ParameterError(f"unknown policy {name!r} (expected 'none' or 'dstc')")
+def make_policy(name: str,
+                dstc_params: DstcParams | None = None) -> NoClustering | DstcPolicy:
+    """The policy called `name`; the only place that knows the names."""
+    policies = {"none": NoClustering, "dstc": partial(DstcPolicy, dstc_params)}
+    if name not in policies:
+        raise ParameterError(f"unknown policy {name!r} "
+                             f"(expected {' or '.join(map(repr, policies))})")
+    return policies[name]()

@@ -56,11 +56,12 @@ class StorageParams(ParamGroup):
 class StorageState:
     """Mutable per-experiment state: placement, page map, buffer, counters.
 
-    `placement` maps each object id to its (first page, byte offset). It is
-    read-only outside `rewrite_placement`: `_install`, which sets it for
-    `place_sequential` and `rewrite_placement`, derives from it the page
-    map that `access_object` reads, so an edit made anywhere else would
-    leave it stale.
+    `placement` maps each object id to its (first page, byte offset). A
+    state is made with the objects packed first-fit in the order of `sizes`.
+    The placement is read-only outside `rewrite_placement`: `_install`,
+    which sets it there and when the state is made, derives from it the
+    page map that `access_object` reads, so an edit made anywhere else
+    would leave it stale.
 
     The LRU buffer `_buffer`, least recently used first, is always full: it
     holds F frames, F = min(buffer_pages, the most pages a placement can
@@ -78,7 +79,6 @@ class StorageState:
         params.validate()
         self.params = params
         self.sizes = sizes
-        self.placement: dict[int, tuple[int, int]] = {}
         page_size = params.page_size
         # oversized object id -> page run length
         self._runs: dict[int, int] = {oid: -(-size // page_size)
@@ -87,7 +87,6 @@ class StorageState:
             oid = next(iter(self._runs))
             raise PlacementError(
                 f"object {oid} ({sizes[oid]} bytes) exceeds page size {page_size}")
-        self._page_of: dict[int, int] = {}  # single-page object id -> its page
         frames = min(params.buffer_pages,
                      len(sizes) + sum(self._runs.values()) - len(self._runs))
         self._buffer: "OrderedDict[int, None]" = OrderedDict.fromkeys(range(-frames, 0))
@@ -96,11 +95,13 @@ class StorageState:
         self.overhead_reads = 0
         self.overhead_writes = 0
         self.objects_accessed = 0
+        self._install(self.pack_order(list(sizes)))
 
     # -- placement ---------------------------------------------------------
 
     def _install(self, placement: dict[int, tuple[int, int]]) -> None:
         self.placement = placement
+        # single-page object id -> its page
         page_of = dict(zip(placement, map(_first_page, placement.values())))
         for oid in self._runs:
             del page_of[oid]
@@ -254,6 +255,4 @@ class StorageState:
 
 def place_sequential(db, storage_params: StorageParams) -> StorageState:
     """Baseline placement: objects packed first-fit in ascending id order."""
-    state = StorageState(storage_params, {obj.id: obj.size for obj in db.objects})
-    state._install(state.pack_order([obj.id for obj in db.objects]))
-    return state
+    return StorageState(storage_params, {obj.id: obj.size for obj in db.objects})

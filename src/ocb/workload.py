@@ -40,7 +40,6 @@ from .distributions import (
 from ._collector import collector_paused
 from .errors import ParameterError, RunError, require_finite
 from .params import ParamGroup
-from .policies import NoClustering
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -259,15 +258,11 @@ class _ClientStreams:
         self.directions = substream(seed, f"tx-directions:{client}")
         self.stochastic = substream(seed, f"tx-stochastic:{client}")
         self.think = substream(seed, f"tx-think:{client}")
-        self._draw_root = position_drawer(dist5, self.roots, 1, no, no)
-        self.previous_root: int | None = None
-
-    def draw_root(self) -> int:
         # Special root selection anchors at the client's previous root,
         # modeling a transaction stream with temporal locality; the first
         # draw (no anchor yet) is uniform.
-        root = self.previous_root = self._draw_root(self.previous_root)
-        return root
+        self.draw_root = position_drawer(dist5, self.roots, 1, no, no)
+        self.previous_root: int | None = None
 
 
 def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
@@ -305,9 +300,10 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
     `on_link_crossing(accessed, links, expanded)` call, and its access list is
     replayed through the buffer; the faults it takes and its simulated time
     are counted here and nowhere else. Then the policy's period bookkeeping
-    and optional physical reorganization run. A `policy` of None runs
-    without clustering. A run whose simulated clock overflows to infinity
-    raises RunError, so no report holds an infinite time.
+    and optional physical reorganization run. `policy` is any object with
+    the three hooks of `NoClustering`, the baseline. A run whose simulated
+    clock overflows to infinity raises RunError, so no report holds an
+    infinite time.
 
     Once the parameters are checked, the cyclic garbage collector is
     suspended for the whole run, transactions, policy phases and storage
@@ -325,8 +321,6 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
         raise ParameterError(
             f"hierarchy_ref_type {params.hierarchy_ref_type} exceeds nreft "
             f"{db.params.nreft}")
-    if policy is None:
-        policy = NoClustering()
     with collector_paused():
         no = len(db.objects)
         streams = [_ClientStreams(params.seed, c, params.dist5, no)
@@ -340,7 +334,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
             for _ in range(count):
                 for client, s in enumerate(streams, start=1):
                     kind = _draw_type(s.types, params)
-                    root = s.draw_root()
+                    root = s.previous_root = s.draw_root(s.previous_root)
                     reversed_run = (params.reverse_probability > 0.0
                                     and s.directions.random() < params.reverse_probability)
                     direction = REVERSE if reversed_run else FORWARD

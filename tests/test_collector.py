@@ -16,7 +16,7 @@ from ocb.generator import (
     save_database,
 )
 from ocb.metrics import aggregate
-from ocb.policies import ClusteringPolicy, DstcParams, make_policy
+from ocb.policies import DstcParams, NoClustering, make_policy
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import WorkloadParams, run_protocol
 
@@ -106,7 +106,7 @@ def test_failed_load_restores_the_collector_state(tmp_path, collector_state, ena
     assert gc.isenabled() is enabled
 
 
-class InvalidPlacementPolicy(ClusteringPolicy):
+class InvalidPlacementPolicy(NoClustering):
     """Asks for a placement that covers only object 1, after `after` transactions."""
 
     def __init__(self, after: int):

@@ -505,6 +505,32 @@ def test_cli_rejects_preset_key_in_config_file(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_unknown_policy_is_config_error_before_generation(tmp_path, capsys,
+                                                               monkeypatch):
+    def generate_nothing(params):
+        raise AssertionError("generate_database called for an unknown policy")
+
+    monkeypatch.setattr("ocb.cli.generate_database", generate_nothing)
+    assert main(["run", "--policy", "magic", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown policy 'magic'" in err and "'none' or 'dstc'" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_cli_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch, command):
+    # a configuration too large for the host ends with a message, not a traceback
+    def out_of_memory(params):
+        raise MemoryError
+
+    monkeypatch.setattr("ocb.cli.generate_database", out_of_memory)
+    out = ["--out-dir", str(tmp_path)] if command == "run" else ["--out", str(tmp_path / "x")]
+    assert main([command, "--no", "100", *out]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: this configuration needs more memory than is available\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [("--think", "inf"), ("--io-cost", "nan"),
                                          ("--selection-threshold", "nan")])
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, value):

@@ -629,6 +629,7 @@ def test_hierarchy_chain_workload_improves_after_reorganization():
 def test_make_policy_names():
     assert isinstance(make_policy("none"), NoClustering)
     assert isinstance(make_policy("dstc"), DstcPolicy)
+    assert not isinstance(make_policy("dstc"), NoClustering)
     with pytest.raises(ParameterError):
         make_policy("magic")
 

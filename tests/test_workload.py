@@ -18,6 +18,7 @@ from helpers import (
 from ocb.distributions import Constant, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
+from ocb.policies import NoClustering
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
     CSV_COLUMNS,
@@ -291,7 +292,7 @@ def test_protocol_counts_faults_and_simulated_time():
                                                  io_cost=1.0, cpu_cost=0.5))
     params = WorkloadParams(coldn=0, hotn=1, simdepth=1, pset=0.0, psimple=1.0,
                             phier=0.0, pstoch=0.0, dist5=Constant(1))
-    log = run_protocol(db, storage, params, None)
+    log = run_protocol(db, storage, params, NoClustering())
     [record] = log.records
     assert record.objects == 2
     assert record.faults == 2
@@ -312,7 +313,7 @@ def test_protocol_single_hot_set_transaction():
     db = build_db([(1, [2]), (1, [])])
     params = protocol_params(coldn=0, hotn=1, pset=1.0, psimple=0.0,
                              phier=0.0, pstoch=0.0)
-    log = run_protocol(db, storage_for(db), params, None)
+    log = run_protocol(db, storage_for(db), params, NoClustering())
     assert len(log.records) == 1
     record = log.records[0]
     assert record.phase == "HOT" and record.type == "set"
@@ -321,7 +322,7 @@ def test_protocol_single_hot_set_transaction():
 def test_protocol_phases_and_counts():
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=25, seed=2))
     params = protocol_params(coldn=4, hotn=6)
-    log = run_protocol(db, storage_for(db), params, None)
+    log = run_protocol(db, storage_for(db), params, NoClustering())
     assert len(log.records) == 10
     assert [r.phase for r in log.records] == ["COLD"] * 4 + ["HOT"] * 6
     assert [r.index for r in log.records] == list(range(10))
@@ -330,7 +331,7 @@ def test_protocol_phases_and_counts():
 def test_protocol_type_frequencies():
     db = build_db([(1, [])] * 4)  # no links: every transaction is one access
     params = protocol_params(coldn=0, hotn=10_000)
-    log = run_protocol(db, storage_for(db), params, None)
+    log = run_protocol(db, storage_for(db), params, NoClustering())
     counts = {}
     for r in log.records:
         counts[r.type] = counts.get(r.type, 0) + 1
@@ -341,17 +342,17 @@ def test_protocol_type_frequencies():
 def test_protocol_empty_database_rejected():
     db = generate_database(GeneratorParams(nc=1, maxnref=0, no=0, seed=0))
     with pytest.raises(RunError):
-        run_protocol(db, storage_for(db), protocol_params(), None)
+        run_protocol(db, storage_for(db), protocol_params(), NoClustering())
     # zero transactions on an empty database is fine
-    log = run_protocol(db, storage_for(db), protocol_params(coldn=0, hotn=0), None)
+    log = run_protocol(db, storage_for(db), protocol_params(coldn=0, hotn=0), NoClustering())
     assert log.records == []
 
 
 def test_protocol_replayable():
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=30, seed=4))
-    log_a = run_protocol(db, storage_for(db), protocol_params(seed=11), None)
-    log_b = run_protocol(db, storage_for(db), protocol_params(seed=11), None)
-    log_c = run_protocol(db, storage_for(db), protocol_params(seed=12), None)
+    log_a = run_protocol(db, storage_for(db), protocol_params(seed=11), NoClustering())
+    log_b = run_protocol(db, storage_for(db), protocol_params(seed=11), NoClustering())
+    log_c = run_protocol(db, storage_for(db), protocol_params(seed=12), NoClustering())
     assert log_a.records == log_b.records
     assert log_a.records != log_c.records
 
@@ -360,7 +361,7 @@ def test_protocol_constant_root_and_reverse_probability():
     db = build_db([(1, [2]), (1, [])])
     params = protocol_params(coldn=0, hotn=20, dist5=Constant(2),
                              reverse_probability=1.0)
-    log = run_protocol(db, storage_for(db), params, None)
+    log = run_protocol(db, storage_for(db), params, NoClustering())
     assert all(r.root == 2 for r in log.records)
     assert all(r.direction == "reverse" for r in log.records)
 
@@ -369,31 +370,31 @@ def test_protocol_hierarchy_type_out_of_range():
     db = generate_database(GeneratorParams(nc=2, maxnref=1, no=5, nreft=2, seed=1))
     params = protocol_params(hierarchy_ref_type=9)
     with pytest.raises(ParameterError):
-        run_protocol(db, storage_for(db), params, None)
+        run_protocol(db, storage_for(db), params, NoClustering())
 
 
 def test_protocol_think_time_advances_clock():
     db = build_db([(1, [])] * 3)
-    quiet = run_protocol(db, storage_for(db), protocol_params(seed=3), None)
-    slow = run_protocol(db, storage_for(db), protocol_params(seed=3, think=5.0), None)
+    quiet = run_protocol(db, storage_for(db), protocol_params(seed=3), NoClustering())
+    slow = run_protocol(db, storage_for(db), protocol_params(seed=3, think=5.0), NoClustering())
     assert slow.clock > quiet.clock
-    again = run_protocol(db, storage_for(db), protocol_params(seed=3, think=5.0), None)
+    again = run_protocol(db, storage_for(db), protocol_params(seed=3, think=5.0), NoClustering())
     assert slow.clock == again.clock
 
 
 def test_protocol_multi_client_interleaves_deterministically():
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=30, seed=4))
     params = protocol_params(coldn=2, hotn=2, clientn=3, seed=6)
-    log = run_protocol(db, storage_for(db), params, None)
+    log = run_protocol(db, storage_for(db), params, NoClustering())
     assert len(log.records) == 12
     assert [r.client for r in log.records[:6]] == [1, 2, 3, 1, 2, 3]
-    log_b = run_protocol(db, storage_for(db), params, None)
+    log_b = run_protocol(db, storage_for(db), params, NoClustering())
     assert log.records == log_b.records
 
 
 def test_per_type_totals_sum_to_global():
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=40, seed=8))
-    log = run_protocol(db, storage_for(db), protocol_params(coldn=30, hotn=50), None)
+    log = run_protocol(db, storage_for(db), protocol_params(coldn=30, hotn=50), NoClustering())
     total_objects = sum(r.objects for r in log.records)
     by_type = {}
     for r in log.records:
@@ -405,7 +406,7 @@ def test_per_type_totals_sum_to_global():
 
 def test_csv_round_trip(tmp_path):
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=25, seed=3))
-    log = run_protocol(db, storage_for(db), protocol_params(coldn=3, hotn=4), None)
+    log = run_protocol(db, storage_for(db), protocol_params(coldn=3, hotn=4), NoClustering())
     path = tmp_path / "report.csv"
     write_log_csv(log, str(path))
     with open(path, encoding="utf-8", newline="") as fh:
