@@ -22,6 +22,7 @@ from .metrics import (
     write_json,
     write_report_csv,
 )
+from .params import read_json
 from .policies import make_policy
 from .presets import PRESETS
 from .storage import place_sequential
@@ -136,10 +137,10 @@ def _load_report(path: str) -> MetricsReport:
         raise OcbError(f"{path}: unsupported report format {payload.get('format')!r}")
     try:
         report = MetricsReport.from_dict(payload["metrics"])
+        report.fingerprint = read_json("str | None", "fingerprint", payload.get("fingerprint"))
     except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
         raise OcbError(f"{path}: malformed report metrics: "
                        f"{type(exc).__name__}: {exc}") from None
-    report.fingerprint = payload.get("fingerprint")
     return report
 
 

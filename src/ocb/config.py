@@ -94,10 +94,11 @@ def build_config(preset: str | None = None,
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a flat key=value UTF-8 file; '#' starts a comment."""
+    """Parse a flat key=value UTF-8 file, with or without a byte order mark;
+    '#' starts a comment."""
     overrides: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: config file is not UTF-8 text: {exc}") from None

@@ -1,7 +1,4 @@
-"""Exception types shared across the benchmark engine, and the finite-number
-check that every parameter group applies to its float fields."""
-
-import math
+"""Exception types shared across the benchmark engine."""
 
 
 class OcbError(Exception):
@@ -10,13 +7,6 @@ class OcbError(Exception):
 
 class ParameterError(OcbError):
     """A parameter set violates its invariants (config error, exit code 2)."""
-
-
-def require_finite(**values: float) -> None:
-    """Raise ParameterError for the first value that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be a finite number (got {value})")
 
 
 class FormatError(OcbError):

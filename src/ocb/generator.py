@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterator, NoReturn
 
 from .distributions import (
     Distribution,
@@ -22,7 +22,7 @@ from .distributions import (
 )
 from ._collector import collector_paused
 from .errors import FormatError, ParameterError
-from .params import ParamGroup
+from .params import ParamGroup, bounded
 
 DB_MAGIC = "OCBDB1"
 DB_FORMAT = 1
@@ -36,14 +36,14 @@ class GeneratorParams(ParamGroup):
     or a per-class sequence of length `nc`.
     """
 
-    nc: int = 20
-    maxnref: int | tuple[int, ...] = 10
-    basesize: int | tuple[int, ...] = 50
-    no: int = 20000
-    nreft: int = 4
+    nc: int = bounded(20, 1)
+    maxnref: int | tuple[int, ...] = bounded(10, 0)
+    basesize: int | tuple[int, ...] = bounded(50, 0)
+    no: int = bounded(20000, 0)
+    nreft: int = bounded(4, 1)
     infclass: int = 1
     supclass: int | None = None  # None resolves to nc
-    infref: int = 1
+    infref: int = bounded(1, 1)
     supref: int | None = None  # None resolves to no
     dist1: Distribution = Uniform()
     dist2: Distribution = Uniform()
@@ -70,27 +70,15 @@ class GeneratorParams(ParamGroup):
         return self.basesize if isinstance(self.basesize, int) else self.basesize[class_id - 1]
 
     def validate(self) -> None:
-        if self.nc < 1:
-            raise ParameterError("nc must be >= 1")
-        if self.no < 0:
-            raise ParameterError("no must be >= 0")
-        if self.nreft < 1:
-            raise ParameterError("nreft must be >= 1")
-        for per_class, name in ((self.maxnref, "maxnref"), (self.basesize, "basesize")):
-            if isinstance(per_class, int):
-                values: Sequence[int] = (per_class,)
-            else:
-                if len(per_class) != self.nc:
-                    raise ParameterError(f"{name} list must have nc={self.nc} entries")
-                values = per_class
-            if any(v < 0 for v in values):
-                raise ParameterError(f"{name} entries must be >= 0")
+        super().validate()
+        for name in ("maxnref", "basesize"):
+            per_class = getattr(self, name)
+            if not isinstance(per_class, int) and len(per_class) != self.nc:
+                raise ParameterError(f"{name} list must have nc={self.nc} entries")
         if not 0 <= self.infclass <= self.supclass <= self.nc:
             raise ParameterError(
                 f"class interval [{self.infclass}, {self.supclass}] "
                 f"invalid for nc={self.nc}")
-        if self.infref < 1:
-            raise ParameterError("infref must be >= 1")
         if self.no > 0 and self.infref > self.supref:
             raise ParameterError(
                 f"object interval [{self.infref}, {self.supref}] invalid")
@@ -471,10 +459,8 @@ def _regenerate(path: str, params: GeneratorParams, size: int) -> Database:
 
     check("nc", params.nc, "classes", len(_SHORTEST_CLASS))
     check("no", params.no, "objects", len(_SHORTEST_OBJECT))
-    maxnref = params.maxnref
-    check("maxnref", maxnref * params.nc if isinstance(maxnref, int) else sum(maxnref),
-          "class reference slots")
     slots = [params.maxnref_of(class_id) for class_id in range(1, params.nc + 1)]
+    check("maxnref", sum(slots), "class reference slots")
     check("maxnref", sum(_draw_classes(slots, params)), "reference slots over the objects")
     return generate_database(params)
 

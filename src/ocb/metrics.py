@@ -10,12 +10,12 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import ComparisonError
-from .params import ParamGroup, read_json
-from .workload import TRANSACTION_TYPES, ExperimentLog
+from .errors import ComparisonError, ParameterError
+from .params import ParamGroup, bounded, read_json
+from .workload import PHASES, TRANSACTION_TYPES, ExperimentLog
 
 ALL = "all"
-PHASES = ("COLD", "HOT")
+STAT_TYPES = (ALL,) + TRANSACTION_TYPES  # the types of each phase's stats
 DEFAULT_GAIN_WINDOW = 500
 
 REPORT_CSV_COLUMNS = ("phase", "type", "count", "total_objects", "mean_objects",
@@ -24,12 +24,12 @@ REPORT_CSV_COLUMNS = ("phase", "type", "count", "total_objects", "mean_objects",
 
 @dataclass
 class TypeStats(ParamGroup):
-    count: int = 0
-    total_objects: int = 0
-    mean_objects: float = 0.0
-    total_faults: int = 0
-    mean_faults: float = 0.0
-    mean_time: float = 0.0
+    count: int = bounded(0, 0)
+    total_objects: int = bounded(0, 0)
+    mean_objects: float = bounded(0.0, 0)
+    total_faults: int = bounded(0, 0)
+    mean_faults: float = bounded(0.0, 0)
+    mean_time: float = bounded(0.0, 0)
 
 
 @dataclass
@@ -50,13 +50,26 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        """Inverse of `to_dict`; a missing `fingerprint` reads as None. A value
-        of the wrong JSON type raises ParameterError naming its field."""
+        """Inverse of `to_dict`; a missing `fingerprint` reads as None. Raises
+        ParameterError naming a field of the wrong JSON type or outside its
+        bounds, or stats that do not hold each type of each phase."""
+        d = {"fingerprint": None, **d}
         values = {f.name: read_json(f.type, f.name, d[f.name])
-                  for f in fields(cls) if f.name not in ("stats", "fingerprint")}
-        values["stats"] = {phase: {kind: TypeStats.from_dict(s) for kind, s in kinds.items()}
-                           for phase, kinds in d["stats"].items()}
-        return cls(**values, fingerprint=d.get("fingerprint"))
+                  for f in fields(cls) if f.name != "stats"}
+        stats = d["stats"]
+        if stats.keys() != set(PHASES) or any(kinds.keys() != set(STAT_TYPES)
+                                              for kinds in stats.values()):
+            raise ParameterError(f"stats must hold the phases {list(PHASES)}, each with "
+                                 f"the types {list(STAT_TYPES)}")
+        values["stats"] = {phase: {kind: _checked_stats(s) for kind, s in kinds.items()}
+                           for phase, kinds in stats.items()}
+        return cls(**values)
+
+
+def _checked_stats(d: dict) -> TypeStats:
+    stats = TypeStats.from_dict(d)
+    stats.validate()
+    return stats
 
 
 def _stats_of(records) -> TypeStats:
@@ -147,7 +160,7 @@ def compare(report_a: MetricsReport, report_b: MetricsReport,
     comparison = Comparison(gain_a=report_a.gain_factor, gain_b=report_b.gain_factor,
                             forced=report_a.fingerprint != report_b.fingerprint)
     for phase in PHASES:
-        for kind in (ALL,) + TRANSACTION_TYPES:
+        for kind in STAT_TYPES:
             a = report_a.phase_type(phase, kind)
             b = report_b.phase_type(phase, kind)
             if a.count == 0 and b.count == 0:
@@ -171,7 +184,7 @@ def write_report_csv(report: MetricsReport, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS)
         for phase in PHASES:
-            for kind in (ALL,) + TRANSACTION_TYPES:
+            for kind in STAT_TYPES:
                 s = report.phase_type(phase, kind)
                 writer.writerow((phase, kind, s.count, s.total_objects,
                                  repr(s.mean_objects), s.total_faults,
@@ -184,7 +197,7 @@ def report_text(report: MetricsReport) -> str:
     lines.append(f"{'phase':<6} {'type':<11} {'count':>7} {'mean objs':>10} "
                  f"{'mean faults':>12} {'mean time':>11}")
     for phase in PHASES:
-        for kind in (ALL,) + TRANSACTION_TYPES:
+        for kind in STAT_TYPES:
             s = report.phase_type(phase, kind)
             if s.count == 0 and kind != ALL:
                 continue

@@ -3,13 +3,15 @@
 A field's name is its configuration key and, with '-' for '_', its flag.
 Its annotation names a `Kind`: how a value is read from flag or config
 file text, written to JSON (report.json, the workload fingerprint, the
-database file) and read back from JSON. So a parameter is a field plus
-its check in its group's `validate()`, and nothing else.
+database file) and read back from JSON. Its bounds, if it has any, are
+declared on it with `bounded`, and `ParamGroup.validate` checks them. So a
+parameter is a field with its bounds, plus any check that relates it to
+other fields in its group's `validate()`, and nothing else.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import field, fields
 from typing import Callable, NamedTuple
 
 from .distributions import format_distribution, parse_distribution
@@ -75,6 +77,7 @@ KINDS: dict[str, Kind] = {
     "float | None": Kind(_finite, lambda v: v if v is None else _finite_json(v)),
     "bool": Kind(_boolean, _exactly(bool)),
     "str": Kind(str, _exactly(str)),
+    "str | None": Kind(str, _exactly(str, type(None))),
     # one value for every class, or a comma list with one entry per class
     "int | tuple[int, ...]": Kind(lambda text: _ints(text) if "," in text else int(text),
                                   lambda v: v if type(v) is int else _int_list(v),
@@ -105,8 +108,28 @@ def read_text(annotation: str, key: str, value):
     return _decode(KINDS[annotation].read, key, value.strip())
 
 
+def bounded(default, low, high=None):
+    """A field whose value, or each entry of a per-class list, lies in [low, high]."""
+    return field(default=default, metadata={"bounds": (low, high)})
+
+
 class ParamGroup:
-    """Mixin for a parameter dataclass: its JSON form, derived from its fields."""
+    """Mixin for a parameter dataclass: its JSON form and its bounds check,
+    derived from its fields."""
+
+    def validate(self) -> None:
+        """Raise ParameterError for the first field, in declaration order,
+        that is a float and not finite or that lies outside its bounds."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be a finite number (got {value})")
+            if "bounds" in f.metadata:
+                low, high = f.metadata["bounds"]
+                for entry in value if isinstance(value, (list, tuple)) else (value,):
+                    if entry < low or (high is not None and entry > high):
+                        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+                        raise ParameterError(f"{f.name} must be {bound} (got {entry})")
 
     def to_dict(self) -> dict:
         return {f.name: KINDS[f.type].dump(getattr(self, f.name)) for f in fields(self)}

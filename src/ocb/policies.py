@@ -29,8 +29,8 @@ from functools import partial
 from itertools import chain, filterfalse, pairwise, repeat
 from operator import and_, rshift
 
-from .errors import ParameterError, RunError, require_finite
-from .params import ParamGroup
+from .errors import ParameterError, RunError
+from .params import ParamGroup, bounded
 
 
 class NoClustering:
@@ -62,27 +62,12 @@ class NoClustering:
 
 @dataclass
 class DstcParams(ParamGroup):
-    observation_period: int = 1000  # transactions per observation period
-    selection_threshold: float = 2.0  # minimum crossings kept by selection
-    consolidation_weight: float = 0.5  # blend of fresh stats into the matrix
-    unit_link_threshold: float = 1.0  # minimum weight to enter a unit
-    reorganize_trigger: int = 1  # periods between physical reorganizations
-    max_unit_size: int = 64  # objects per unit; 0 grows whole components
-
-    def validate(self) -> None:
-        require_finite(selection_threshold=self.selection_threshold,
-                       consolidation_weight=self.consolidation_weight,
-                       unit_link_threshold=self.unit_link_threshold)
-        if self.observation_period < 1:
-            raise ParameterError("observation_period must be >= 1")
-        if self.selection_threshold < 0 or self.unit_link_threshold < 0:
-            raise ParameterError("thresholds must be >= 0")
-        if not 0.0 <= self.consolidation_weight <= 1.0:
-            raise ParameterError("consolidation_weight outside [0, 1]")
-        if self.reorganize_trigger < 1:
-            raise ParameterError("reorganize_trigger must be >= 1")
-        if self.max_unit_size < 0:
-            raise ParameterError("max_unit_size must be >= 0")
+    observation_period: int = bounded(1000, 1)  # transactions per observation period
+    selection_threshold: float = bounded(2.0, 0)  # minimum crossings kept by selection
+    consolidation_weight: float = bounded(0.5, 0, 1)  # blend of fresh stats into the matrix
+    unit_link_threshold: float = bounded(1.0, 0)  # minimum weight to enter a unit
+    reorganize_trigger: int = bounded(1, 1)  # periods between physical reorganizations
+    max_unit_size: int = bounded(64, 0)  # objects per unit; 0 grows whole components
 
 
 @dataclass

@@ -29,28 +29,19 @@ from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import itemgetter, lt, ne
 
-from .errors import ParameterError, PlacementError, require_finite
-from .params import ParamGroup
+from .errors import PlacementError
+from .params import ParamGroup, bounded
 
 _first_page = itemgetter(0)  # the page of a (page, offset) position
 
 
 @dataclass
 class StorageParams(ParamGroup):
-    page_size: int = 4096
-    buffer_pages: int = 128
-    io_cost: float = 1.0  # simulated time units per page read or write
-    cpu_cost: float = 0.001  # simulated time units per object access
+    page_size: int = bounded(4096, 1)
+    buffer_pages: int = bounded(128, 1)
+    io_cost: float = bounded(1.0, 0)  # simulated time units per page read or write
+    cpu_cost: float = bounded(0.001, 0)  # simulated time units per object access
     spanning: bool = True  # oversized objects may occupy a dedicated page run
-
-    def validate(self) -> None:
-        if self.page_size < 1:
-            raise ParameterError("page_size must be >= 1")
-        if self.buffer_pages < 1:
-            raise ParameterError("buffer_pages must be >= 1")
-        require_finite(io_cost=self.io_cost, cpu_cost=self.cpu_cost)
-        if self.io_cost < 0 or self.cpu_cost < 0:
-            raise ParameterError("io_cost and cpu_cost must be >= 0")
 
 
 class StorageState:

@@ -38,8 +38,8 @@ from .distributions import (
     validate_distribution,
 )
 from ._collector import collector_paused
-from .errors import ParameterError, RunError, require_finite
-from .params import ParamGroup
+from .errors import ParameterError, RunError
+from .params import ParamGroup, bounded
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -48,6 +48,7 @@ TYPE_SIMPLE = "simple"
 TYPE_HIERARCHY = "hierarchy"
 TYPE_STOCHASTIC = "stochastic"
 TRANSACTION_TYPES = (TYPE_SET, TYPE_SIMPLE, TYPE_HIERARCHY, TYPE_STOCHASTIC)
+PHASES = ("COLD", "HOT")  # the cold run, then the warm run
 
 CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_time")
 
@@ -57,47 +58,29 @@ Walk = tuple[list[int], list[tuple[int, ...]], list[int]]
 
 @dataclass
 class WorkloadParams(ParamGroup):
-    setdepth: int = 3
-    simdepth: int = 3
-    hiedepth: int = 5
-    stodepth: int = 50
-    coldn: int = 1000
-    hotn: int = 10000
-    think: float = 0.0
-    pset: float = 0.25
-    psimple: float = 0.25
-    phier: float = 0.25
-    pstoch: float = 0.25
+    setdepth: int = bounded(3, 0)
+    simdepth: int = bounded(3, 0)
+    hiedepth: int = bounded(5, 0)
+    stodepth: int = bounded(50, 0)
+    coldn: int = bounded(1000, 0)
+    hotn: int = bounded(10000, 0)
+    think: float = bounded(0.0, 0)
+    pset: float = bounded(0.25, 0)
+    psimple: float = bounded(0.25, 0)
+    phier: float = bounded(0.25, 0)
+    pstoch: float = bounded(0.25, 0)
     dist5: Distribution = Uniform()
-    clientn: int = 1
-    reverse_probability: float = 0.0
-    hierarchy_ref_type: int = 1
+    clientn: int = bounded(1, 1)
+    reverse_probability: float = bounded(0.0, 0, 1)
+    hierarchy_ref_type: int = bounded(1, 1)
     seed: int = 0
 
     def validate(self) -> None:
-        require_finite(think=self.think, pset=self.pset, psimple=self.psimple,
-                       phier=self.phier, pstoch=self.pstoch,
-                       reverse_probability=self.reverse_probability)
+        super().validate()
         probs = (self.pset, self.psimple, self.phier, self.pstoch)
-        if any(p < 0 for p in probs):
-            raise ParameterError("transaction probabilities must be >= 0")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ParameterError(
                 f"pset+psimple+phier+pstoch must sum to 1 (got {sum(probs)})")
-        for depth, name in ((self.setdepth, "setdepth"), (self.simdepth, "simdepth"),
-                            (self.hiedepth, "hiedepth"), (self.stodepth, "stodepth")):
-            if depth < 0:
-                raise ParameterError(f"{name} must be >= 0")
-        if self.coldn < 0 or self.hotn < 0:
-            raise ParameterError("coldn and hotn must be >= 0")
-        if self.clientn < 1:
-            raise ParameterError("clientn must be >= 1")
-        if not 0.0 <= self.reverse_probability <= 1.0:
-            raise ParameterError("reverse_probability outside [0, 1]")
-        if self.think < 0:
-            raise ParameterError("think must be >= 0")
-        if self.hierarchy_ref_type < 1:
-            raise ParameterError("hierarchy_ref_type must be >= 1")
         validate_distribution(self.dist5, 1, 1 << 62, "dist5", allow_special=True)
 
 
@@ -216,8 +199,8 @@ def choose_slot(rng: random.Random, slot_count: int) -> int | None:
     return None
 
 
-def stochastic_traversal(db, root, depth, direction=FORWARD,
-                         rng: random.Random | None = None) -> Walk:
+def stochastic_traversal(db, root, depth, direction=FORWARD, *,
+                         rng: random.Random) -> Walk:
     """Random walk choosing one slot per hop; stops on a NULL choice,
     a dead end, the residual stop mass, or after `depth` hops.
 
@@ -225,8 +208,6 @@ def stochastic_traversal(db, root, depth, direction=FORWARD,
     reversed, over the object's back references. The walk is a path, so
     each access is the source of the next crossing: it returns the link
     table of its direction and expands nothing."""
-    if rng is None:
-        rng = random.Random(0)
     reverse = direction == REVERSE
     links = db.link_table(reverse)
     objects = db.objects
@@ -277,7 +258,7 @@ def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
 
 
 def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction: str,
-                    rng: random.Random | None = None) -> Walk:
+                    rng: random.Random) -> Walk:
     """Run one traversal of type `kind`; return its (accessed, links, expanded)."""
     if kind == TYPE_SET:
         return set_oriented_access(db, root, params.setdepth, direction)
@@ -287,7 +268,7 @@ def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction:
         return hierarchy_traversal(db, root, params.hiedepth, params.hierarchy_ref_type,
                                    direction)
     if kind == TYPE_STOCHASTIC:
-        return stochastic_traversal(db, root, params.stodepth, direction, rng)
+        return stochastic_traversal(db, root, params.stodepth, direction, rng=rng)
     raise ParameterError(f"unknown transaction type {kind!r}")
 
 
@@ -330,7 +311,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
         io_cost = storage.params.io_cost
         cpu_cost = storage.params.cpu_cost
         index = 0
-        for phase, count in (("COLD", params.coldn), ("HOT", params.hotn)):
+        for phase, count in zip(PHASES, (params.coldn, params.hotn)):
             for _ in range(count):
                 for client, s in enumerate(streams, start=1):
                     kind = _draw_type(s.types, params)

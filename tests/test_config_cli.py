@@ -54,6 +54,15 @@ def test_flags_override_config_file_and_preset(tmp_path):
     assert config.generator.maxnref == 3  # preset survives where not overridden
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    config_file = tmp_path / "bom.conf"
+    config_file.write_bytes("no = 40\nnc = 3\n".encode("utf-8-sig"))
+    assert read_config_file(str(config_file)) == {"no": "40", "nc": "3"}
+    assert main(["generate", "--config", str(config_file),
+                 "--out", str(tmp_path / "db.ocb")]) == 0
+    assert capsys.readouterr().out.startswith("generated 40 objects over 3 classes")
+
+
 def test_config_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("this is not a key value line\n")
@@ -611,13 +620,38 @@ def test_cli_compare_mismatched_seeds_requires_force(tmp_path):
     assert main(["compare", report_a, report_b, "--force"]) == 0
 
 
-@pytest.mark.parametrize("body", ["x\n", '{"format": 1}\n', DEEP_JSON],
-                         ids=["not-json", "no-metrics", "nested-too-deep"])
-def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
+@pytest.mark.parametrize("body, message", [
+    ("x\n", "not readable JSON"), ('{"format": 1}\n', "malformed report metrics"),
+    (DEEP_JSON, "not readable JSON"), ("[1, 2]\n", "report is not a JSON object"),
+    ('{"format": 2}\n', "unsupported report format 2"),
+], ids=["not-json", "no-metrics", "nested-too-deep", "not-an-object", "unsupported-format"])
+def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body, message):
     path = tmp_path / "r.json"
     path.write_text(body)
     assert main(["compare", str(path), str(path)]) == 3
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload["metrics"].update(stats={"X": {}}), "stats must hold the phases"),
+    (lambda payload: payload["metrics"]["stats"]["HOT"].pop("set"), "stats must hold the phases"),
+    (lambda payload: payload["metrics"]["stats"]["HOT"].update(Y={}),
+     "stats must hold the phases"),
+    (lambda payload: payload.update(fingerprint=5), "bad value for fingerprint"),
+], ids=["unknown-phase-only", "missing-type", "unknown-type", "int-top-level-fingerprint"])
+def test_cli_compare_checks_report_stats_keys_and_fingerprint(tmp_path, capsys, edit,
+                                                              message):
+    out_dir = tmp_path / "r"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "report.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(path), str(path), "--force"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
 
 
 @pytest.mark.parametrize("phase, field, value", [
@@ -627,8 +661,12 @@ def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body):
     ("HOT", "mean_faults", float("nan")),
     (None, "gain_factor", float("inf")),
     ("HOT", "mean_faults", 10**400),
+    ("HOT", "count", -1),
+    ("COLD", "mean_time", -0.5),
+    (None, "fingerprint", 5),
 ], ids=["string-mean-faults", "string-gain-factor", "true-mean-faults", "nan-mean-faults",
-        "infinite-gain-factor", "mean-faults-past-the-float-range"])
+        "infinite-gain-factor", "mean-faults-past-the-float-range", "negative-count",
+        "negative-mean-time", "int-fingerprint"])
 def test_cli_compare_wrong_typed_metric_is_runtime_error(tmp_path, capsys, phase, field,
                                                          value):
     out_dir = tmp_path / "r"

@@ -2,13 +2,14 @@
 `ocb run` flag, a text reading and a JSON form, with nothing else to edit."""
 import hashlib
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ocb.cli import build_parser
+from ocb.cli import build_parser, main
 from ocb.config import ALL_KEYS, GROUPS, ExperimentConfig, build_config
 from ocb.errors import ParameterError
 from ocb.generator import GenerationReport, GeneratorParams
@@ -92,3 +93,58 @@ def test_readme_names_every_flag():
     section = text.split("### Parameters", 1)[1].split("\n#", 1)[0]
     named = set(re.findall(r"--[a-z0-9-]+", section))
     assert {f"--{key.replace('_', '-')}" for key in ALL_KEYS} <= named
+
+
+def just_outside(f) -> list:
+    """The values next to a bounded field's bounds that lie outside them,
+    and for a per-class field a list with one such entry."""
+    low, high = f.metadata["bounds"]
+    if f.type == "float":
+        values = [math.nextafter(low, -math.inf)]
+        values += [] if high is None else [math.nextafter(high, math.inf)]
+    else:
+        values = [low - 1] + ([] if high is None else [high + 1])
+    if f.type == "int | tuple[int, ...]":
+        nc = GeneratorParams().nc
+        values += [[low] * (nc - 1) + [value] for value in values]
+    return values
+
+
+OUTSIDE = [(group, f.name, value) for group in GROUPS.values() for f in fields(group)
+           if "bounds" in f.metadata for value in just_outside(f)]
+OUTSIDE_IDS = [f"{key}={value[-1]!r}-in-a-list" if isinstance(value, list) else f"{key}={value!r}"
+               for _, key, value in OUTSIDE]
+
+
+@pytest.mark.parametrize("group, key, value", OUTSIDE, ids=OUTSIDE_IDS)
+def test_a_value_just_outside_its_bounds_is_rejected(group, key, value):
+    with pytest.raises(ParameterError, match=f"^{key} must be "):
+        group(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("group, key, value", OUTSIDE, ids=OUTSIDE_IDS)
+def test_cli_rejects_a_value_just_outside_its_bounds_before_generation(
+        group, key, value, tmp_path, capsys, monkeypatch):
+    def generate_nothing(params):
+        raise AssertionError("generate_database called for a value outside its bounds")
+
+    monkeypatch.setattr("ocb.cli.generate_database", generate_nothing)
+    text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+    # one argument, since argparse reads a text such as -5e-324 as an option
+    assert main(["run", f"--{key.replace('_', '-')}={text}",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, code", [("off", 0), ("maybe", 2)])
+def test_cli_reads_a_boolean_flag(tmp_path, capsys, text, code):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--nc", "3", "--no", "40", "--coldn", "2", "--hotn", "3",
+                 "--spanning", text, "--out-dir", str(out_dir)]) == code
+    if code == 0:
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["storage"]["spanning"] is False
+    else:
+        assert "bad value for spanning: not a boolean: maybe" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -177,7 +177,7 @@ def engine_events(db, kind, root, depth, direction, ref_type=1, seed=0):
                                                         direction)
     else:
         accessed, links, expanded = stochastic_traversal(db, root, depth, direction,
-                                                         substream(seed, "engine"))
+                                                         rng=substream(seed, "engine"))
     assert links is db.link_table(direction == "reverse",
                                   ref_type if kind == "hierarchy" else None)
     if expanded:
