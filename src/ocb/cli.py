@@ -31,6 +31,9 @@ from .workload import run_protocol, write_log_csv
 REPORT_FORMAT = 1
 
 
+_PARAM_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in ALL_KEYS)
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("parameters (override preset and config file)")
     for key in ALL_KEYS:
@@ -38,6 +41,30 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
             continue  # --seed is declared separately with env fallback
         group.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
                            metavar="V")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each parameter flag to a following value that starts with a
+    negative number, as `--think=-1e-3`. argparse reads such a value as an
+    option unless it is shaped like `-1` or `-.5`, so `-1e-3` or a per-class
+    list `-1,2,3` would not reach the parameter's own check."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _PARAM_FLAGS and _is_negative_value(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_negative_value(text: str) -> bool:
+    """Whether `text` is a negative number, or a comma list of numbers led by one."""
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return text.startswith("-")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -200,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParameterError as exc:

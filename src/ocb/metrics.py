@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ComparisonError, ParameterError
-from .params import ParamGroup, bounded, read_json
+from .params import ParamGroup, bounded, check_bounds, read_json
 from .workload import PHASES, TRANSACTION_TYPES, ExperimentLog
 
 ALL = "all"
@@ -35,11 +35,11 @@ class TypeStats(ParamGroup):
 @dataclass
 class MetricsReport:
     stats: dict[str, dict[str, TypeStats]] = field(default_factory=dict)
-    overhead_reads: int = 0
-    overhead_writes: int = 0
-    gain_factor: float | None = None
-    gain_window: int = DEFAULT_GAIN_WINDOW
-    reorganizations: int = 0
+    overhead_reads: int = bounded(0, 0)
+    overhead_writes: int = bounded(0, 0)
+    gain_factor: float | None = bounded(None, 0)
+    gain_window: int = bounded(DEFAULT_GAIN_WINDOW, 1)
+    reorganizations: int = bounded(0, 0)
     fingerprint: str | None = None
 
     def phase_type(self, phase: str, kind: str = ALL) -> TypeStats:
@@ -63,7 +63,10 @@ class MetricsReport:
                                  f"the types {list(STAT_TYPES)}")
         values["stats"] = {phase: {kind: _checked_stats(s) for kind, s in kinds.items()}
                            for phase, kinds in stats.items()}
-        return cls(**values)
+        report = cls(**values)
+        for f in fields(report):
+            check_bounds(report, f)
+        return report
 
 
 def _checked_stats(d: dict) -> TypeStats:

@@ -11,7 +11,7 @@ other fields in its group's `validate()`, and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import field, fields
+from dataclasses import Field, field, fields
 from typing import Callable, NamedTuple
 
 from .distributions import format_distribution, parse_distribution
@@ -113,23 +113,42 @@ def bounded(default, low, high=None):
     return field(default=default, metadata={"bounds": (low, high)})
 
 
+def check_bounds(obj, f: Field) -> None:
+    """Raise ParameterError when field `f` of dataclass `obj`, or an entry of
+    it that is a per-class tuple or list, lies outside the bounds declared
+    with `bounded`. None lies in any bounds."""
+    if "bounds" not in f.metadata:
+        return
+    value = getattr(obj, f.name)
+    low, high = f.metadata["bounds"]
+    for entry in value if isinstance(value, (list, tuple)) else (value,):
+        if entry is not None and (entry < low or (high is not None and entry > high)):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ParameterError(f"{f.name} must be {bound} (got {entry})")
+
+
 class ParamGroup:
-    """Mixin for a parameter dataclass: its JSON form and its bounds check,
+    """Mixin for a parameter dataclass: its JSON form and its value checks,
     derived from its fields."""
 
     def validate(self) -> None:
         """Raise ParameterError for the first field, in declaration order,
-        that is a float and not finite or that lies outside its bounds."""
+        whose value is not of its kind, is a float and not finite, or lies
+        outside its bounds.
+
+        A value is of its kind when its JSON form reads back, so a `float`
+        field takes an int, a per-class field a tuple or a list, and an
+        `int` field no bool."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ParameterError(f"{f.name} must be a finite number (got {value})")
-            if "bounds" in f.metadata:
-                low, high = f.metadata["bounds"]
-                for entry in value if isinstance(value, (list, tuple)) else (value,):
-                    if entry < low or (high is not None and entry > high):
-                        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-                        raise ParameterError(f"{f.name} must be {bound} (got {entry})")
+            kind = KINDS[f.type]
+            try:
+                kind.load(kind.dump(value))
+            except ValueError:  # only the float readers raise it, for a non-finite value
+                raise ParameterError(f"{f.name} must be a finite number (got {value})") from None
+            except (TypeError, ParameterError):
+                raise ParameterError(f"{f.name} must be {f.type} (got {value!r})") from None
+            check_bounds(self, f)
 
     def to_dict(self) -> dict:
         return {f.name: KINDS[f.type].dump(getattr(self, f.name)) for f in fields(self)}

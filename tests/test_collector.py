@@ -1,9 +1,11 @@
 """The cyclic garbage collector: the engine's data holds no reference cycles,
-`generate_database`, `load_database` and `run_protocol` suspend the collector
-and give the caller its state back, and only the one helper in
-`ocb._collector` switches it."""
+`generate_database`, `load_database` and `run_protocol` suspend the collector,
+give the caller its state back and leave what they made in the oldest
+generation, a caller's frozen objects stay frozen, and only the one helper in
+`ocb._collector` switches the collector."""
 import ast
 import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from ocb.storage import StorageParams, place_sequential
 from ocb.workload import WorkloadParams, run_protocol
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ocb"
-SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+SWITCHES = {"collect", "disable", "enable", "freeze", "set_threshold", "unfreeze"}
 
 # 6 classes, one of which is larger than a page; DSTC reorganizes every
 # 40 transactions.
@@ -31,6 +33,12 @@ STORAGE = StorageParams(page_size=512, buffer_pages=6, spanning=True)
 WORKLOAD = WorkloadParams(coldn=30, hotn=90, clientn=2, seed=4)
 DSTC = DstcParams(observation_period=40, selection_threshold=1.0,
                   unit_link_threshold=0.5)
+# CPython 3.12.1 starts with objects frozen; the helper then only pauses the
+# collector
+FROZEN_AT_START = gc.get_freeze_count()
+skip_if_frozen_at_start = pytest.mark.skipif(
+    FROZEN_AT_START > 0, reason="objects are frozen at start-up, so the engine "
+    "steps only pause the collector")
 
 
 def set_collector(enabled: bool) -> None:
@@ -104,6 +112,79 @@ def test_failed_load_restores_the_collector_state(tmp_path, collector_state, ena
     with pytest.raises(FormatError):
         load_database(str(path))
     assert gc.isenabled() is enabled
+
+
+def run_steps(tmp_path, last: str, call=lambda step, *args: step(*args)) -> list:
+    """Run the engine steps up to `last` on a small database, each step that
+    pauses the collector through `call`; return objects that the last step
+    made."""
+    path, workload = small_run_inputs(tmp_path)
+    made = call(generate_database, GENERATOR).objects
+    if last != "generate":
+        db = call(load_database, path)
+        made = db.objects
+    if last == "run":
+        storage = place_sequential(db, StorageParams(buffer_pages=4))
+        policy = make_policy("dstc", DstcParams(observation_period=5))
+        made = call(run_protocol, db, storage, workload, policy).records
+    return made
+
+
+@skip_if_frozen_at_start
+@pytest.mark.parametrize("last", ["generate", "load", "run"])
+def test_steps_leave_what_they_made_in_the_oldest_generation(tmp_path, collector_state,
+                                                             last):
+    gc.enable()
+    made = run_steps(tmp_path, last)
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    sample = made[::7]
+    assert sample and all(map(gc.is_tracked, sample))
+    oldest = set(map(id, gc.get_objects(generation=2)))
+    assert all(id(obj) in oldest for obj in sample)
+
+
+class Node:
+    pass
+
+
+@skip_if_frozen_at_start
+def test_garbage_the_caller_left_is_collected_not_promoted(collector_state):
+    gc.enable()
+    node = Node()
+    node.self = node
+    collected = weakref.ref(node)
+    gc.collect(0)  # moves the node on to the middle generation
+    del node
+    generate_database(GENERATOR)
+    assert collected() is None
+
+
+@pytest.fixture
+def thaw():
+    """Thaw the objects a test froze."""
+    yield
+    gc.unfreeze()
+
+
+def test_frozen_objects_stay_frozen(tmp_path, collector_state, thaw):
+    """A step may free frozen objects (a reorganization replaces the
+    placement), so the freeze count may fall, but it never rises and the
+    objects that live on stay frozen."""
+    gc.enable()
+    witnesses = [[] for _ in range(3)]
+
+    def call(step, *args):
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        result = step(*args)
+        assert 0 < gc.get_freeze_count() <= frozen
+        assert not set(map(id, witnesses)) & set(map(id, gc.get_objects()))
+        assert gc.isenabled()
+        return result
+
+    run_steps(tmp_path, "run", call)
 
 
 class InvalidPlacementPolicy(NoClustering):

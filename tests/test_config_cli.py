@@ -550,6 +550,22 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--think", "-1e-3"], "think must be >= 0 (got -0.001)"),
+    (["--think=-1e-3"], "think must be >= 0 (got -0.001)"),
+    (["--io-cost", "-2E5"], "io_cost must be >= 0 (got -200000.0)"),
+    (["--maxnref", "-1e3"], "bad value for maxnref: invalid literal for int()"),
+    (["--nc", "3", "--basesize", "-1,50,50"], "basesize must be >= 0 (got -1)"),
+], ids=["think", "think-joined", "io-cost", "int-flag", "per-class-list"])
+def test_cli_negative_value_after_a_flag_is_a_value(tmp_path, capsys, argv, message):
+    # argparse on its own takes a value such as -1e-3 or -1,50,50 for an option
+    out_dir = tmp_path / "out"
+    assert main(["run", "--no", "50", *argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--io-cost", "--think"])
 def test_cli_clock_overflow_is_runtime_error(tmp_path, capsys, flag):
     # each value is finite, but the clock they add up to is not: a report
@@ -681,6 +697,25 @@ def test_cli_compare_wrong_typed_metric_is_runtime_error(tmp_path, capsys, phase
     assert main(["compare", str(path), str(path)]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and field in err
+
+
+@pytest.mark.parametrize("field, value, bound", [
+    ("overhead_reads", -5, ">= 0"), ("overhead_writes", -1, ">= 0"),
+    ("reorganizations", -1, ">= 0"), ("gain_window", -3, ">= 1"), ("gain_window", 0, ">= 1"),
+    ("gain_factor", -0.5, ">= 0"),
+])
+def test_cli_compare_report_counter_outside_its_bounds_is_runtime_error(tmp_path, capsys,
+                                                                        field, value, bound):
+    out_dir = tmp_path / "r"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "report.json"
+    payload = json.loads(path.read_text())
+    payload["metrics"][field] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{field} must be {bound} (got {value})" in err
 
 
 def write_huge_int(path, key):

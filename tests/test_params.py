@@ -15,6 +15,7 @@ from ocb.errors import ParameterError
 from ocb.generator import GenerationReport, GeneratorParams
 from ocb.params import KINDS
 from ocb.storage import StorageParams
+from ocb.workload import WorkloadParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -130,11 +131,25 @@ def test_cli_rejects_a_value_just_outside_its_bounds_before_generation(
 
     monkeypatch.setattr("ocb.cli.generate_database", generate_nothing)
     text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
-    # one argument, since argparse reads a text such as -5e-324 as an option
-    assert main(["run", f"--{key.replace('_', '-')}={text}",
+    # two arguments, also for a text that argparse alone reads as an option,
+    # such as -5e-324 or -1,10,10
+    assert main(["run", f"--{key.replace('_', '-')}", text,
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert f"{key} must be " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: GeneratorParams(maxnref="1"), "maxnref"),
+    (lambda: GeneratorParams(nc="3"), "nc"),
+    (lambda: WorkloadParams(hotn=None, pset=2), "hotn"),
+    (lambda: StorageParams(io_cost="1"), "io_cost"),
+    (lambda: StorageParams(spanning=1), "spanning"),
+    (lambda: GeneratorParams(dist1="uniform"), "dist1"),
+], ids=["str-per-class", "str-int", "none-int", "str-float", "int-bool", "str-distribution"])
+def test_a_value_of_the_wrong_python_type_is_a_parameter_error(make, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be "):
+        make().validate()
 
 
 @pytest.mark.parametrize("text, code", [("off", 0), ("maybe", 2)])
