@@ -17,7 +17,7 @@ from .generator import (
 from .metrics import MetricsReport, aggregate, compare
 from .policies import DstcParams, DstcPolicy, NoClustering, make_policy
 from .storage import StorageParams, StorageState, place_sequential
-from .workload import WorkloadParams, run_protocol
+from .workload import WorkloadParams, run_protocol, transaction_stream
 
 __version__ = "0.1.0"
 
@@ -49,4 +49,5 @@ __all__ = [
     "place_sequential",
     "run_protocol",
     "save_database",
+    "transaction_stream",
 ]

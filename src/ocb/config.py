@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .errors import ParameterError
 from .generator import GeneratorParams
 from .metrics import DEFAULT_GAIN_WINDOW
-from .params import read_text
+from .params import bounded, check_field, read_text
 from .policies import DstcParams, make_policy
 from .presets import preset_overrides
 from .storage import StorageParams
@@ -27,16 +27,17 @@ class ExperimentConfig:
     workload: WorkloadParams = field(default_factory=WorkloadParams)
     dstc: DstcParams = field(default_factory=DstcParams)
     policy: str = "none"
-    gain_window: int = DEFAULT_GAIN_WINDOW
+    gain_window: int = bounded(DEFAULT_GAIN_WINDOW, 1)
     seed: int = 0
     preset: str | None = None
 
     def validate(self) -> None:
-        for name in GROUPS:
-            getattr(self, name).validate()
+        for f in fields(self):
+            if f.name in GROUPS:
+                getattr(self, f.name).validate()
+            else:
+                check_field(self, f)
         make_policy(self.policy)  # raises ParameterError for an unknown name
-        if self.gain_window < 1:
-            raise ParameterError("gain_window must be >= 1")
 
     def resolved_dict(self) -> dict:
         """Everything needed to reproduce the run, as one nested dict."""

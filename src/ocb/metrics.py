@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ComparisonError, ParameterError
-from .params import ParamGroup, bounded, check_bounds, read_json
+from .params import ParamGroup, bounded, check_field, read_json
 from .workload import PHASES, TRANSACTION_TYPES, ExperimentLog
 
 ALL = "all"
@@ -54,8 +54,8 @@ class MetricsReport:
         ParameterError naming a field of the wrong JSON type or outside its
         bounds, or stats that do not hold each type of each phase."""
         d = {"fingerprint": None, **d}
-        values = {f.name: read_json(f.type, f.name, d[f.name])
-                  for f in fields(cls) if f.name != "stats"}
+        own = [f for f in fields(cls) if f.name != "stats"]
+        values = {f.name: read_json(f.type, f.name, d[f.name]) for f in own}
         stats = d["stats"]
         if stats.keys() != set(PHASES) or any(kinds.keys() != set(STAT_TYPES)
                                               for kinds in stats.values()):
@@ -64,8 +64,8 @@ class MetricsReport:
         values["stats"] = {phase: {kind: _checked_stats(s) for kind, s in kinds.items()}
                            for phase, kinds in stats.items()}
         report = cls(**values)
-        for f in fields(report):
-            check_bounds(report, f)
+        for f in own:
+            check_field(report, f)
         return report
 
 

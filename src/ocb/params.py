@@ -113,13 +113,24 @@ def bounded(default, low, high=None):
     return field(default=default, metadata={"bounds": (low, high)})
 
 
-def check_bounds(obj, f: Field) -> None:
-    """Raise ParameterError when field `f` of dataclass `obj`, or an entry of
-    it that is a per-class tuple or list, lies outside the bounds declared
-    with `bounded`. None lies in any bounds."""
+def check_field(obj, f: Field) -> None:
+    """Raise ParameterError when field `f` of dataclass `obj` holds a value
+    not of its kind, a float that is not finite, or a value, or an entry of
+    a per-class tuple or list, outside the bounds declared with `bounded`.
+
+    A value is of its kind when its JSON form reads back, so a `float` field
+    takes an int, a per-class field a tuple or a list, and an `int` field no
+    bool. None lies in any bounds."""
+    value = getattr(obj, f.name)
+    kind = KINDS[f.type]
+    try:
+        kind.load(kind.dump(value))
+    except ValueError:  # only the float readers raise it, for a non-finite value
+        raise ParameterError(f"{f.name} must be a finite number (got {value})") from None
+    except (TypeError, ParameterError):
+        raise ParameterError(f"{f.name} must be {f.type} (got {value!r})") from None
     if "bounds" not in f.metadata:
         return
-    value = getattr(obj, f.name)
     low, high = f.metadata["bounds"]
     for entry in value if isinstance(value, (list, tuple)) else (value,):
         if entry is not None and (entry < low or (high is not None and entry > high)):
@@ -133,22 +144,9 @@ class ParamGroup:
 
     def validate(self) -> None:
         """Raise ParameterError for the first field, in declaration order,
-        whose value is not of its kind, is a float and not finite, or lies
-        outside its bounds.
-
-        A value is of its kind when its JSON form reads back, so a `float`
-        field takes an int, a per-class field a tuple or a list, and an
-        `int` field no bool."""
+        that `check_field` rejects."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = KINDS[f.type]
-            try:
-                kind.load(kind.dump(value))
-            except ValueError:  # only the float readers raise it, for a non-finite value
-                raise ParameterError(f"{f.name} must be a finite number (got {value})") from None
-            except (TypeError, ParameterError):
-                raise ParameterError(f"{f.name} must be {f.type} (got {value!r})") from None
-            check_bounds(self, f)
+            check_field(self, f)
 
     def to_dict(self) -> dict:
         return {f.name: KINDS[f.type].dump(getattr(self, f.name)) for f in fields(self)}

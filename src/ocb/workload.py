@@ -19,9 +19,10 @@ root. A walk that expanded none is a path, and its crossings are the
 consecutive pairs of `accessed`: a stochastic walk, which picks one slot
 per hop, or any walk at depth 0. No traversal builds a list with one
 entry per crossing.
-`run_protocol` hands all three to the policy's crossing hook once per
-transaction, then replays `accessed` through the page buffer and derives
-the transaction's faults and simulated time from it.
+`transaction_stream` yields all three once per transaction, with its draws;
+`run_protocol` replays that stream, hands each walk to the policy's crossing
+hook, replays `accessed` through the page buffer and derives the
+transaction's faults and simulated time from it.
 """
 from __future__ import annotations
 
@@ -230,22 +231,6 @@ def stochastic_traversal(db, root, depth, direction=FORWARD, *,
     return accessed, links, []
 
 
-class _ClientStreams:
-    """Per-client deterministic substreams for every random decision."""
-
-    def __init__(self, seed: int, client: int, dist5: Distribution, no: int):
-        self.types = substream(seed, f"tx-types:{client}")
-        self.roots = substream(seed, f"tx-roots:{client}")
-        self.directions = substream(seed, f"tx-directions:{client}")
-        self.stochastic = substream(seed, f"tx-stochastic:{client}")
-        self.think = substream(seed, f"tx-think:{client}")
-        # Special root selection anchors at the client's previous root,
-        # modeling a transaction stream with temporal locality; the first
-        # draw (no anchor yet) is uniform.
-        self.draw_root = position_drawer(dist5, self.roots, 1, no, no)
-        self.previous_root: int | None = None
-
-
 def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
     u = rng.random()
     if u < params.pset:
@@ -272,29 +257,37 @@ def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction:
     raise ParameterError(f"unknown transaction type {kind!r}")
 
 
-def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
-    """Execute the cold run then the warm run and log every transaction.
+def _client_transactions(db, params: WorkloadParams, client: int):
+    """One client's endless (type, direction, root, walk, think) transactions,
+    each decision drawn from the client's own deterministic substream."""
+    types, roots, directions, stochastic, think = (
+        substream(params.seed, f"tx-{name}:{client}")
+        for name in ("types", "roots", "directions", "stochastic", "think"))
+    # Special root selection anchors at the client's previous root, for a
+    # stream with temporal locality; the first draw (no anchor yet) is uniform.
+    draw_root = position_drawer(params.dist5, roots, 1, len(db.objects), len(db.objects))
+    root = None
+    while True:
+        kind = _draw_type(types, params)
+        root = draw_root(root)
+        direction = (REVERSE if params.reverse_probability > 0.0
+                     and directions.random() < params.reverse_probability else FORWARD)
+        yield (kind, direction, root,
+               run_transaction(db, params, kind, root, direction, stochastic),
+               think.expovariate(1.0 / params.think) if params.think > 0 else 0.0)
 
-    Clients are independent seeded streams interleaved round-robin, one
-    transaction each, against the shared buffer. Once a transaction's walk
-    ends, the policy sees all of its link crossings in one
-    `on_link_crossing(accessed, links, expanded)` call, and its access list is
-    replayed through the buffer; the faults it takes and its simulated time
-    are counted here and nowhere else. Then the policy's period bookkeeping
-    and optional physical reorganization run. `policy` is any object with
-    the three hooks of `NoClustering`, the baseline. A run whose simulated
-    clock overflows to infinity raises RunError, so no report holds an
-    infinite time.
 
-    Once the parameters are checked, the cyclic garbage collector is
-    suspended for the whole run, transactions, policy phases and storage
-    rewrites alike, and restored to the caller's state on return, also when
-    the run raises. Nothing the run allocates forms a reference cycle, so a
-    collector pass would only walk the live database and free nothing.
+def transaction_stream(db, params: WorkloadParams):
+    """The logical run, the cold run then the warm run: a lazy stream of
+    (phase, client, type, direction, root, walk, think), with `walk` a
+    traversal's (accessed, links, expanded) and `think` 0.0, undrawn, when
+    `params.think` is 0. Clients are independent seeded streams interleaved
+    round-robin, one transaction each. The stream reads no placement and no
+    policy, so it is the same under all of them. The parameters are checked
+    at the call; each step then walks one transaction and none ahead.
     """
     params.validate()
-    total = params.clientn * (params.coldn + params.hotn)
-    if total > 0 and not db.objects:
+    if params.coldn + params.hotn > 0 and not db.objects:
         raise RunError("cannot run transactions against an empty database")
     validate_distribution(params.dist5, 1, max(len(db.objects), 1), "dist5",
                           allow_special=True)
@@ -302,47 +295,58 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
         raise ParameterError(
             f"hierarchy_ref_type {params.hierarchy_ref_type} exceeds nreft "
             f"{db.params.nreft}")
+    clients = [_client_transactions(db, params, c) for c in range(1, params.clientn + 1)]
+    return ((phase, client) + next(transactions)
+            for phase, count in zip(PHASES, (params.coldn, params.hotn))
+            for _ in range(count)
+            for client, transactions in enumerate(clients, start=1))
+
+
+def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
+    """Replay `transaction_stream(db, params)` and log every transaction.
+
+    The policy sees each walk's link crossings in one
+    `on_link_crossing(accessed, links, expanded)` call, then its access list
+    is replayed through the shared buffer; its faults and simulated time are
+    counted here and nowhere else. Then the policy's period bookkeeping and
+    optional physical reorganization run. `policy` is any object with the
+    three hooks of `NoClustering`, the baseline. A run whose simulated clock
+    overflows to infinity raises RunError, so no report holds an infinite time.
+
+    Once the parameters are checked, the cyclic garbage collector is
+    suspended for the whole run, transactions, policy phases and storage
+    rewrites alike, and restored to the caller's state on return, also when
+    the run raises. Nothing the run allocates forms a reference cycle, so a
+    collector pass would only walk the live database and free nothing.
+    """
+    stream = transaction_stream(db, params)
     with collector_paused():
-        no = len(db.objects)
-        streams = [_ClientStreams(params.seed, c, params.dist5, no)
-                   for c in range(1, params.clientn + 1)]
         log = ExperimentLog()
         access = storage.access_object
         io_cost = storage.params.io_cost
         cpu_cost = storage.params.cpu_cost
-        index = 0
-        for phase, count in zip(PHASES, (params.coldn, params.hotn)):
-            for _ in range(count):
-                for client, s in enumerate(streams, start=1):
-                    kind = _draw_type(s.types, params)
-                    root = s.previous_root = s.draw_root(s.previous_root)
-                    reversed_run = (params.reverse_probability > 0.0
-                                    and s.directions.random() < params.reverse_probability)
-                    direction = REVERSE if reversed_run else FORWARD
-                    accessed, links, expanded = run_transaction(db, params, kind, root,
-                                                                direction, s.stochastic)
-                    policy.on_link_crossing(accessed, links, expanded)
-                    reads_before = storage.transaction_reads
-                    for oid in accessed:
-                        access(oid)
-                    faults = storage.transaction_reads - reads_before
-                    objects = len(accessed)
-                    sim_time = faults * io_cost + objects * cpu_cost
-                    log.clock += sim_time
-                    if params.think > 0:
-                        log.clock += s.think.expovariate(1.0 / params.think)
-                    log.records.append(TransactionRecord(
-                        index=index, phase=phase, client=client, type=kind,
-                        direction=direction, root=root, objects=objects,
-                        faults=faults, sim_time=sim_time))
-                    policy.on_transaction_end()
-                    placement = policy.maybe_reorganize(storage)
-                    if placement is not None:
-                        reads, writes = storage.rewrite_placement(placement)
-                        log.clock += (reads + writes) * io_cost
-                        log.reorgs.append(ReorgEvent(after_index=index,
-                                                     reads=reads, writes=writes))
-                    index += 1
+        for index, (phase, client, kind, direction, root, (accessed, links, expanded),
+                    think) in enumerate(stream):
+            policy.on_link_crossing(accessed, links, expanded)
+            reads_before = storage.transaction_reads
+            for oid in accessed:
+                access(oid)
+            faults = storage.transaction_reads - reads_before
+            objects = len(accessed)
+            sim_time = faults * io_cost + objects * cpu_cost
+            log.clock += sim_time
+            log.clock += think
+            log.records.append(TransactionRecord(
+                index=index, phase=phase, client=client, type=kind,
+                direction=direction, root=root, objects=objects,
+                faults=faults, sim_time=sim_time))
+            policy.on_transaction_end()
+            placement = policy.maybe_reorganize(storage)
+            if placement is not None:
+                reads, writes = storage.rewrite_placement(placement)
+                log.clock += (reads + writes) * io_cost
+                log.reorgs.append(ReorgEvent(after_index=index,
+                                             reads=reads, writes=writes))
         if not math.isfinite(log.clock):
             # every term is >= 0, so a finite clock bounds every sim_time too
             raise RunError(f"the simulated clock overflowed to {log.clock}: io_cost, "

@@ -111,8 +111,9 @@ def just_outside(f) -> list:
     return values
 
 
-OUTSIDE = [(group, f.name, value) for group in GROUPS.values() for f in fields(group)
-           if "bounds" in f.metadata for value in just_outside(f)]
+# the groups' fields, then the experiment's own (gain_window)
+OUTSIDE = [(group, f.name, value) for group in (*GROUPS.values(), ExperimentConfig)
+           for f in fields(group) if "bounds" in f.metadata for value in just_outside(f)]
 OUTSIDE_IDS = [f"{key}={value[-1]!r}-in-a-list" if isinstance(value, list) else f"{key}={value!r}"
                for _, key, value in OUTSIDE]
 
@@ -146,7 +147,9 @@ def test_cli_rejects_a_value_just_outside_its_bounds_before_generation(
     (lambda: StorageParams(io_cost="1"), "io_cost"),
     (lambda: StorageParams(spanning=1), "spanning"),
     (lambda: GeneratorParams(dist1="uniform"), "dist1"),
-], ids=["str-per-class", "str-int", "none-int", "str-float", "int-bool", "str-distribution"])
+    (lambda: ExperimentConfig(gain_window="3"), "gain_window"),
+], ids=["str-per-class", "str-int", "none-int", "str-float", "int-bool", "str-distribution",
+        "str-experiment-int"])
 def test_a_value_of_the_wrong_python_type_is_a_parameter_error(make, field):
     with pytest.raises(ParameterError, match=f"^{field} must be "):
         make().validate()

@@ -372,25 +372,6 @@ def test_huge_buffer_holds_one_frame_per_page_a_placement_can_occupy(tmp_path):
                  "--buffer-pages", "1000000000000", "--out-dir", str(tmp_path)]) == 0
 
 
-def test_traversals_do_not_depend_on_placement():
-    # a traversal never sees storage; run_protocol, which replays it through
-    # the buffer, must log the same transactions whatever the page layout
-    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=300, seed=8))
-    params = WorkloadParams(coldn=30, hotn=90, reverse_probability=0.3, seed=3)
-    sequential = place_sequential(db, StorageParams(buffer_pages=8))
-    shuffled = place_sequential(db, StorageParams(buffer_pages=8))
-    order = list(shuffled.placement)
-    random.Random(5).shuffle(order)
-    shuffled.rewrite_placement(shuffled.pack_order(order))
-    assert shuffled.placement != sequential.placement
-
-    sequential_records, shuffled_records = (
-        [(r.type, r.root, r.objects)
-         for r in run_protocol(db, storage, params, make_policy("none")).records]
-        for storage in (sequential, shuffled))
-    assert sequential_records == shuffled_records
-
-
 # The A3 club run, shrunk to 2000 objects of two classes: 5000-byte objects
 # that span two 4096-byte pages and 1500-byte ones that share a page. A
 # 250-transaction period gives twelve DSTC rewrites of the placement.

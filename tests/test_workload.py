@@ -1,4 +1,5 @@
 import csv
+import random
 import sys
 from collections import Counter
 
@@ -18,7 +19,7 @@ from helpers import (
 from ocb.distributions import Constant, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
-from ocb.policies import NoClustering
+from ocb.policies import DstcParams, DstcPolicy, NoClustering
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
     CSV_COLUMNS,
@@ -29,6 +30,7 @@ from ocb.workload import (
     set_oriented_access,
     simple_traversal,
     stochastic_traversal,
+    transaction_stream,
     write_log_csv,
 )
 
@@ -343,6 +345,8 @@ def test_protocol_empty_database_rejected():
     db = generate_database(GeneratorParams(nc=1, maxnref=0, no=0, seed=0))
     with pytest.raises(RunError):
         run_protocol(db, storage_for(db), protocol_params(), NoClustering())
+    with pytest.raises(RunError):
+        transaction_stream(db, protocol_params())  # at the call, not at next()
     # zero transactions on an empty database is fine
     log = run_protocol(db, storage_for(db), protocol_params(coldn=0, hotn=0), NoClustering())
     assert log.records == []
@@ -371,6 +375,8 @@ def test_protocol_hierarchy_type_out_of_range():
     params = protocol_params(hierarchy_ref_type=9)
     with pytest.raises(ParameterError):
         run_protocol(db, storage_for(db), params, NoClustering())
+    with pytest.raises(ParameterError):
+        transaction_stream(db, params)  # at the call, not at next()
 
 
 def test_protocol_think_time_advances_clock():
@@ -390,6 +396,41 @@ def test_protocol_multi_client_interleaves_deterministically():
     assert [r.client for r in log.records[:6]] == [1, 2, 3, 1, 2, 3]
     log_b = run_protocol(db, storage_for(db), params, NoClustering())
     assert log.records == log_b.records
+
+
+def test_the_replay_logs_the_stream_under_every_placement_and_policy():
+    # a walk never reads the placement and a policy never changes which
+    # objects a walk visits, so the logical run is a function of the
+    # database and the parameters alone
+    db = generate_database(GeneratorParams(nc=4, maxnref=3, no=300, seed=8))
+    params = protocol_params(coldn=30, hotn=90, clientn=2, reverse_probability=0.3,
+                             think=0.5, seed=3)
+    stream = list(transaction_stream(db, params))
+    again = transaction_stream(db, params)
+    assert [walk[0] for *_, walk, _ in stream] == [walk[0] for *_, walk, _ in again]
+    expected = [(phase, client, kind, direction, root, len(accessed))
+                for phase, client, kind, direction, root, (accessed, _, _), _ in stream]
+
+    # 30 pages against a 4-page buffer, so the placement changes the faults
+    storage_params = StorageParams(page_size=512, buffer_pages=4)
+
+    def shuffled():
+        storage = place_sequential(db, storage_params)
+        order = list(storage.placement)
+        random.Random(5).shuffle(order)
+        storage.rewrite_placement(storage.pack_order(order))
+        return storage
+
+    assert shuffled().placement != place_sequential(db, storage_params).placement
+    faults = set()
+    for make_storage in (lambda: place_sequential(db, storage_params), shuffled):
+        for policy in (NoClustering(), DstcPolicy(DstcParams(observation_period=20))):
+            log = run_protocol(db, make_storage(), params, policy)
+            assert [(r.phase, r.client, r.type, r.direction, r.root, r.objects)
+                    for r in log.records] == expected
+            assert bool(log.reorgs) == isinstance(policy, DstcPolicy)
+            faults.add(tuple(r.faults for r in log.records))
+    assert len(faults) == 4  # the physical replays all differ
 
 
 def test_per_type_totals_sum_to_global():
