@@ -1,16 +1,21 @@
 """Synthetic object base construction.
 
 Three steps: instantiate the schema (classes with typed reference slots),
-repair the schema so that cycle-forbidding reference types form DAGs and
-inheritance sizes propagate, then instantiate objects, derive the class
-iterators, and draw the inter-object references, each recorded as a reverse
-reference in its target.
+repair the schema, then instantiate objects, derive the class iterators,
+and draw the inter-object references, each recorded as a reverse reference
+in its target. The repair scans the slots in order (classes by ascending
+id, slots by ascending index) and nulls a slot of a cycle-forbidding type
+when its target reaches the slot's own class, or reaches a cycle, through
+slots of its type; so each such type's class graph is a DAG. Each class's
+instance size is then its base size plus the base size of each ancestor
+(each class that reaches it through inheritance-typed slots), added once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, NoReturn
+from graphlib import CycleError, TopologicalSorter
+from typing import NoReturn
 
 from .distributions import (
     Distribution,
@@ -190,88 +195,60 @@ def generate_schema(params: GeneratorParams,
     return classes
 
 
-def _type_targets(schema: list[ClassDescriptor], class_id: int, ref_type: int) -> list[int]:
+def _targets(schema: list[ClassDescriptor], class_id: int, types: frozenset[int]) -> list[int]:
+    """The classes that a class's slots of these reference types name."""
     cls = schema[class_id - 1]
-    return [c for t, c in zip(cls.tref, cls.cref) if t == ref_type and c is not None]
+    return [c for t, c in zip(cls.tref, cls.cref) if t in types and c is not None]
 
 
-def _would_close_cycle(schema: list[ClassDescriptor], source: int, start: int,
-                       ref_type: int) -> bool:
-    """Walk the class graph of one reference type from `start`.
-
-    True when the walk reaches `source` (the slot under scrutiny would close
-    a cycle) or when the walked subgraph already contains a cycle.
-    """
-    if start == source:
-        return True
-    # colors: 1 = on the walk stack, 2 = fully explored
-    color: dict[int, int] = {start: 1}
-    stack: list[tuple[int, Iterator[int]]] = [
-        (start, iter(_type_targets(schema, start, ref_type)))]
+def _reachable(schema: list[ClassDescriptor], start: int, types: frozenset[int]) -> set[int]:
+    """`start` and every class reachable from it through slots of these types."""
+    reach = {start}
+    stack = [start]
     while stack:
-        node, targets = stack[-1]
-        pushed = False
-        for nxt in targets:
-            if nxt == source:
-                return True
-            c = color.get(nxt, 0)
-            if c == 1:
-                return True
-            if c == 0:
-                color[nxt] = 1
-                stack.append((nxt, iter(_type_targets(schema, nxt, ref_type))))
-                pushed = True
-                break
-        if not pushed:
-            color[node] = 2
-            stack.pop()
-    return False
-
-
-def _inheritance_descendants(schema: list[ClassDescriptor], root: int,
-                             inheritance_types: frozenset[int]) -> set[int]:
-    """All classes reachable from `root` through inheritance-typed slots."""
-    seen: set[int] = set()
-    stack = [c for t, c in zip(schema[root - 1].tref, schema[root - 1].cref)
-             if t in inheritance_types and c is not None]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        cls = schema[node - 1]
-        for t, c in zip(cls.tref, cls.cref):
-            if t in inheritance_types and c is not None and c not in seen:
+        for c in _targets(schema, stack.pop(), types):
+            if c not in reach:
+                reach.add(c)
                 stack.append(c)
-    seen.discard(root)
-    return seen
+    return reach
 
 
 def enforce_consistency(schema: list[ClassDescriptor], params: GeneratorParams,
                         report: GenerationReport | None = None) -> list[ClassDescriptor]:
     """Repair the schema in place: suppress cycles, then propagate sizes.
 
-    Classes are scanned in ascending id, slots in ascending index; the first
-    slot that would close a cycle in its reference type's class graph is
-    nulled. Once every cycle-forbidding type graph is a DAG, each superclass
-    adds its base size to the instance size of all classes reachable through
-    inheritance-typed slots. Idempotent.
+    Classes are scanned in ascending id, slots in ascending index. A slot of
+    a cycle-forbidding type is nulled, and counted as `cycle_suppressed`,
+    when its target reaches the slot's own class, or reaches a cycle,
+    through the slots of its type that are left. Once every such type's
+    class graph is a DAG, each class adds its base size once to the
+    instance size of every other class it reaches through inheritance-typed
+    slots. Idempotent.
     """
     for cls in schema:
         for j, ref_type in enumerate(cls.tref):
             if ref_type not in params.acyclic_types or cls.cref[j] is None:
                 continue
-            if _would_close_cycle(schema, cls.id, cls.cref[j], ref_type):
+            types = frozenset({ref_type})
+            reach = _reachable(schema, cls.cref[j], types)
+            closes = cls.id in reach
+            if not closes:
+                # the target's reach alone: with the source's other slots in
+                # the graph, a later self-reference would null this slot
+                try:
+                    TopologicalSorter({n: _targets(schema, n, types) for n in reach}).prepare()
+                except CycleError:
+                    closes = True
+            if closes:
                 cls.cref[j] = None
                 if report is not None:
                     report.cycle_suppressed += 1
     # sizes recomputed from scratch so a second pass changes nothing
     for cls in schema:
         cls.instance_size = cls.basesize
-    if params.inheritance_types:
-        for cls in schema:
-            for sub in _inheritance_descendants(schema, cls.id, params.inheritance_types):
-                schema[sub - 1].instance_size += cls.basesize
+    for cls in schema:
+        for sub in _reachable(schema, cls.id, params.inheritance_types) - {cls.id}:
+            schema[sub - 1].instance_size += cls.basesize
     return schema
 
 

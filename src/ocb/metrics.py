@@ -48,6 +48,12 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def validate(self) -> None:
+        """`ParamGroup.validate`, over every field but `stats`."""
+        for f in fields(self):
+            if f.name != "stats":
+                check_field(self, f)
+
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         """Inverse of `to_dict`; a missing `fingerprint` reads as None. Raises
@@ -64,8 +70,7 @@ class MetricsReport:
         values["stats"] = {phase: {kind: _checked_stats(s) for kind, s in kinds.items()}
                            for phase, kinds in stats.items()}
         report = cls(**values)
-        for f in own:
-            check_field(report, f)
+        report.validate()
         return report
 
 
@@ -116,8 +121,10 @@ def compute_gain(log: ExperimentLog, window: int = DEFAULT_GAIN_WINDOW) -> float
 
 def aggregate(log: ExperimentLog, gain_window: int = DEFAULT_GAIN_WINDOW,
               fingerprint: str | None = None) -> MetricsReport:
-    """Arithmetic aggregation per phase and transaction type; deterministic."""
+    """Arithmetic aggregation per phase and transaction type; deterministic.
+    A `gain_window` that `MetricsReport.validate` rejects raises first."""
     report = MetricsReport(gain_window=gain_window, fingerprint=fingerprint)
+    report.validate()
     for phase in PHASES:
         phase_records = [r for r in log.records if r.phase == phase]
         kinds = {ALL: _stats_of(phase_records)}

@@ -201,17 +201,14 @@ def dstc_consolidate(state: DstcState, filtered: dict[int, int],
     w = params.consolidation_weight
     keep = 1.0 - w
     matrix = state.consolidated_matrix
-    if keep == 0.0:
-        matrix.clear()
-    else:
-        dead = []
-        for pair, weight in matrix.items():
-            weight *= keep
-            matrix[pair] = weight
-            if weight < 1e-12:
-                dead.append(pair)
-        for pair in dead:
-            del matrix[pair]
+    dead = []
+    for pair, weight in matrix.items():
+        weight *= keep
+        matrix[pair] = weight
+        if weight < 1e-12:
+            dead.append(pair)
+    for pair in dead:
+        del matrix[pair]
     if w > 0.0:
         for pair, count in filtered.items():
             matrix[pair] = matrix.get(pair, 0.0) + w * count

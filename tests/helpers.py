@@ -319,6 +319,55 @@ def kahn_is_dag(nodes, edges):
     return seen == len(nodes)
 
 
+def reference_enforce_consistency(schema, params):
+    """The schema repair re-derived from the edge list, as the oracle of
+    `enforce_consistency`; `schema` is left as it is.
+
+    Slots are visited in scan order: classes by ascending id, slots by
+    ascending index. A slot of an acyclic type is nulled when the reach of
+    its target, a fixed point over the type's remaining edges, holds the
+    slot's own class or fails `kahn_is_dag`. An instance size is the base
+    size plus the base sizes of the class's ancestors: the other classes
+    reached from it backwards over the inheritance-typed edges.
+
+    Returns (every class's cref, every instance size, the nulled slots as
+    (class id, slot index, what the reach holds)).
+    """
+    crefs = [list(cls.cref) for cls in schema]
+
+    def edges(types):
+        return [(cls.id, c) for cls, cref in zip(schema, crefs)
+                for t, c in zip(cls.tref, cref) if t in types and c is not None]
+
+    def reach(start, edge_list):
+        nodes = {start}
+        while True:
+            grown = nodes | {b for a, b in edge_list if a in nodes}
+            if grown == nodes:
+                return nodes
+            nodes = grown
+
+    nulled = []
+    for cls, cref in zip(schema, crefs):
+        for k, ref_type in enumerate(cls.tref):
+            if ref_type not in params.acyclic_types or cref[k] is None:
+                continue
+            edge_list = edges({ref_type})
+            nodes = reach(cref[k], edge_list)
+            if cls.id in nodes:
+                nulled.append((cls.id, k, "its own class"))
+            elif not kahn_is_dag(nodes, [(a, b) for a, b in edge_list if a in nodes]):
+                nulled.append((cls.id, k, "a cycle beyond its own class"))
+            else:
+                continue
+            cref[k] = None
+    backwards = [(b, a) for a, b in edges(params.inheritance_types)]
+    sizes = [cls.basesize + sum(schema[a - 1].basesize
+                                for a in reach(cls.id, backwards) - {cls.id})
+             for cls in schema]
+    return crefs, sizes, nulled
+
+
 def reference_build_units(state, params):
     """DSTC phase 4 as first written, kept verbatim as the unit oracle.
 

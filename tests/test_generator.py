@@ -5,10 +5,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, event, example, given, strategies as st
 from scipy import stats
 
-from helpers import kahn_is_dag, links_of, reference_generate_objects, typed_links_of
+from helpers import (
+    kahn_is_dag,
+    links_of,
+    reference_enforce_consistency,
+    reference_generate_objects,
+    typed_links_of,
+)
 from ocb import generator
 from ocb.config import build_config
 from ocb.distributions import Constant, Special, Uniform
@@ -203,6 +209,43 @@ def test_instance_size_matches_ancestor_sum():
                             frontier.append(other.id)
         expected = cls.basesize + sum(schema[a - 1].basesize for a in ancestors)
         assert cls.instance_size == expected
+
+
+@st.composite
+def repair_generator_params(draw):
+    """Generator parameters of schemas that the repair has work on.
+
+    Every draw has at least two classes, a slot per class and an acyclic
+    type, and few reference types, so slots often reach their own class or
+    a cycle beyond it; infclass may be 0, which nulls slots first. The base
+    sizes differ per class, so each ancestor's share of a size shows.
+    """
+    nc = draw(st.integers(2, 8))
+    nreft = draw(st.integers(1, 3))
+    acyclic = draw(st.frozensets(st.integers(1, nreft), min_size=1))
+    return GeneratorParams(
+        nc=nc, maxnref=draw(st.integers(1, 4)), nreft=nreft,
+        infclass=draw(st.sampled_from([1, 0])),
+        basesize=tuple(draw(st.lists(st.integers(1, 90), min_size=nc, max_size=nc))),
+        acyclic_types=acyclic, inheritance_types=draw(st.frozensets(st.sampled_from(
+            sorted(acyclic)))), seed=draw(st.integers(0, 2 ** 32)))
+
+
+@given(repair_generator_params())
+# class 1's slots name class 2, which names nothing, then class 1 itself: only
+# the second slot is nulled
+@example(GeneratorParams(nc=2, maxnref=2, nreft=1, infclass=0, seed=91,
+                         acyclic_types=frozenset({1}), inheritance_types=frozenset({1})))
+def test_schema_repair_matches_the_edge_list_oracle(params):
+    schema = generate_schema(params)
+    crefs, sizes, nulled = reference_enforce_consistency(schema, params)
+    report = GenerationReport()
+    enforce_consistency(schema, params, report)
+    assert [cls.cref for cls in schema] == crefs
+    assert [cls.instance_size for cls in schema] == sizes
+    assert report.cycle_suppressed == len(nulled)
+    for reached in sorted({reached for _, _, reached in nulled}):
+        event(f"a slot is nulled for reaching {reached}")
 
 
 # -- objects -------------------------------------------------------------

@@ -13,9 +13,10 @@ from ocb.cli import build_parser, main
 from ocb.config import ALL_KEYS, GROUPS, ExperimentConfig, build_config
 from ocb.errors import ParameterError
 from ocb.generator import GenerationReport, GeneratorParams
+from ocb.metrics import aggregate
 from ocb.params import KINDS
 from ocb.storage import StorageParams
-from ocb.workload import WorkloadParams
+from ocb.workload import ExperimentLog, WorkloadParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -148,11 +149,18 @@ def test_cli_rejects_a_value_just_outside_its_bounds_before_generation(
     (lambda: StorageParams(spanning=1), "spanning"),
     (lambda: GeneratorParams(dist1="uniform"), "dist1"),
     (lambda: ExperimentConfig(gain_window="3"), "gain_window"),
+    (lambda: aggregate(ExperimentLog(), gain_window="3"), "gain_window"),
 ], ids=["str-per-class", "str-int", "none-int", "str-float", "int-bool", "str-distribution",
-        "str-experiment-int"])
+        "str-experiment-int", "str-aggregate-int"])
 def test_a_value_of_the_wrong_python_type_is_a_parameter_error(make, field):
     with pytest.raises(ParameterError, match=f"^{field} must be "):
         make().validate()
+
+
+def test_aggregate_rejects_a_gain_window_outside_its_bounds():
+    # before the report is built, so its report.json never reaches compare
+    with pytest.raises(ParameterError, match="^gain_window must be >= 1"):
+        aggregate(ExperimentLog(), gain_window=0)
 
 
 @pytest.mark.parametrize("text, code", [("off", 0), ("maybe", 2)])
