@@ -31,11 +31,12 @@ class ExperimentConfig:
     seed: int = 0
     preset: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:  # each group was checked when it was made
         for f in fields(self):
-            if f.name in GROUPS:
-                getattr(self, f.name).validate()
-            else:
+            if f.name not in GROUPS:
                 check_field(self, f)
         make_policy(self.policy)  # raises ParameterError for an unknown name
 
@@ -84,14 +85,12 @@ def build_config(preset: str | None = None,
             raise ParameterError(f"unknown configuration key {key!r}")
         values[key] = read_text(_ANNOTATIONS[key], key, raw)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         **{name: group(**{f.name: values[f.name] for f in fields(group) if f.name in values})
            for name, group in GROUPS.items()},
         **{name: values[name] for name in _OWN},
         preset=preset,
     )
-    config.validate()
-    return config
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -103,6 +102,8 @@ def read_config_file(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: config file is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot read the config file: {exc.strerror}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

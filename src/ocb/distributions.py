@@ -47,6 +47,13 @@ class Special:
     refzone: int
     locality_probability: float = 0.9
 
+    def __post_init__(self):
+        if self.refzone < 0:
+            raise ParameterError(f"refzone must be >= 0 (got {self.refzone})")
+        if not 0.0 <= self.locality_probability <= 1.0:
+            raise ParameterError("locality_probability must be in [0, 1] "
+                                 f"(got {self.locality_probability})")
+
 
 Distribution = Union[Uniform, Constant, Special]
 
@@ -90,7 +97,7 @@ def format_distribution(dist: Distribution) -> str:
 
 def validate_distribution(dist: Distribution, lo: int, hi: int, site: str,
                           allow_special: bool = False) -> None:
-    """Check a distribution against the legal interval of its use site."""
+    """Check a distribution against the legal interval and kinds of its site."""
     if isinstance(dist, Constant):
         if not lo <= dist.value <= hi:
             raise ParameterError(
@@ -99,10 +106,6 @@ def validate_distribution(dist: Distribution, lo: int, hi: int, site: str,
         if not allow_special:
             raise ParameterError(f"{site}: special distribution needs an "
                                  "anchor and is only valid for object references")
-        if dist.refzone < 0:
-            raise ParameterError(f"{site}: refzone must be >= 0")
-        if not 0.0 <= dist.locality_probability <= 1.0:
-            raise ParameterError(f"{site}: locality probability outside [0, 1]")
     elif not isinstance(dist, Uniform):
         raise ParameterError(f"{site}: unknown distribution {dist!r}")
 

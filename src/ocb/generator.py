@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from typing import NoReturn
 
@@ -33,12 +34,12 @@ DB_MAGIC = "OCBDB1"
 DB_FORMAT = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorParams(ParamGroup):
     """Knobs controlling the shape of the generated object base.
 
     `maxnref` and `basesize` may be a single int applied to every class
-    or a per-class sequence of length `nc`.
+    or a per-class sequence of length `nc`, held as a tuple.
     """
 
     nc: int = bounded(20, 1)
@@ -59,14 +60,15 @@ class GeneratorParams(ParamGroup):
     inheritance_types: frozenset[int] = frozenset({1})
 
     def __post_init__(self):
-        if self.supclass is None:
-            self.supclass = self.nc
-        if self.supref is None:
-            self.supref = self.no
-        if not isinstance(self.acyclic_types, frozenset):
-            self.acyclic_types = frozenset(self.acyclic_types)
-        if not isinstance(self.inheritance_types, frozenset):
-            self.inheritance_types = frozenset(self.inheritance_types)
+        resolve = partial(object.__setattr__, self)  # the group is frozen
+        resolve("supclass", self.nc if self.supclass is None else self.supclass)
+        resolve("supref", self.no if self.supref is None else self.supref)
+        resolve("acyclic_types", frozenset(self.acyclic_types))
+        resolve("inheritance_types", frozenset(self.inheritance_types))
+        for name in ("maxnref", "basesize"):
+            if isinstance(getattr(self, name), list):
+                resolve(name, tuple(getattr(self, name)))
+        super().__post_init__()
 
     def maxnref_of(self, class_id: int) -> int:
         return self.maxnref if isinstance(self.maxnref, int) else self.maxnref[class_id - 1]
@@ -121,7 +123,8 @@ class ObjectInstance:
 
 @dataclass
 class GenerationReport(ParamGroup):
-    """Counts of reference slots nulled during generation, per cause."""
+    """Counts of reference slots nulled during generation, per cause: checked
+    when made, and mutable, as generation adds to the counts."""
 
     null_class_draws: int = 0
     cycle_suppressed: int = 0
@@ -177,7 +180,6 @@ def generate_schema(params: GeneratorParams,
     A class-reference draw of 0 (possible when infclass = 0) means the slot
     has no target class.
     """
-    params.validate()
     draw_type = bounded_drawer(params.dist1, substream(params.seed, "schema-types"),
                                1, params.nreft)
     draw_class = bounded_drawer(params.dist2, substream(params.seed, "schema-classes"),
@@ -408,11 +410,9 @@ def _tail_params(body: str) -> GeneratorParams | None:
     """The valid params at the end of a canonical body, or None."""
     try:
         tail = json.loads("{" + body[body.rindex(',"params":') + 1:])
-        params = GeneratorParams.from_dict(tail["params"])
-        params.validate()
+        return GeneratorParams.from_dict(tail["params"])
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError, ParameterError):
         return None
-    return params
 
 
 # the text of the shortest class and object in a saved body
@@ -447,7 +447,7 @@ def _reject(path: str, body: str, loaded: Database | None) -> NoReturn:
 
     In order: the JSON parse (an integer literal over CPython's 4300-digit
     limit fails it); the format version; `params` and `report` as
-    `from_dict` and `validate()` read them; the stored class, slot and
+    `from_dict` reads and checks them; the stored class, slot and
     object counts against `nc`, `maxnref` and `no`; then, against the
     regeneration, the first class or object field whose canonical JSON
     differs (`true` or `1.0` for 1 does), and the first differing report
@@ -466,7 +466,6 @@ def _reject(path: str, body: str, loaded: Database | None) -> NoReturn:
     group = "generator parameters"
     try:
         params = GeneratorParams.from_dict(payload["params"])
-        params.validate()
         group = "generation report"
         GenerationReport.from_dict(payload["report"])
         group = "generator parameters"

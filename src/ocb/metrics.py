@@ -22,7 +22,7 @@ REPORT_CSV_COLUMNS = ("phase", "type", "count", "total_objects", "mean_objects",
                       "total_faults", "mean_faults", "mean_time")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeStats(ParamGroup):
     count: int = bounded(0, 0)
     total_objects: int = bounded(0, 0)
@@ -41,6 +41,9 @@ class MetricsReport:
     gain_window: int = bounded(DEFAULT_GAIN_WINDOW, 1)
     reorganizations: int = bounded(0, 0)
     fingerprint: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def phase_type(self, phase: str, kind: str = ALL) -> TypeStats:
         return self.stats.get(phase, {}).get(kind, TypeStats())
@@ -67,17 +70,9 @@ class MetricsReport:
                                               for kinds in stats.values()):
             raise ParameterError(f"stats must hold the phases {list(PHASES)}, each with "
                                  f"the types {list(STAT_TYPES)}")
-        values["stats"] = {phase: {kind: _checked_stats(s) for kind, s in kinds.items()}
+        values["stats"] = {phase: {kind: TypeStats.from_dict(s) for kind, s in kinds.items()}
                            for phase, kinds in stats.items()}
-        report = cls(**values)
-        report.validate()
-        return report
-
-
-def _checked_stats(d: dict) -> TypeStats:
-    stats = TypeStats.from_dict(d)
-    stats.validate()
-    return stats
+        return cls(**values)
 
 
 def _stats_of(records) -> TypeStats:
@@ -124,7 +119,6 @@ def aggregate(log: ExperimentLog, gain_window: int = DEFAULT_GAIN_WINDOW,
     """Arithmetic aggregation per phase and transaction type; deterministic.
     A `gain_window` that `MetricsReport.validate` rejects raises first."""
     report = MetricsReport(gain_window=gain_window, fingerprint=fingerprint)
-    report.validate()
     for phase in PHASES:
         phase_records = [r for r in log.records if r.phase == phase]
         kinds = {ALL: _stats_of(phase_records)}

@@ -6,7 +6,9 @@ file text, written to JSON (report.json, the workload fingerprint, the
 database file) and read back from JSON. Its bounds, if it has any, are
 declared on it with `bounded`, and `ParamGroup.validate` checks them. So a
 parameter is a field with its bounds, plus any check that relates it to
-other fields in its group's `validate()`, and nothing else.
+other fields in its group's `validate()`, and nothing else. A group is
+checked once, when it is made; the engine's groups are frozen, so no code
+that uses one checks it again, and `dataclasses.replace` varies one.
 """
 from __future__ import annotations
 
@@ -140,7 +142,10 @@ def check_field(obj, f: Field) -> None:
 
 class ParamGroup:
     """Mixin for a parameter dataclass: its JSON form and its value checks,
-    derived from its fields."""
+    derived from its fields. The checks run when the group is made."""
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise ParameterError for the first field, in declaration order,

@@ -60,7 +60,7 @@ class NoClustering:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DstcParams(ParamGroup):
     observation_period: int = bounded(1000, 1)  # transactions per observation period
     selection_threshold: float = bounded(2.0, 0)  # minimum crossings kept by selection
@@ -252,6 +252,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     targets = list(map(and_, edges, repeat(state.base - 1)))
 
     size = max(max(sources, default=0), max(targets, default=0)) + 1
+    # a list only for the ids with edges: one [] for every id up front is slower
     outgoing: list[list[int] | None] = [None] * size
     incoming: list[list[int] | None] = [None] * size
     for a, b in zip(sources, targets):
@@ -339,11 +340,10 @@ def dstc_reorganize(state: DstcState, storage) -> dict[int, tuple[int, int]]:
 
 class DstcPolicy:
     """Wire the five phases into the protocol's hook surface (see
-    `NoClustering`)."""
+    `NoClustering`). Its `params`, checked when made, are frozen."""
 
     def __init__(self, params: DstcParams | None = None):
         self.params = params or DstcParams()
-        self.params.validate()
         self.state = DstcState()
         # one call per transaction: the hook is dstc_observe itself
         self.on_link_crossing = partial(dstc_observe, self.state)

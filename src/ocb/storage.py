@@ -35,7 +35,7 @@ from .params import ParamGroup, bounded
 _first_page = itemgetter(0)  # the page of a (page, offset) position
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorageParams(ParamGroup):
     page_size: int = bounded(4096, 1)
     buffer_pages: int = bounded(128, 1)
@@ -45,7 +45,7 @@ class StorageParams(ParamGroup):
 
 
 class StorageState:
-    """Mutable per-experiment state: placement, page map, buffer, counters.
+    """Mutable per-experiment state over frozen params: placement, page map, buffer, counters.
 
     `placement` maps each object id to its (first page, byte offset). A
     state is made with the objects packed first-fit in the order of `sizes`.
@@ -67,7 +67,6 @@ class StorageState:
     """
 
     def __init__(self, params: StorageParams, sizes: dict[int, int]):
-        params.validate()
         self.params = params
         self.sizes = sizes
         page_size = params.page_size

@@ -57,7 +57,7 @@ CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_t
 Walk = tuple[list[int], list[tuple[int, ...]], list[int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadParams(ParamGroup):
     setdepth: int = bounded(3, 0)
     simdepth: int = bounded(3, 0)
@@ -283,10 +283,9 @@ def transaction_stream(db, params: WorkloadParams):
     traversal's (accessed, links, expanded) and `think` 0.0, undrawn, when
     `params.think` is 0. Clients are independent seeded streams interleaved
     round-robin, one transaction each. The stream reads no placement and no
-    policy, so it is the same under all of them. The parameters are checked
-    at the call; each step then walks one transaction and none ahead.
+    policy, so it is the same under all of them. Its checks against `db`
+    run at the call; each step then walks one transaction and none ahead.
     """
-    params.validate()
     if params.coldn + params.hotn > 0 and not db.objects:
         raise RunError("cannot run transactions against an empty database")
     validate_distribution(params.dist5, 1, max(len(db.objects), 1), "dist5",

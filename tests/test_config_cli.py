@@ -497,6 +497,18 @@ def test_cli_files_that_are_not_utf8_are_named_errors(tmp_path, capsys, content)
         assert str(path) in err and "not UTF-8 text" in err
 
 
+def test_cli_a_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    def generate_nothing(params):
+        raise AssertionError("generate_database called without a config file")
+
+    monkeypatch.setattr("ocb.cli.generate_database", generate_nothing)
+    for path in (tmp_path / "missing.cfg", tmp_path):  # no such file, a directory
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{path}: cannot read the config file: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--pset", "0.9", "--out-dir", str(tmp_path)]) == 2
     assert main(["generate", "--preset", "bogus",

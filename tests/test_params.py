@@ -4,18 +4,20 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 
 from ocb.cli import build_parser, main
 from ocb.config import ALL_KEYS, GROUPS, ExperimentConfig, build_config
+from ocb.distributions import Special
 from ocb.errors import ParameterError
-from ocb.generator import GenerationReport, GeneratorParams
-from ocb.metrics import aggregate
+from ocb.generator import GenerationReport, GeneratorParams, generate_database
+from ocb.metrics import TypeStats, aggregate
 from ocb.params import KINDS
-from ocb.storage import StorageParams
+from ocb.policies import DstcParams, make_policy
+from ocb.storage import StorageParams, place_sequential
 from ocb.workload import ExperimentLog, WorkloadParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -97,6 +99,15 @@ def test_readme_names_every_flag():
     assert {f"--{key.replace('_', '-')}" for key in ALL_KEYS} <= named
 
 
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    gain = capsys.readouterr().out.strip()
+    assert gain == "None" or float(gain) > 0
+
+
 def just_outside(f) -> list:
     """The values next to a bounded field's bounds that lie outside them,
     and for a per-class field a list with one such entry."""
@@ -123,6 +134,65 @@ OUTSIDE_IDS = [f"{key}={value[-1]!r}-in-a-list" if isinstance(value, list) else 
 def test_a_value_just_outside_its_bounds_is_rejected(group, key, value):
     with pytest.raises(ParameterError, match=f"^{key} must be "):
         group(**{key: value}).validate()
+    with pytest.raises(ParameterError, match=f"^{key} must be "):
+        group(**{key: value})  # made, not yet used
+
+
+# the groups the engine reads, which are frozen once checked
+FROZEN = (GeneratorParams, StorageParams, WorkloadParams, DstcParams, TypeStats)
+FROZEN_OUTSIDE = [(group, f.name, value) for group in FROZEN for f in fields(group)
+                  if "bounds" in f.metadata for value in just_outside(f)]
+
+
+@pytest.mark.parametrize("group", FROZEN, ids=lambda group: group.__name__)
+def test_no_field_of_a_frozen_group_can_be_assigned(group):
+    made = group()
+    for f in fields(group):
+        with pytest.raises(FrozenInstanceError):
+            setattr(made, f.name, getattr(made, f.name))
+
+
+@pytest.mark.parametrize("group, key, value", FROZEN_OUTSIDE,
+                         ids=[f"{group.__name__}.{key}={value!r}"
+                              for group, key, value in FROZEN_OUTSIDE])
+def test_a_replaced_value_just_outside_its_bounds_is_rejected(group, key, value):
+    with pytest.raises(ParameterError, match=f"^{key} must be "):
+        replace(group(), **{key: value})
+
+
+def test_a_per_class_list_is_held_as_a_tuple():
+    params = GeneratorParams(nc=3, maxnref=[1, 2, 3], basesize=[4, 5, 6])
+    assert params.maxnref == (1, 2, 3) and params.basesize == (4, 5, 6)
+    assert params == GeneratorParams(nc=3, maxnref=(1, 2, 3), basesize=(4, 5, 6))
+
+
+def test_a_group_in_use_cannot_be_changed():
+    # each assignment once reached the engine: a ZeroDivisionError at the
+    # end of a transaction, a KeyError when packing
+    policy = make_policy("dstc")
+    with pytest.raises(FrozenInstanceError):
+        policy.params.observation_period = 0
+    storage = place_sequential(generate_database(GeneratorParams(nc=2, no=10)),
+                               StorageParams())
+    with pytest.raises(FrozenInstanceError):
+        storage.params.page_size = 0
+    assert policy.params.observation_period == 1000
+    assert storage.params.page_size == 4096
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "refzone must be >= 0 (got -1)"),
+    ((1, 1.5), "locality_probability must be in [0, 1] (got 1.5)"),
+])
+def test_a_special_distribution_is_checked_when_made(args, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        Special(*args)
+
+
+def test_cli_names_the_flag_of_a_bad_special_distribution(tmp_path, capsys):
+    assert main(["run", "--dist4", "special:-1", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "bad value for dist4: refzone must be >= 0 (got -1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("group, key, value", OUTSIDE, ids=OUTSIDE_IDS)
