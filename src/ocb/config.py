@@ -14,7 +14,7 @@ from .errors import ParameterError
 from .generator import GeneratorParams
 from .metrics import DEFAULT_GAIN_WINDOW
 from .params import bounded, check_field, read_text
-from .policies import DstcParams, make_policy
+from .policies import DstcParams, check_policy_name
 from .presets import preset_overrides
 from .storage import StorageParams
 from .workload import WorkloadParams
@@ -38,7 +38,7 @@ class ExperimentConfig:
         for f in fields(self):
             if f.name not in GROUPS:
                 check_field(self, f)
-        make_policy(self.policy)  # raises ParameterError for an unknown name
+        check_policy_name(self.policy)
 
     def resolved_dict(self) -> dict:
         """Everything needed to reproduce the run, as one nested dict."""

@@ -1,7 +1,8 @@
 """Clustering policies: the no-op baseline and five-phase dynamic clustering.
 
-`NoClustering` states the hooks the protocol calls, and `make_policy` is
-the one place that maps a policy name to a policy.
+`NoClustering` states the hooks the protocol calls, and `_POLICIES` is
+the one table that maps a policy name to a policy: `make_policy` builds
+from it and `check_policy_name` checks a name against it.
 
 The dynamic policy observes inter-object link crossings per period, keeps
 only significant counts, blends them into a persistent consolidated matrix,
@@ -44,8 +45,11 @@ class NoClustering:
     none, the consecutive pairs of `accessed`. `on_transaction_end` and
     `maybe_reorganize` run after every transaction. Hooks must not change
     which objects a traversal visits, nor the lists and tables they are
-    handed; they may only affect physical placement and overhead I/O. This
-    one never touches placement and never spends overhead I/O.
+    handed; they may only affect physical placement and overhead I/O. The
+    tables are the database's own, and a client's set, simple or hierarchy
+    transaction that repeats its previous one in type, root and direction
+    hands over the previous walk's lists again, not a copy. This one never
+    touches placement and never spends overhead I/O.
     """
 
     def on_link_crossing(self, accessed: list[int], links: list[tuple[int, ...]],
@@ -367,11 +371,20 @@ class DstcPolicy:
         return dstc_reorganize(self.state, storage)
 
 
+# each policy by name, built from the run's DstcParams (None for the
+# defaults); the only place that knows the names
+_POLICIES = {"none": lambda _dstc_params: NoClustering(), "dstc": DstcPolicy}
+
+
+def check_policy_name(name: str) -> None:
+    """Raise ParameterError unless a policy is called `name`; builds none."""
+    if name not in _POLICIES:
+        raise ParameterError(f"unknown policy {name!r} "
+                             f"(expected {' or '.join(map(repr, _POLICIES))})")
+
+
 def make_policy(name: str,
                 dstc_params: DstcParams | None = None) -> NoClustering | DstcPolicy:
-    """The policy called `name`; the only place that knows the names."""
-    policies = {"none": NoClustering, "dstc": partial(DstcPolicy, dstc_params)}
-    if name not in policies:
-        raise ParameterError(f"unknown policy {name!r} "
-                             f"(expected {' or '.join(map(repr, policies))})")
-    return policies[name]()
+    """The policy called `name`."""
+    check_policy_name(name)
+    return _POLICIES[name](dstc_params)

@@ -105,12 +105,17 @@ class StorageState:
         """First-fit placement for the given object order (not applied).
 
         An object larger than a page gets a run of new pages to itself.
+        A page closes once it cannot take the order's smallest positive
+        size. A zero-size object fits the first open page, which is the
+        first page opened, so when the order holds one that page never
+        closes.
         """
         page_size = self.params.page_size
         placement: dict[int, tuple[int, int]] = {}
         free: list[int] = []  # free bytes per open page, index = page id
         order_sizes = list(map(self.sizes.__getitem__, order))
-        min_size = min(order_sizes, default=0)
+        min_size = min(filter(None, order_sizes), default=0)
+        keep_first = 0 in order_sizes
         open_pages: list[int] = []  # page ids that can still take min_size bytes
         for oid, size in zip(order, order_sizes):
             if size > page_size:
@@ -129,7 +134,7 @@ class StorageState:
             placement[oid] = (page, page_size - left)
             left -= size
             free[page] = left
-            if left < min_size:
+            if left < min_size and not (keep_first and page == open_pages[0]):
                 open_pages.remove(page)
         return placement
 

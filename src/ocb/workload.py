@@ -22,7 +22,12 @@ entry per crossing.
 `transaction_stream` yields all three once per transaction, with its draws;
 `run_protocol` replays that stream, hands each walk to the policy's crossing
 hook, replays `accessed` through the page buffer and derives the
-transaction's faults and simulated time from it.
+transaction's faults and simulated time from it. A client whose set,
+simple or hierarchy transaction repeats its previous one in type, root and
+direction (as sticky `special` roots make common) gets the previous walk
+again, the same lists, without walking it; a stochastic transaction is
+always walked, since it draws. So nothing that receives a walk may change
+its lists.
 """
 from __future__ import annotations
 
@@ -243,8 +248,19 @@ def _draw_type(rng: random.Random, params: WorkloadParams) -> str:
 
 
 def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction: str,
-                    rng: random.Random) -> Walk:
-    """Run one traversal of type `kind`; return its (accessed, links, expanded)."""
+                    rng: random.Random, previous=None) -> Walk:
+    """Run one traversal of type `kind`; return its (accessed, links, expanded).
+
+    `previous` is the calling client's previous transaction as (kind, root,
+    direction, walk), or None. A set, simple or hierarchy walk depends only
+    on `db`, `params` and its kind, root and direction, so when it repeats
+    `previous` in all three, `previous`'s walk is returned as it is: the
+    same lists, not walked again. A stochastic walk draws from `rng`, so it
+    is always walked.
+    """
+    if (kind != TYPE_STOCHASTIC and previous is not None
+            and previous[:3] == (kind, root, direction)):
+        return previous[3]
     if kind == TYPE_SET:
         return set_oriented_access(db, root, params.setdepth, direction)
     if kind == TYPE_SIMPLE:
@@ -259,21 +275,27 @@ def run_transaction(db, params: WorkloadParams, kind: str, root: int, direction:
 
 def _client_transactions(db, params: WorkloadParams, client: int):
     """One client's endless (type, direction, root, walk, think) transactions,
-    each decision drawn from the client's own deterministic substream."""
+    each decision drawn from the client's own deterministic substream.
+
+    Each `run_transaction` call gets the client's previous transaction, so
+    a set, simple or hierarchy transaction that repeats it in type, root
+    and direction yields the previous walk again, the very same lists."""
     types, roots, directions, stochastic, think = (
         substream(params.seed, f"tx-{name}:{client}")
         for name in ("types", "roots", "directions", "stochastic", "think"))
     # Special root selection anchors at the client's previous root, for a
     # stream with temporal locality; the first draw (no anchor yet) is uniform.
     draw_root = position_drawer(params.dist5, roots, 1, len(db.objects), len(db.objects))
-    root = None
+    root = previous = None
     while True:
         kind = _draw_type(types, params)
         root = draw_root(root)
         direction = (REVERSE if params.reverse_probability > 0.0
                      and directions.random() < params.reverse_probability else FORWARD)
-        yield (kind, direction, root,
-               run_transaction(db, params, kind, root, direction, stochastic),
+        # positional: the bench and a test wrap run_transaction with *args
+        walk = run_transaction(db, params, kind, root, direction, stochastic, previous)
+        previous = (kind, root, direction, walk)
+        yield (kind, direction, root, walk,
                think.expovariate(1.0 / params.think) if params.think > 0 else 0.0)
 
 
@@ -284,7 +306,9 @@ def transaction_stream(db, params: WorkloadParams):
     `params.think` is 0. Clients are independent seeded streams interleaved
     round-robin, one transaction each. The stream reads no placement and no
     policy, so it is the same under all of them. Its checks against `db`
-    run at the call; each step then walks one transaction and none ahead.
+    run at the call; each step then makes one `run_transaction` call, which
+    walks its transaction unless it repeats the client's previous walk,
+    and walks none ahead.
     """
     if params.coldn + params.hotn > 0 and not db.objects:
         raise RunError("cannot run transactions against an empty database")

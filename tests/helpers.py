@@ -447,6 +447,46 @@ def reference_build_units(state, params):
     return units
 
 
+def reference_pack_order(state, order):
+    """`StorageState.pack_order` as it was before zero-size objects were
+    handled, kept verbatim (`self` is `state`) as the packing oracle.
+
+    A zero-size object in the order makes `min_size` 0, so no page ever
+    closes and each object scans every page before it; StorageState.pack_order
+    must return the same placement.
+
+    First-fit placement for the given object order (not applied).
+
+    An object larger than a page gets a run of new pages to itself.
+    """
+    page_size = state.params.page_size
+    placement: dict[int, tuple[int, int]] = {}
+    free: list[int] = []  # free bytes per open page, index = page id
+    order_sizes = list(map(state.sizes.__getitem__, order))
+    min_size = min(order_sizes, default=0)
+    open_pages: list[int] = []  # page ids that can still take min_size bytes
+    for oid, size in zip(order, order_sizes):
+        if size > page_size:
+            placement[oid] = (len(free), 0)
+            free.extend([0] * state._runs[oid])
+            continue
+        for page in open_pages:
+            left = free[page]
+            if left >= size:
+                break
+        else:
+            page = len(free)
+            left = page_size
+            free.append(left)
+            open_pages.append(page)
+        placement[oid] = (page, page_size - left)
+        left -= size
+        free[page] = left
+        if left < min_size:
+            open_pages.remove(page)
+    return placement
+
+
 def reference_draw_bounded(dist: Distribution, rng: random.Random, lo: int,
                            hi: int) -> int:
     """`draw_bounded` as it was written on `randint`, kept as an oracle.

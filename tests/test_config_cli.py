@@ -538,6 +538,23 @@ def test_cli_unknown_policy_is_config_error_before_generation(tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_dstc_run_checks_its_dstc_params_once(tmp_path, monkeypatch):
+    # the policy name is checked against the policy table, building no policy
+    db_path = tmp_path / "ocb.db"
+    assert main(["generate", *SMALL, "--out", str(db_path)]) == 0
+    checked = []
+    validate = DstcParams.validate
+
+    def counted(params):
+        checked.append(params)
+        validate(params)
+
+    monkeypatch.setattr(DstcParams, "validate", counted)
+    assert main(["run", "--db", str(db_path), "--coldn", "2", "--hotn", "3",
+                 "--policy", "dstc", "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(checked) == 1
+
+
 @pytest.mark.parametrize("command", ["run", "generate"])
 def test_cli_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch, command):
     # a configuration too large for the host ends with a message, not a traceback

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_db, first_fit_oracle, lru_oracle, placement_valid_oracle
+from helpers import (
+    build_db,
+    first_fit_oracle,
+    lru_oracle,
+    placement_valid_oracle,
+    reference_pack_order,
+)
 from ocb.cli import main
 from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
@@ -272,6 +278,26 @@ def test_random_packings_match_oracle(sizes, page_scale):
     oracle = first_fit_oracle([o.id for o in db.objects],
                               {o.id: o.size for o in db.objects}, page_size)
     assert state.placement == oracle
+
+
+# page sizes from one byte up; each object is empty, a page multiple, fits
+# a page or spans a run of pages
+@settings(max_examples=300)
+@given(st.sampled_from([1, 2, 3, 7, 64, 4096]), st.data())
+def test_packing_places_as_before_zero_sizes_were_handled(page_size, data):
+    sizes = data.draw(st.lists(st.one_of(
+        st.just(0),
+        st.integers(1, 4).map(lambda k: k * page_size),
+        st.integers(0, page_size),
+        st.integers(page_size + 1, 3 * page_size)), min_size=1, max_size=40),
+        label="sizes")
+    state = place_sequential(sized_db(sizes), StorageParams(page_size=page_size))
+    ids = list(range(1, len(sizes) + 1))
+    assert state.placement == reference_pack_order(state, ids)
+    # a shuffled subset of the objects, as a rewrite may pack
+    order = data.draw(st.permutations(ids), label="order")[:data.draw(
+        st.integers(0, len(ids)), label="subset")]
+    assert state.pack_order(order) == reference_pack_order(state, order)
 
 
 PAGE = 128

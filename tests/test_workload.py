@@ -16,7 +16,8 @@ from helpers import (
     stochastic_oracle,
     typed_links_of,
 )
-from ocb.distributions import Constant, substream
+from ocb import workload
+from ocb.distributions import Constant, Special, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import DstcParams, DstcPolicy, NoClustering
@@ -431,6 +432,58 @@ def test_the_replay_logs_the_stream_under_every_placement_and_policy():
             assert bool(log.reorgs) == isinstance(policy, DstcPolicy)
             faults.add(tuple(r.faults for r in log.records))
     assert len(faults) == 4  # the physical replays all differ
+
+
+# sticky roots: after its first, uniform draw each client keeps its root
+STICKY = dict(coldn=6, hotn=9, clientn=2, dist5=Special(0, 1.0), think=0.5, seed=7)
+ONE_TYPE = {kind: {name: float(name == f"p{kind}")
+                   for name in ("pset", "psimple", "phier", "pstoch")}
+            for kind in ("set", "simple", "hier", "stoch")}
+
+
+def sticky_db():
+    return generate_database(GeneratorParams(nc=4, maxnref=3, no=120, seed=8))
+
+
+@pytest.mark.parametrize("reverse_probability", [0.0, 1.0, 0.5])
+@pytest.mark.parametrize("mix", ["set", "simple", "hier", "stoch", "all"])
+def test_a_reused_walk_leaves_the_stream_as_walking_it_again(monkeypatch, mix,
+                                                             reverse_probability):
+    db = sticky_db()
+    params = WorkloadParams(**STICKY, **ONE_TYPE.get(mix, {}),
+                            reverse_probability=reverse_probability)
+    stream = list(transaction_stream(db, params))
+    run_transaction = workload.run_transaction
+    # the reference walks every transaction: it drops the previous one
+    monkeypatch.setattr(workload, "run_transaction",
+                        lambda *args: run_transaction(*args[:6]))
+    reference = list(transaction_stream(db, params))
+    assert len(stream) == len(reference) == 30
+    for item, expected in zip(stream, reference):
+        assert item == expected
+    if mix == "stoch":
+        # each repeat is walked again with the client's next draws
+        assert len({tuple(walk[0]) for *_, walk, _ in stream}) > 2
+
+
+def test_a_client_walks_its_repeated_simple_transaction_once(monkeypatch):
+    calls = Counter()
+    simple = workload.simple_traversal
+
+    def counted(db, root, depth, direction):
+        calls[root, direction] += 1
+        return simple(db, root, depth, direction)
+
+    monkeypatch.setattr(workload, "simple_traversal", counted)
+    db = sticky_db()
+    stream = list(transaction_stream(db, WorkloadParams(**STICKY, **ONE_TYPE["simple"])))
+    roots = {client: root for _, client, _, _, root, _, _ in stream}
+    assert len(stream) == 30 and len(roots) == 2
+    assert calls == Counter((root, "forward") for root in roots.values())
+    # a reused walk is the previous one, the same lists: hooks must not change them
+    first = {}
+    for _, client, _, _, _, walk, _ in stream:
+        assert walk is first.setdefault(client, walk)
 
 
 def test_per_type_totals_sum_to_global():
