@@ -160,8 +160,9 @@ def _load_report(path: str) -> MetricsReport:
         raise OcbError(f"{path}: report is not readable JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise OcbError(f"{path}: report is not a JSON object")
-    if payload.get("format") != REPORT_FORMAT:
-        raise OcbError(f"{path}: unsupported report format {payload.get('format')!r}")
+    version = payload.get("format")
+    if type(version) is not int or version != REPORT_FORMAT:  # true and 1.0 equal 1
+        raise OcbError(f"{path}: unsupported report format {version!r}")
     try:
         report = MetricsReport.from_dict(payload["metrics"])
         report.fingerprint = read_json("str | None", "fingerprint", payload.get("fingerprint"))

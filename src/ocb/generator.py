@@ -344,20 +344,13 @@ def save_database(db: Database, path: str) -> None:
 
 
 def _payload(db: Database) -> dict:
-    """The JSON document of a database file."""
+    """The JSON document of a database file. Its class and object entries
+    are the records' own `vars()`, not copies: read them, never change them."""
     return {
         "format": DB_FORMAT,
         "params": db.params.to_dict(),
-        "classes": [
-            {"id": c.id, "tref": c.tref, "cref": c.cref, "basesize": c.basesize,
-             "instance_size": c.instance_size, "iterator": c.iterator}
-            for c in db.classes
-        ],
-        "objects": [
-            {"id": o.id, "class_id": o.class_id, "oref": o.oref,
-             "backref": o.backref, "size": o.size}
-            for o in db.objects
-        ],
+        "classes": list(map(vars, db.classes)),
+        "objects": list(map(vars, db.objects)),
         "report": db.report.to_dict(),
     }
 
@@ -416,8 +409,8 @@ def _tail_params(body: str) -> GeneratorParams | None:
 
 
 # the text of the shortest class and object in a saved body
-_SHORTEST_CLASS = '{"basesize":0,"cref":[],"id":1,"instance_size":0,"iterator":[],"tref":[]}'
-_SHORTEST_OBJECT = '{"backref":[],"class_id":1,"id":1,"oref":[],"size":0}'
+_SHORTEST_CLASS = _canonical(vars(ClassDescriptor(1, [], [], 0, 0)))
+_SHORTEST_OBJECT = _canonical(vars(ObjectInstance(1, 1, [])))
 
 
 def _regenerate(path: str, params: GeneratorParams, size: int) -> Database:
@@ -446,14 +439,14 @@ def _reject(path: str, body: str, loaded: Database | None) -> NoReturn:
     """Raise FormatError naming the first fault of a body that did not load.
 
     In order: the JSON parse (an integer literal over CPython's 4300-digit
-    limit fails it); the format version; `params` and `report` as
-    `from_dict` reads and checks them; the stored class, slot and
-    object counts against `nc`, `maxnref` and `no`; then, against the
-    regeneration, the first class or object field whose canonical JSON
-    differs (`true` or `1.0` for 1 does), and the first differing report
-    count. A body that passes them all is other JSON text of the same
-    document: other spacing, key order or an extra key. The regeneration is
-    `loaded`, the load's own, when its params equal the body's.
+    limit fails it); the format version, the int 1; `params` and `report`
+    as `from_dict` reads and checks them; the stored class, slot and object
+    counts against `nc`, `maxnref` and `no`; then, against the regeneration,
+    the first class or object field whose canonical JSON differs, and the
+    first differing report count. Here `true` or `1.0` for 1 differs. A body
+    that passes them all is other JSON text of the same document: other
+    spacing, key order or an extra key. The regeneration is `loaded`, the
+    load's own, when its params equal the body's.
     """
     try:
         payload = json.loads(body)
@@ -461,8 +454,9 @@ def _reject(path: str, body: str, loaded: Database | None) -> NoReturn:
         raise FormatError(f"{path}: malformed database body: {exc}") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: database body is not a JSON object")
-    if payload.get("format") != DB_FORMAT:
-        raise FormatError(f"{path}: unsupported format version {payload.get('format')!r}")
+    version = payload.get("format")
+    if type(version) is not int or version != DB_FORMAT:  # true and 1.0 equal 1
+        raise FormatError(f"{path}: unsupported format version {version!r}")
     group = "generator parameters"
     try:
         params = GeneratorParams.from_dict(payload["params"])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .errors import ComparisonError, ParameterError
 from .params import ParamGroup, bounded, check_field, read_json
@@ -17,9 +17,6 @@ from .workload import PHASES, TRANSACTION_TYPES, ExperimentLog
 ALL = "all"
 STAT_TYPES = (ALL,) + TRANSACTION_TYPES  # the types of each phase's stats
 DEFAULT_GAIN_WINDOW = 500
-
-REPORT_CSV_COLUMNS = ("phase", "type", "count", "total_objects", "mean_objects",
-                      "total_faults", "mean_faults", "mean_time")
 
 
 @dataclass(frozen=True)
@@ -30,6 +27,9 @@ class TypeStats(ParamGroup):
     total_faults: int = bounded(0, 0)
     mean_faults: float = bounded(0.0, 0)
     mean_time: float = bounded(0.0, 0)
+
+
+REPORT_CSV_COLUMNS = ("phase", "type", *(f.name for f in fields(TypeStats)))
 
 
 @dataclass
@@ -184,15 +184,14 @@ def compare(report_a: MetricsReport, report_b: MetricsReport,
 
 
 def write_report_csv(report: MetricsReport, path: str) -> None:
+    """One row per phase and type: both, then that pair's `TypeStats` fields
+    in declared order, as `REPORT_CSV_COLUMNS` names them; csv writes a
+    float as its `repr`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS)
-        for phase in PHASES:
-            for kind in STAT_TYPES:
-                s = report.phase_type(phase, kind)
-                writer.writerow((phase, kind, s.count, s.total_objects,
-                                 repr(s.mean_objects), s.total_faults,
-                                 repr(s.mean_faults), repr(s.mean_time)))
+        writer.writerows((phase, kind, *astuple(report.phase_type(phase, kind)))
+                         for phase in PHASES for kind in STAT_TYPES)
 
 
 def report_text(report: MetricsReport) -> str:

@@ -392,6 +392,15 @@ def test_cli_run_database_loads_if_and_only_if_it_is_the_text_of_its_params(
         assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1"],
+                         ids=["true", "float", "two", "string"])
+def test_cli_run_database_with_another_format_version_is_runtime_error(tmp_path, capsys,
+                                                                     version):
+    # true and 1.0 equal the version 1 in Python, yet are not the int 1
+    err = run_edited_database(tmp_path, capsys, lambda payload: payload.update(format=version))
+    assert f"unsupported format version {version!r}" in err
+
+
 def test_cli_run_database_with_non_canonical_text_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "indented.ocb"
     assert main(["generate", "--nc", "2", "--no", "5", "--maxnref", "1",
@@ -669,7 +678,10 @@ def test_cli_compare_mismatched_seeds_requires_force(tmp_path):
     ("x\n", "not readable JSON"), ('{"format": 1}\n', "malformed report metrics"),
     (DEEP_JSON, "not readable JSON"), ("[1, 2]\n", "report is not a JSON object"),
     ('{"format": 2}\n', "unsupported report format 2"),
-], ids=["not-json", "no-metrics", "nested-too-deep", "not-an-object", "unsupported-format"])
+    ('{"format": true}\n', "unsupported report format True"),
+    ('{"format": 1.0}\n', "unsupported report format 1.0"),
+], ids=["not-json", "no-metrics", "nested-too-deep", "not-an-object", "unsupported-format",
+        "format-true", "format-float"])
 def test_cli_compare_malformed_report_is_runtime_error(tmp_path, capsys, body, message):
     path = tmp_path / "r.json"
     path.write_text(body)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from ocb.generator import (
     Database,
     GenerationReport,
     GeneratorParams,
+    ObjectInstance,
     enforce_consistency,
     generate_database,
     generate_objects,
@@ -517,6 +519,25 @@ def test_load_bound_assumes_the_shortest_class_and_object_text(tmp_path):
     assert json.dumps(payload["objects"][0], separators=(",", ":")) == \
         generator._SHORTEST_OBJECT
     assert load_database(str(path)) == db
+
+
+def test_shortest_class_and_object_texts_are_unchanged():
+    # derived from the records; the load's body-length bound rests on their lengths
+    assert generator._SHORTEST_CLASS == \
+        '{"basesize":0,"cref":[],"id":1,"instance_size":0,"iterator":[],"tref":[]}'
+    assert generator._SHORTEST_OBJECT == '{"backref":[],"class_id":1,"id":1,"oref":[],"size":0}'
+
+
+def test_saved_entries_hold_exactly_the_record_fields(tmp_path):
+    # each entry is written from the record's own attributes, so a stray one
+    # set on a class or an object would reach the file and fail this
+    db = generate_database(small_params(seed=44))
+    path = tmp_path / "db.ocb"
+    save_database(db, str(path))
+    payload = json.loads(path.read_text().splitlines()[1])
+    for key, record in (("classes", ClassDescriptor), ("objects", ObjectInstance)):
+        names = {f.name for f in fields(record)}
+        assert payload[key] and all(entry.keys() == names for entry in payload[key])
 
 
 def test_load_rejects_wrong_magic(tmp_path):

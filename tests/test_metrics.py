@@ -5,6 +5,7 @@ import pytest
 
 from ocb.errors import ComparisonError
 from ocb.metrics import (
+    REPORT_CSV_COLUMNS,
     MetricsReport,
     aggregate,
     compare,
@@ -143,3 +144,9 @@ def test_text_outputs_render(tmp_path):
     write_report_csv(report, str(tmp_path / "report_stats.csv"))
     header = (tmp_path / "report_stats.csv").read_text().splitlines()[0]
     assert header == "phase,type,count,total_objects,mean_objects,total_faults,mean_faults,mean_time"
+
+
+def test_report_csv_columns_are_the_file_contract():
+    # derived from the TypeStats fields: renaming or reordering one changes the file
+    assert REPORT_CSV_COLUMNS == ("phase", "type", "count", "total_objects", "mean_objects",
+                                  "total_faults", "mean_faults", "mean_time")
