@@ -117,12 +117,15 @@ class ReorgEvent:
 
 @dataclass
 class ExperimentLog:
+    """A run's transactions, reorganizations and simulated clock. Its I/O totals
+    are derived from them: this run's own, not the storage's lifetime counts."""
+
     records: list[TransactionRecord] = field(default_factory=list)
     reorgs: list[ReorgEvent] = field(default_factory=list)
     clock: float = 0.0
-    transaction_reads: int = 0
-    overhead_reads: int = 0
-    overhead_writes: int = 0
+    transaction_reads = property(lambda self: sum(r.faults for r in self.records))
+    overhead_reads = property(lambda self: sum(e.reads for e in self.reorgs))
+    overhead_writes = property(lambda self: sum(e.writes for e in self.reorgs))
 
 
 def set_oriented_access(db, root, depth, direction=FORWARD) -> Walk:
@@ -375,9 +378,6 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
             # every term is >= 0, so a finite clock bounds every sim_time too
             raise RunError(f"the simulated clock overflowed to {log.clock}: io_cost, "
                            f"cpu_cost or think is too large for this run")
-        log.transaction_reads = storage.transaction_reads
-        log.overhead_reads = storage.overhead_reads
-        log.overhead_writes = storage.overhead_writes
         return log
 
 

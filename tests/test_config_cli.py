@@ -821,9 +821,11 @@ def test_report_recomputable_from_csv_export(tmp_path):
                for i, (phase, kind, direction, root, objects, faults, sim_time)
                in enumerate(rows)]
     log = ExperimentLog(records=records,
-                        reorgs=[ReorgEvent(**e) for e in payload["reorganizations"]],
-                        overhead_reads=payload["counters"]["overhead_reads"],
-                        overhead_writes=payload["counters"]["overhead_writes"])
+                        reorgs=[ReorgEvent(**e) for e in payload["reorganizations"]])
+    # the rebuilt log's totals come from the CSV rows and the reorganizations
+    assert payload["counters"] == {"transaction_reads": log.transaction_reads,
+                                   "overhead_reads": log.overhead_reads,
+                                   "overhead_writes": log.overhead_writes}
     recomputed = aggregate(log, gain_window=payload["config"]["gain_window"],
                            fingerprint=payload["fingerprint"])
     assert recomputed.to_dict() == payload["metrics"]

@@ -2,9 +2,10 @@ import csv
 import random
 import sys
 from collections import Counter
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from helpers import (
     bfs_oracle,
@@ -12,14 +13,16 @@ from helpers import (
     dfs_oracle,
     hierarchy_oracle,
     links_of,
+    lru_oracle,
     stack_preorder,
     stochastic_oracle,
     typed_links_of,
 )
 from ocb import workload
-from ocb.distributions import Constant, Special, substream
+from ocb.distributions import Constant, Special, Uniform, substream
 from ocb.errors import ParameterError, RunError
 from ocb.generator import GeneratorParams, generate_database
+from ocb.metrics import aggregate
 from ocb.policies import DstcParams, DstcPolicy, NoClustering
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import (
@@ -488,14 +491,105 @@ def test_a_client_walks_its_repeated_simple_transaction_once(monkeypatch):
 
 def test_per_type_totals_sum_to_global():
     db = generate_database(GeneratorParams(nc=3, maxnref=2, no=40, seed=8))
-    log = run_protocol(db, storage_for(db), protocol_params(coldn=30, hotn=50), NoClustering())
+    storage = storage_for(db)
+    log = run_protocol(db, storage, protocol_params(coldn=30, hotn=50), NoClustering())
     total_objects = sum(r.objects for r in log.records)
     by_type = {}
     for r in log.records:
         by_type[r.type] = by_type.get(r.type, 0) + r.objects
     assert sum(by_type.values()) == total_objects
     total_faults = sum(r.faults for r in log.records)
-    assert total_faults == log.transaction_reads
+    assert total_faults == storage.transaction_reads
+
+
+def test_a_run_after_a_hand_rewrite_logs_no_overhead():
+    # the storage's counters are lifetime totals; a run's log counts its own I/O
+    db = generate_database(GeneratorParams(no=2000, seed=1))
+    storage = place_sequential(db, StorageParams())
+    reads, writes = storage.rewrite_placement(
+        storage.pack_order(sorted(storage.placement, reverse=True)))
+    assert reads > 0 and writes > 0
+    log = run_protocol(db, storage, WorkloadParams(coldn=20, hotn=20, seed=1),
+                       NoClustering())
+    assert not log.reorgs
+    assert (log.overhead_reads, log.overhead_writes) == (0, 0)
+    report = aggregate(log)
+    assert (report.overhead_reads, report.overhead_writes) == (0, 0)
+
+
+def test_two_runs_on_one_storage_each_log_their_own_faults():
+    db = generate_database(GeneratorParams(no=2000, seed=1))
+    storage = place_sequential(db, StorageParams(buffer_pages=8))
+    logs = [run_protocol(db, storage, WorkloadParams(coldn=20, hotn=20, seed=seed),
+                         NoClustering())
+            for seed in (1, 2)]
+    for log in logs:
+        assert log.transaction_reads == sum(r.faults for r in log.records) > 0
+    assert sum(log.transaction_reads for log in logs) == storage.transaction_reads
+
+
+@st.composite
+def oracle_runs(draw):
+    """A small database, its storage and a run's parameters and policy: some
+    objects span pages, the buffer holds 1-8 pages, and DSTC periods are short
+    enough that most DSTC runs reorganize."""
+    db = generate_database(GeneratorParams(
+        nc=draw(st.integers(1, 6)), maxnref=draw(st.integers(1, 4)),
+        basesize=draw(st.integers(1, 300)), no=draw(st.integers(5, 60)),
+        seed=draw(st.integers(0, 2**16))))
+    storage = place_sequential(db, StorageParams(
+        page_size=draw(st.sampled_from([256, 512, 4096])),
+        buffer_pages=draw(st.integers(1, 8))))
+    weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    weights = weights if any(weights) else [1, 1, 1, 1]
+    params = WorkloadParams(
+        coldn=draw(st.integers(0, 10)), hotn=draw(st.integers(10, 40)),
+        **{name: w / sum(weights) for name, w in
+           zip(("pset", "psimple", "phier", "pstoch"), weights)},
+        reverse_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        clientn=draw(st.integers(1, 3)),
+        dist5=draw(st.sampled_from([Uniform(), Special(0, 0.9)])),
+        seed=draw(st.integers(0, 2**16)))
+    if draw(st.sampled_from(["dstc", "none"])) == "dstc":
+        policy = DstcPolicy(DstcParams(
+            observation_period=draw(st.integers(2, 8)),
+            max_unit_size=draw(st.sampled_from([0, 1, 8, 64]))))
+    else:
+        policy = NoClustering()
+    return db, storage, params, policy
+
+
+@settings(max_examples=200)
+@given(oracle_runs())
+def test_a_whole_run_matches_the_lru_oracle(run):
+    # every record's faults and every reorganization's I/O, replayed from the
+    # logical stream and the placements the run installed
+    db, storage, params, policy = run
+    initial = dict(storage.placement)
+    installed = []
+    rewrite = storage.rewrite_placement
+
+    def recording(placement):
+        installed.append((storage.objects_accessed, placement))
+        return rewrite(placement)
+
+    storage.rewrite_placement = recording
+    log = run_protocol(db, storage, params, policy)
+    event(f"reorganized: {bool(log.reorgs)}")
+    walks = [accessed for *_, (accessed, _, _), _ in transaction_stream(db, params)]
+    ends = list(accumulate(map(len, walks)))  # accesses done after each transaction
+    after = [ends.index(done) for done, _ in installed]
+    steps = []
+    for accessed, end in zip(walks, ends):
+        steps += accessed
+        steps += [placement for done, placement in installed if done == end]
+    sizes = {obj.id: obj.size for obj in db.objects}
+    reads, rewrite_io, _ = lru_oracle(initial, sizes, storage.params.page_size,
+                                      storage.params.buffer_pages, steps)
+    faults = [sum(reads[start:end]) for start, end in zip([0, *ends], ends)]
+    assert [r.faults for r in log.records] == faults
+    assert [(e.reads, e.writes) for e in log.reorgs] == rewrite_io
+    assert [e.after_index for e in log.reorgs] == after
 
 
 def test_csv_round_trip(tmp_path):
