@@ -25,6 +25,7 @@ id among its edges.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, filterfalse, pairwise, repeat
@@ -60,7 +61,7 @@ class NoClustering:
         pass
 
     def maybe_reorganize(self, storage):
-        """Return a new placement dict to apply, or None to leave it alone."""
+        """Return a new placement mapping to apply, or None to leave it alone."""
         return None
 
 
@@ -335,7 +336,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     return units
 
 
-def dstc_reorganize(state: DstcState, storage) -> dict[int, tuple[int, int]]:
+def dstc_reorganize(state: DstcState, storage) -> Mapping[int, tuple[int, int]]:
     """Phase 5: lay units out contiguously, then everything else by id."""
     order = list(chain.from_iterable(state.clustering_units))
     order += sorted(storage.placement.keys() - set(order))

@@ -13,26 +13,26 @@ offset 0; and no byte is taken twice. Runs depend only on object sizes, so
 a `StorageState` derives them once, when it is made, and refuses them there
 when `spanning` is off.
 
-An object access costs one dict lookup and one LRU step when the object fits
+An object access costs one list index and one LRU step when the object fits
 on one page, as every object of the `default` and `dstc-club` presets does;
 an object in a run touches each page of its run in order. The buffer is
 always full (see `StorageState`), so a page fault is one insert and one
 eviction of the least recently used frame, with no size test. A placement
 rewrite costs one validation loop over the objects and two sorts, then a
-few passes at C level. The first-fit packing that produces a new placement
-is one Python loop over the objects in the requested order.
+few passes at C level over the id-indexed lists of a `Placement`. The
+first-fit packing that produces a new placement is one Python loop over the
+objects in the requested order.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import itemgetter, lt, ne
+from operator import lt, ne, or_
 
 from .errors import PlacementError
 from .params import ParamGroup, bounded
-
-_first_page = itemgetter(0)  # the page of a (page, offset) position
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,45 @@ class StorageParams(ParamGroup):
     spanning: bool = True  # oversized objects may occupy a dedicated page run
 
 
+class Placement(Mapping):
+    """A read-only map of object id -> (first page, byte offset), held as
+    `pages[oid]` and `offsets[oid]`; other indices, 0 among them, hold None.
+    `keys()` is a `dict_keys`, so comparing or subtracting key sets stays at C level.
+    """
+
+    __slots__ = ("pages", "offsets", "_keys")
+
+    def __init__(self, ids, pages: list, offsets: list):
+        self._keys = dict.fromkeys(ids).keys()
+        self.pages = pages
+        self.offsets = offsets
+
+    def __getitem__(self, object_id):
+        if object_id in self._keys:
+            return self.pages[object_id], self.offsets[object_id]
+        raise KeyError(object_id)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def keys(self):
+        return self._keys
+
+    def __repr__(self):
+        return f"Placement({dict(self)!r})"
+
+
 class StorageState:
     """Mutable per-experiment state over frozen params: placement, page map, buffer, counters.
 
-    `placement` maps each object id to its (first page, byte offset). A
-    state is made with the objects packed first-fit in the order of `sizes`.
-    The placement is read-only outside `rewrite_placement`: `_install`,
-    which sets it there and when the state is made, derives from it the
-    page map that `access_object` reads, so an edit made anywhere else
+    `placement` is a `Placement` of the object ids 1..len(sizes). A state
+    is made with the objects packed first-fit in the order of `sizes`. The
+    placement is replaced only by `rewrite_placement`: `_install`, which
+    sets it there and when the state is made, copies its page list into
+    the page map that `access_object` reads, so an edit made anywhere else
     would leave it stale.
 
     The LRU buffer `_buffer`, least recently used first, is always full: it
@@ -67,6 +98,8 @@ class StorageState:
     """
 
     def __init__(self, params: StorageParams, sizes: dict[int, int]):
+        if sizes.keys() != set(range(1, len(sizes) + 1)):
+            raise PlacementError(f"object ids must be 1..{len(sizes)}")
         self.params = params
         self.sizes = sizes
         page_size = params.page_size
@@ -89,19 +122,19 @@ class StorageState:
 
     # -- placement ---------------------------------------------------------
 
-    def _install(self, placement: dict[int, tuple[int, int]]) -> None:
+    def _install(self, placement: Placement) -> None:
         self.placement = placement
-        # single-page object id -> its page
-        page_of = dict(zip(placement, map(_first_page, placement.values())))
+        # object id -> its page; None for an object in a run, and at index 0
+        page_of = placement.pages.copy()
         for oid in self._runs:
-            del page_of[oid]
+            page_of[oid] = None
         self._page_of = page_of
 
     def pages_of(self, object_id: int) -> range:
         page, _ = self.placement[object_id]
         return range(page, page + self._runs.get(object_id, 1))
 
-    def pack_order(self, order) -> dict[int, tuple[int, int]]:
+    def pack_order(self, order) -> Placement:
         """First-fit placement for the given object order (not applied).
 
         An object larger than a page gets a run of new pages to itself.
@@ -111,7 +144,8 @@ class StorageState:
         closes.
         """
         page_size = self.params.page_size
-        placement: dict[int, tuple[int, int]] = {}
+        pages: list = [None] * (len(self.sizes) + 1)
+        offsets = pages.copy()
         free: list[int] = []  # free bytes per open page, index = page id
         order_sizes = list(map(self.sizes.__getitem__, order))
         min_size = min(filter(None, order_sizes), default=0)
@@ -119,7 +153,7 @@ class StorageState:
         open_pages: list[int] = []  # page ids that can still take min_size bytes
         for oid, size in zip(order, order_sizes):
             if size > page_size:
-                placement[oid] = (len(free), 0)
+                pages[oid], offsets[oid] = len(free), 0
                 free.extend([0] * self._runs[oid])
                 continue
             for page in open_pages:
@@ -131,26 +165,29 @@ class StorageState:
                 left = page_size
                 free.append(left)
                 open_pages.append(page)
-            placement[oid] = (page, page_size - left)
+            pages[oid], offsets[oid] = page, page_size - left
             left -= size
             free[page] = left
             if left < min_size and not (keep_first and page == open_pages[0]):
                 open_pages.remove(page)
-        return placement
+        return Placement(order, pages, offsets)
 
     # -- access ------------------------------------------------------------
 
     def access_object(self, object_id: int) -> bool:
         """Touch an object's page(s) through the buffer; True on a fault.
 
-        A single-page object is found in `_page_of` and costs one LRU step.
-        A spanning object misses there and touches each page of its run in
-        order; an unknown id raises KeyError and changes no counter.
+        A single-page object's page is at its id in `_page_of` and costs one
+        LRU step. A spanning object finds None there and touches each page of
+        its run in order; an unknown id, 0 and below too, raises KeyError and
+        changes no counter.
         """
         buffer = self._buffer
         try:
-            page = self._page_of[object_id]
-        except KeyError:
+            page = self._page_of[object_id] if object_id > 0 else None
+        except (IndexError, TypeError):
+            page = None
+        if page is None:
             if object_id not in self.placement:
                 raise KeyError(f"unknown object id {object_id}") from None
             self.objects_accessed += 1
@@ -175,8 +212,8 @@ class StorageState:
 
     # -- reorganization ----------------------------------------------------
 
-    def _validate_placement(self, placement: dict[int, tuple[int, int]]) -> None:
-        """Raise PlacementError unless `placement` obeys the module's rule.
+    def _validate_placement(self, placement: Mapping) -> Placement:
+        """Check `placement` by the module's rule and return it as a Placement.
 
         It must place exactly the placed objects. Their extents are disjoint
         when, with the starts and the ends each sorted, no start lies before
@@ -184,10 +221,18 @@ class StorageState:
         """
         if placement.keys() != self.placement.keys():
             raise PlacementError("new placement must cover exactly the placed objects")
+        if not isinstance(placement, Placement):
+            pages = [None] * len(self._page_of)
+            offsets = pages.copy()
+            for oid, (page, offset) in placement.items():
+                pages[oid], offsets[oid] = page, offset
+            placement = Placement(placement, pages, offsets)
         page_size = self.params.page_size
         sizes, runs = self.sizes, self._runs
         starts, ends = [], []
-        for oid, (page, offset) in placement.items():
+        ids = placement.keys()  # in placing order, so the starts sort fast
+        for oid, page, offset in zip(ids, map(placement.pages.__getitem__, ids),
+                                     map(placement.offsets.__getitem__, ids)):
             run = runs.get(oid)
             if run is None:
                 length = sizes[oid]
@@ -209,8 +254,9 @@ class StorageState:
         if overlap is not None:
             page, offset = divmod(overlap, page_size)
             raise PlacementError(f"objects overlap from offset {offset} of page {page}")
+        return placement
 
-    def rewrite_placement(self, new_placement: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    def rewrite_placement(self, new_placement: Mapping) -> tuple[int, int]:
         """Move objects to a new placement, counting relocation I/O.
 
         Each page that moved objects leave is one overhead read, each page
@@ -218,24 +264,23 @@ class StorageState:
         pages whose contents changed are dropped from the buffer, each
         leaving a free frame. Returns (reads, writes).
 
-        Besides validation, a rewrite is a few passes at C level: one
-        comparison of old and new positions marks the moved objects (any
-        change of page or offset), their first pages form the old and new
-        page sets, and only moved oversized objects, looked up in the page
-        runs derived from the sizes, expand to their whole run.
+        Any mapping works; one that is not a `Placement` is converted. Besides
+        validation, a rewrite is a few passes at C level: comparing the page
+        and offset lists marks the moved objects, their first pages form the
+        old and new page sets, and only moved oversized objects, looked up in
+        the page runs derived from the sizes, expand to their whole run.
         """
-        self._validate_placement(new_placement)
+        new = self._validate_placement(new_placement)
         old = self.placement
-        new_positions = new_placement.values()
-        old_positions = list(map(old.__getitem__, new_placement))
-        moved = list(map(ne, new_positions, old_positions))
-        old_pages = set(map(_first_page, compress(old_positions, moved)))
-        new_pages = set(map(_first_page, compress(new_positions, moved)))
+        moved = list(map(or_, map(ne, new.pages, old.pages),
+                         map(ne, new.offsets, old.offsets)))
+        old_pages = set(compress(old.pages, moved))
+        new_pages = set(compress(new.pages, moved))
         for oid, run in self._runs.items():
-            old_pos, new_pos = old[oid], new_placement[oid]
-            if new_pos != old_pos:
-                old_pages.update(range(old_pos[0], old_pos[0] + run))
-                new_pages.update(range(new_pos[0], new_pos[0] + run))
+            if moved[oid]:
+                old_page, new_page = old.pages[oid], new.pages[oid]
+                old_pages.update(range(old_page, old_page + run))
+                new_pages.update(range(new_page, new_page + run))
         self.overhead_reads += len(old_pages)
         self.overhead_writes += len(new_pages)
         buffer = self._buffer
@@ -244,7 +289,7 @@ class StorageState:
             free = next(self._sentinels)
             buffer[free] = None
             buffer.move_to_end(free, last=False)
-        self._install(new_placement)
+        self._install(new)
         return len(old_pages), len(new_pages)
 
 

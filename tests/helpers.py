@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Mapping
 
 from ocb.distributions import Constant, Distribution, Special, Uniform, substream
 from ocb.errors import ParameterError
@@ -261,7 +262,7 @@ def placement_valid_oracle(placement, sizes, page_size):
 def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
     """LRU page buffer on a plain list, least recently used page first.
 
-    accesses holds object ids and, between them, whole new placements (dicts):
+    accesses holds object ids and, between them, whole new placements (mappings):
     a new placement drops from the buffer every page that an object it moves
     leaves or lands on. Each object touches its run of pages in order.
     Returns (pages read by each access, a fault when > 0; for each new
@@ -276,7 +277,7 @@ def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):
     reads = []
     rewrites = []
     for step in accesses:
-        if isinstance(step, dict):
+        if isinstance(step, Mapping):
             left, landed = set(), set()
             for oid, position in step.items():
                 if position != placement[oid]:

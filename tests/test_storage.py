@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from ocb.cli import main
 from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import make_policy
-from ocb.storage import StorageParams, place_sequential
+from ocb.storage import Placement, StorageParams, StorageState, place_sequential
 from ocb.workload import WorkloadParams, run_protocol
 
 
@@ -92,11 +93,23 @@ def test_unknown_object_raises():
         state.access_object(oid)
     before = (state.transaction_reads, state.objects_accessed,
               state.overhead_reads, state.overhead_writes, list(state._buffer))
-    with pytest.raises(KeyError, match="unknown object id 99"):
-        state.access_object(99)
-    assert (state.transaction_reads, state.objects_accessed,
-            state.overhead_reads, state.overhead_writes,
-            list(state._buffer)) == before
+    # ids past the last, below the first (-1 would index the page map's
+    # tail) and of another type
+    for oid in (99, 4, 0, -1, "1"):
+        with pytest.raises(KeyError) as raised:
+            state.access_object(oid)
+        assert raised.value.args == (f"unknown object id {oid}",)
+        assert (state.transaction_reads, state.objects_accessed,
+                state.overhead_reads, state.overhead_writes,
+                list(state._buffer)) == before
+
+
+# the placement's lists are indexed by id, so a huge id would size them
+@pytest.mark.parametrize("sizes", [{0: 10}, {2: 10}, {1: 10, 3: 10},
+                                   {1: 10, 2: 10, 10**12: 10}])
+def test_object_ids_must_run_from_one_without_gaps(sizes):
+    with pytest.raises(PlacementError, match="object ids must be 1.."):
+        StorageState(StorageParams(), sizes)
 
 
 def test_alternating_two_pages_thrash():
@@ -142,7 +155,7 @@ def test_buffer_never_exceeds_capacity():
         frames = frame_bound([3000] * 20, 4096, buffer_pages)
         reversed_order = state.pack_order(list(range(20, 0, -1)))
         for step in (3, 1, 4, 1, 5, 9, 2, 6, reversed_order, 5, 3, 5, 8, 9, 7, 9):
-            if isinstance(step, dict):
+            if isinstance(step, Mapping):
                 state.rewrite_placement(step)
             else:
                 state.access_object(step)
@@ -268,16 +281,20 @@ def test_simulated_time_is_monotone_in_counters():
 # one to three objects are the hand-made cases above; here they were a
 # tenth of the draws
 @given(st.lists(st.integers(1, 400), min_size=4, max_size=60),
-       st.integers(1, 6))
-def test_random_packings_match_oracle(sizes, page_scale):
+       st.integers(1, 6), st.data())
+def test_random_packings_match_oracle(sizes, page_scale, data):
     page_size = 128 * page_scale
     db = build_db([(1, []) for _ in sizes])
     for obj, size in zip(db.objects, sizes):
         obj.size = size
     state = place_sequential(db, StorageParams(page_size=page_size))
-    oracle = first_fit_oracle([o.id for o in db.objects],
-                              {o.id: o.size for o in db.objects}, page_size)
+    by_id = {o.id: o.size for o in db.objects}
+    oracle = first_fit_oracle(list(by_id), by_id, page_size)
     assert state.placement == oracle
+    # so does a shuffled subset of the objects, as a rewrite may pack
+    order = data.draw(st.permutations(list(by_id)), label="order")[:data.draw(
+        st.integers(0, len(by_id)), label="subset")]
+    assert dict(state.pack_order(order)) == first_fit_oracle(order, by_id, page_size)
 
 
 # page sizes from one byte up; each object is empty, a page multiple, fits
@@ -297,7 +314,14 @@ def test_packing_places_as_before_zero_sizes_were_handled(page_size, data):
     # a shuffled subset of the objects, as a rewrite may pack
     order = data.draw(st.permutations(ids), label="order")[:data.draw(
         st.integers(0, len(ids)), label="subset")]
-    assert state.pack_order(order) == reference_pack_order(state, order)
+    packed = state.pack_order(order)
+    assert packed == reference_pack_order(state, order)
+    # it places the order's objects, in its order, and no others
+    assert list(packed) == order and len(packed) == len(order)
+    for oid in set(ids) - set(order):
+        assert oid not in packed
+        with pytest.raises(KeyError):
+            packed[oid]
 
 
 PAGE = 128
@@ -344,6 +368,29 @@ def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     assert_buffer_holds(state, buffer, frame_bound(sizes, PAGE, buffer_pages))
 
 
+# a rewrite to a dict takes the path of a rewrite to the equal Placement
+@given(object_sizes, st.integers(1, 8), st.data())
+def test_a_dict_rewrites_as_the_equal_placement(sizes, buffer_pages, data):
+    ids = list(range(1, len(sizes) + 1))
+    params = StorageParams(page_size=PAGE, buffer_pages=buffer_pages)
+    before, after = (data.draw(st.lists(st.sampled_from(ids), max_size=30), label=label)
+                     for label in ("before", "after"))
+    order = data.draw(st.permutations(ids), label="order")
+    states = []
+    for as_dict in (False, True):
+        state = place_sequential(sized_db(sizes), params)
+        for oid in before:
+            state.access_object(oid)
+        placement = state.pack_order(order)
+        assert isinstance(placement, Placement)
+        io = state.rewrite_placement(dict(placement) if as_dict else placement)
+        faults = [state.access_object(oid) for oid in after]
+        states.append((io, faults, state.transaction_reads, state.objects_accessed,
+                       state.overhead_reads, state.overhead_writes, list(state._buffer),
+                       dict(state.placement), state._page_of))
+    assert states[0] == states[1]
+
+
 @given(object_sizes, st.data())
 def test_lru_inclusion_faults_never_grow_with_the_buffer(sizes, data):
     ids = list(range(1, len(sizes) + 1))
@@ -386,7 +433,7 @@ def test_huge_buffer_holds_one_frame_per_page_a_placement_can_occupy(tmp_path):
     steps.insert(200, state.pack_order(order))
     faults = []
     for step in steps:
-        if isinstance(step, dict):
+        if isinstance(step, Mapping):
             state.rewrite_placement(step)
         else:
             faults.append(state.access_object(step))
