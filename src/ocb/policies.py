@@ -230,10 +230,11 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     handful of pages; max_unit_size = 0 grows whole components instead,
     following crossings in both directions.
 
-    Before a unit grows, its seed climbs to an entry point: at each step
-    the climb moves to the heaviest parent (incoming crossing) that is
-    neither claimed nor already on the current climb, ties going to the
-    lowest id, and it stops where no such parent is left.
+    Before a unit grows, its seed climbs to an entry point. Each step is
+    one scan of the node's parents (incoming crossings), heaviest first,
+    ties going to the lowest id: the climb moves to the first that is
+    neither claimed nor already on the current climb, and it stops where
+    no such parent is left.
 
     The edges are the matrix's own int keys, sorted, which is (a, b)
     order, and then, stably, by weight, heaviest first. They are decoded
@@ -241,12 +242,9 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     one pass fills both adjacency lists with plain ids: outgoing[a] comes
     out in (-weight, b) order and incoming[b] in (-weight, a) order, so no
     list is sorted again, and only growth with max_unit_size = 0, which
-    merges the two, looks weights up. A per-node cursor into incoming[node]
-    moves past claimed parents for good, since nothing is unclaimed within
-    one call. The adjacency lists, the cursors and `claimed` are indexed by
-    object id and sized by the largest id among the edges, not by `base`.
-    The cost is thus linear in the edges plus the climb steps, plus the
-    parents on the current climb that a step passes over.
+    merges the two, looks weights up. The adjacency lists and `claimed` are
+    indexed by object id and sized by the largest id among the edges, not
+    by `base`.
     """
     threshold = params.unit_link_threshold
     matrix = state.consolidated_matrix
@@ -277,8 +275,6 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
     empty: list[int] = []
     claimed = bytearray(size)
     units: list[list[int]] = []
-    # incoming[node][:parent_cursor[node]] holds only claimed parents
-    parent_cursor = [0] * size
 
     def entry_point(seed: int) -> int:
         # Climb unclaimed incoming crossings (heaviest first) so the unit
@@ -286,21 +282,9 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
         node = seed
         path = {seed}
         while True:
-            parents = incoming[node]
-            if parents is None:
-                return node
-            count = len(parents)
-            i = start = parent_cursor[node]
-            while i < count and claimed[parents[i]]:
-                i += 1
-            if i != start:
-                parent_cursor[node] = i
-            # parents on the climb are passed over without moving the cursor
-            while i < count:
-                parent = parents[i]
+            for parent in incoming[node] or empty:
                 if parent not in path and not claimed[parent]:
                     break
-                i += 1
             else:
                 return node
             node = parent

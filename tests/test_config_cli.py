@@ -191,6 +191,8 @@ PINNED_DB_RUNS = {
     "default-dstc": ("default", [*DEFAULT_MIX, *DSTC]),
     "default-dstc-whole-components": ("default", [*DEFAULT_MIX, *DSTC, "--max-unit-size",
                                                   "0", "--reorganize-trigger", "2"]),
+    # small units, where the entry-point climbs do the most work
+    "default-dstc-small-units": ("default", [*DEFAULT_MIX, *DSTC, "--max-unit-size", "8"]),
     # the A3 club run, shrunk: depth-first only, four clients, each of
     # which keeps its previous root with probability 0.995
     "club-dstc": ("dstc-club", ["--psimple", "1", "--pset", "0", "--phier", "0",
@@ -216,6 +218,12 @@ PINNED_DB_RUN_SHA256 = {
         "report_stats.csv": "8fc05880441d3a33c5ce40a57feecc34c316c73678611dcb7131a773d11ab8ea",
         "report.json": "2c9569ab5b1747058dec4b3881095653c1fe23f57c455a61f270f311ad761f18",
         "report.txt": "1c3e35a0b7492da3715a61c8ca910858f4dcce182bfe1f1712fb5c22d7589315",
+    },
+    "default-dstc-small-units": {
+        "report.csv": "f7c59fb46817f8562c491a9ec66f45187c334f255369b92424dc1eac06b08cac",
+        "report_stats.csv": "c0f3bd074349d9572eb23c04a794a5eedfeb0a86b1daec764d1cee5d65e2b985",
+        "report.json": "bbda2dd439255c433ba561842fde6c1fae1a2ba3d20499906d4a1509624b687b",
+        "report.txt": "cf15d222b381aeef6cc95a4a3420b06d8702ab0af9e1aed40dce65612359b70a",
     },
     "default-none": {
         "report.csv": "a14f3b327dba448dd74a36a67b4e767e5b880fddc8653d31cc9f95d119fc0233",

@@ -547,6 +547,22 @@ def test_rebase_past_one_digit_keys(cap):
     assert built == [[small], [large]]
 
 
+def test_build_units_matches_reference_on_a_preset_sized_period():
+    # the first period of a default-sized run: 80 088 consolidated pairs,
+    # with climbs of up to thousands of steps; cap 8, whose oracle takes
+    # seconds here, is pinned end to end in test_config_cli instead
+    db = generate_database(GeneratorParams(seed=1))
+    assert len(db.objects) == 20_000
+    storage = place_sequential(db, StorageParams())
+    policy = DstcPolicy()
+    run_protocol(db, storage, WorkloadParams(coldn=1000, hotn=0, seed=1), policy)
+    state = policy.state
+    assert len(state.consolidated_matrix) == 80_088
+    for cap in (64, 0):
+        params = DstcParams(max_unit_size=cap)
+        assert dstc_build_units(state, params) == reference_units(state, params)
+
+
 @pytest.mark.parametrize("cap", [64, 8, 0])
 def test_dstc_run_units_match_reference_every_period(monkeypatch, cap):
     # the policy calls each phase through the module, so a wrapper sees
