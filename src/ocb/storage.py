@@ -18,10 +18,11 @@ on one page, as every object of the `default` and `dstc-club` presets does;
 an object in a run touches each page of its run in order. The buffer is
 always full (see `StorageState`), so a page fault is one insert and one
 eviction of the least recently used frame, with no size test. A placement
-rewrite costs one validation loop over the objects and two sorts, then a
-few passes at C level over the id-indexed lists of a `Placement`. The
-first-fit packing that produces a new placement is one Python loop over the
-objects in the requested order.
+rewrite costs one validation loop, which reads each object's page, offset,
+extent length and largest offset by list index, and two sorts, then a few
+passes at C level over the id-indexed lists of a `Placement`. The first-fit
+packing that produces a new placement is one Python loop over the objects
+in the requested order.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from operator import lt, ne, or_
+from operator import lt, ne
 
 from .errors import PlacementError
 from .params import ParamGroup, bounded
@@ -114,6 +115,9 @@ class StorageState:
                      len(sizes) + sum(self._runs.values()) - len(self._runs))
         self._buffer: "OrderedDict[int, None]" = OrderedDict.fromkeys(range(-frames, 0))
         self._sentinels = count(-frames - 1, -1)  # fresh ids for frames a rewrite frees
+        # object id -> the bytes it takes, and the largest offset it may start at
+        # (0 for a run); made by the first rewrite, so a state that never rewrites has none
+        self._extents: tuple[list[int], list[int]] | None = None
         self.transaction_reads = 0
         self.overhead_reads = 0
         self.overhead_writes = 0
@@ -215,9 +219,12 @@ class StorageState:
     def _validate_placement(self, placement: Mapping) -> Placement:
         """Check `placement` by the module's rule and return it as a Placement.
 
-        It must place exactly the placed objects. Their extents are disjoint
-        when, with the starts and the ends each sorted, no start lies before
-        the end before it; the message names where the first overlap begins.
+        It must place exactly the placed objects. Each object is one test
+        against two id-indexed extent tables, made by the first call: the
+        bytes it takes (a run's whole pages) and the largest offset it may
+        start at (0 for a run). The extents are disjoint when, with the
+        starts and the ends each sorted, no start lies before the end before
+        it; the message names where the first overlap begins.
         """
         if placement.keys() != self.placement.keys():
             raise PlacementError("new placement must cover exactly the placed objects")
@@ -228,25 +235,28 @@ class StorageState:
                 pages[oid], offsets[oid] = page, offset
             placement = Placement(placement, pages, offsets)
         page_size = self.params.page_size
-        sizes, runs = self.sizes, self._runs
+        if self._extents is None:
+            lengths = [0, *map(self.sizes.__getitem__, range(1, len(self.sizes) + 1))]
+            rooms = [page_size - length for length in lengths]
+            for oid, run in self._runs.items():
+                lengths[oid], rooms[oid] = run * page_size, 0
+            self._extents = lengths, rooms
+        lengths, rooms = self._extents
+        pages, offsets = placement.pages, placement.offsets
         starts, ends = [], []
-        ids = placement.keys()  # in placing order, so the starts sort fast
-        for oid, page, offset in zip(ids, map(placement.pages.__getitem__, ids),
-                                     map(placement.offsets.__getitem__, ids)):
-            run = runs.get(oid)
-            if run is None:
-                length = sizes[oid]
-                if page < 0 or not 0 <= offset <= page_size - length:
-                    raise PlacementError(f"object {oid} ({length} bytes) does not fit "
-                                         f"at offset {offset} of page {page}")
-            elif offset or page < 0:
-                raise PlacementError(f"oversized object {oid} must start at offset 0 of "
-                                     f"a page >= 0, not at offset {offset} of page {page}")
-            else:
-                length = run * page_size
+        add_start, add_end = starts.append, ends.append
+        for oid in placement.keys():  # in placing order, so the starts sort fast
+            page = pages[oid]
+            offset = offsets[oid]
+            if page < 0 or not 0 <= offset <= rooms[oid]:
+                if oid in self._runs:
+                    raise PlacementError(f"oversized object {oid} must start at offset 0 of "
+                                         f"a page >= 0, not at offset {offset} of page {page}")
+                raise PlacementError(f"object {oid} ({lengths[oid]} bytes) does not fit "
+                                     f"at offset {offset} of page {page}")
             start = page * page_size + offset
-            starts.append(start)
-            ends.append(start + length)
+            add_start(start)
+            add_end(start + lengths[oid])
         starts.sort()
         ends.sort()
         overlap = next(compress(islice(starts, 1, None),
@@ -272,8 +282,7 @@ class StorageState:
         """
         new = self._validate_placement(new_placement)
         old = self.placement
-        moved = list(map(or_, map(ne, new.pages, old.pages),
-                         map(ne, new.offsets, old.offsets)))
+        moved = list(map(ne, zip(new.pages, new.offsets), zip(old.pages, old.offsets)))
         old_pages = set(compress(old.pages, moved))
         new_pages = set(compress(new.pages, moved))
         for oid, run in self._runs.items():

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Mapping
+from itertools import compress, islice
+from operator import lt
 
 from ocb.distributions import Constant, Distribution, Special, Uniform, substream
 from ocb.errors import ParameterError
@@ -257,6 +259,42 @@ def placement_valid_oracle(placement, sizes, page_size):
             return False
         occupied |= extent
     return True
+
+
+def reference_placement_error(placement, sizes, page_size):
+    """`StorageState._validate_placement`'s per-object checks and overlap
+    scan as they were written before its extent tables, kept verbatim as
+    the oracle of its messages.
+
+    `placement` maps every object id to (page, offset) in placing order;
+    page runs are derived from `sizes` as a spanning `StorageState` derives
+    them. Returns the message the check raises, or None when it accepts.
+    """
+    runs = {oid: -(-size // page_size) for oid, size in sizes.items() if size > page_size}
+    starts, ends = [], []
+    for oid, (page, offset) in placement.items():
+        run = runs.get(oid)
+        if run is None:
+            length = sizes[oid]
+            if page < 0 or not 0 <= offset <= page_size - length:
+                return (f"object {oid} ({length} bytes) does not fit "
+                        f"at offset {offset} of page {page}")
+        elif offset or page < 0:
+            return (f"oversized object {oid} must start at offset 0 of "
+                    f"a page >= 0, not at offset {offset} of page {page}")
+        else:
+            length = run * page_size
+        start = page * page_size + offset
+        starts.append(start)
+        ends.append(start + length)
+    starts.sort()
+    ends.sort()
+    overlap = next(compress(islice(starts, 1, None),
+                            map(lt, islice(starts, 1, None), ends)), None)
+    if overlap is not None:
+        page, offset = divmod(overlap, page_size)
+        return f"objects overlap from offset {offset} of page {page}"
+    return None
 
 
 def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):

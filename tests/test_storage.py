@@ -12,6 +12,7 @@ from helpers import (
     lru_oracle,
     placement_valid_oracle,
     reference_pack_order,
+    reference_placement_error,
 )
 from ocb.cli import main
 from ocb.errors import PlacementError
@@ -240,7 +241,9 @@ def test_rewrite_rejects_partial_or_overfull_placements():
     for placement, message in [
             ({1: (0, 0), 2: (0, 5), 3: (1, 0)}, "overlap from offset 5 of page 0"),
             ({1: (0, -5), 2: (0, 10), 3: (1, 0)}, "object 1 .* offset -5 of page 0"),
-            ({1: (-3, 0), 2: (0, 10), 3: (1, 0)}, "object 1 .* offset 0 of page -3")]:
+            ({1: (-3, 0), 2: (0, 10), 3: (1, 0)}, "object 1 .* offset 0 of page -3"),
+            # a page run takes its whole last page, not just its object's bytes
+            ({1: (0, 0), 2: (3, 60), 3: (1, 0)}, "overlap from offset 60 of page 3")]:
         with pytest.raises(PlacementError, match=message):
             state.rewrite_placement(placement)
         assert (state.transaction_reads, state.overhead_reads, state.overhead_writes,
@@ -258,13 +261,17 @@ def test_rewrite_accepts_exactly_the_placements_the_byte_oracle_accepts(page_siz
     placement = {oid: data.draw(st.tuples(st.integers(-1, 4), st.integers(-1, page_size)),
                                 label=f"object {oid}")
                  for oid in range(1, len(sizes) + 1)}
-    valid = placement_valid_oracle(placement, dict(enumerate(sizes, start=1)), page_size)
+    by_id = dict(enumerate(sizes, start=1))
+    valid = placement_valid_oracle(placement, by_id, page_size)
+    message = reference_placement_error(placement, by_id, page_size)
+    assert (message is None) == valid
     if valid:
         state.rewrite_placement(placement)
         assert state.placement == placement
     else:
-        with pytest.raises(PlacementError):
+        with pytest.raises(PlacementError) as exc:
             state.rewrite_placement(placement)
+        assert str(exc.value) == message
 
 
 def test_simulated_time_is_monotone_in_counters():
