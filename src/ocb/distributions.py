@@ -95,9 +95,10 @@ def format_distribution(dist: Distribution) -> str:
     raise ParameterError(f"unknown distribution {dist!r}")
 
 
-def validate_distribution(dist: Distribution, lo: int, hi: int, site: str,
+def validate_distribution(dist: Distribution, lo: int, hi: float, site: str,
                           allow_special: bool = False) -> None:
-    """Check a distribution against the legal interval and kinds of its site."""
+    """Check a distribution against the legal interval and kinds of its site;
+    `hi` is `math.inf` at a site with no upper bound."""
     if isinstance(dist, Constant):
         if not lo <= dist.value <= hi:
             raise ParameterError(

@@ -100,14 +100,14 @@ class GeneratorParams(ParamGroup):
 
 @dataclass
 class ClassDescriptor:
-    """One schema class: typed reference slots plus its instance roster."""
+    """One schema class: its typed reference slots and sizes. Its instance
+    roster, the class iterator, is derived from the objects (`derive_iterators`)."""
 
     id: int
     tref: list[int]
     cref: list[int | None]
     basesize: int
     instance_size: int
-    iterator: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -174,7 +174,7 @@ class Database:
 
 
 def generate_schema(params: GeneratorParams,
-                    report: GenerationReport | None = None) -> list[ClassDescriptor]:
+                    report: GenerationReport) -> list[ClassDescriptor]:
     """Create nc classes with typed reference slots into [infclass, supclass].
 
     A class-reference draw of 0 (possible when infclass = 0) means the slot
@@ -192,8 +192,7 @@ def generate_schema(params: GeneratorParams,
         classes.append(ClassDescriptor(id=i, tref=[draw_type() for _ in range(n)],
                                        cref=[draw_class() or None for _ in range(n)],
                                        basesize=base, instance_size=base))
-    if report is not None:
-        report.null_class_draws += sum(cls.cref.count(None) for cls in classes)
+    report.null_class_draws += sum(cls.cref.count(None) for cls in classes)
     return classes
 
 
@@ -216,35 +215,30 @@ def _reachable(schema: list[ClassDescriptor], start: int, types: frozenset[int])
 
 
 def enforce_consistency(schema: list[ClassDescriptor], params: GeneratorParams,
-                        report: GenerationReport | None = None) -> list[ClassDescriptor]:
+                        report: GenerationReport) -> list[ClassDescriptor]:
     """Repair the schema in place: suppress cycles, then propagate sizes.
 
     Classes are scanned in ascending id, slots in ascending index. A slot of
     a cycle-forbidding type is nulled, and counted as `cycle_suppressed`,
     when its target reaches the slot's own class, or reaches a cycle,
-    through the slots of its type that are left. Once every such type's
-    class graph is a DAG, each class adds its base size once to the
-    instance size of every other class it reaches through inheritance-typed
-    slots. Idempotent.
+    through the slots of its type that are left; one cycle check of the
+    target's reach decides both. Once every such type's class graph is a
+    DAG, each class adds its base size once to the instance size of every
+    other class it reaches through inheritance-typed slots. Idempotent.
     """
     for cls in schema:
         for j, ref_type in enumerate(cls.tref):
             if ref_type not in params.acyclic_types or cls.cref[j] is None:
                 continue
             types = frozenset({ref_type})
+            # a target that reaches the slot's own class reaches this slot
+            # too, so the reach holds the cycle the slot would close
             reach = _reachable(schema, cls.cref[j], types)
-            closes = cls.id in reach
-            if not closes:
-                # the target's reach alone: with the source's other slots in
-                # the graph, a later self-reference would null this slot
-                try:
-                    TopologicalSorter({n: _targets(schema, n, types) for n in reach}).prepare()
-                except CycleError:
-                    closes = True
-            if closes:
+            try:
+                TopologicalSorter({n: _targets(schema, n, types) for n in reach}).prepare()
+            except CycleError:
                 cls.cref[j] = None
-                if report is not None:
-                    report.cycle_suppressed += 1
+                report.cycle_suppressed += 1
     # sizes recomputed from scratch so a second pass changes nothing
     for cls in schema:
         cls.instance_size = cls.basesize
@@ -255,7 +249,7 @@ def enforce_consistency(schema: list[ClassDescriptor], params: GeneratorParams,
 
 
 def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
-                     report: GenerationReport | None = None) -> list[ObjectInstance]:
+                     report: GenerationReport) -> list[ObjectInstance]:
     """Instantiate `no` objects and wire their references.
 
     Each object's class comes from dist3; the class iterators are then
@@ -270,25 +264,24 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
     objects = [ObjectInstance(id=oid, class_id=cls.id, oref=[None] * len(cls.tref),
                               size=cls.instance_size)
                for oid, cls in enumerate(_draw_classes(schema, params), start=1)]
-    for cls, iterator in zip(schema, derive_iterators(len(schema), objects)):
-        cls.iterator = iterator
+    iterators = derive_iterators(len(schema), objects)
 
     empty_iterator = out_of_range = 0
-    for cls in schema:
+    for cls, members in zip(schema, iterators):
         # one (slot, target iterator, position drawer) per slot with targets
         slots = []
         for k, target_class in enumerate(cls.cref):
             if target_class is None:
                 continue
-            iterator = schema[target_class - 1].iterator
+            iterator = iterators[target_class - 1]
             if not iterator:
-                empty_iterator += len(cls.iterator)
+                empty_iterator += len(members)
                 continue
             slots.append((k, iterator, position_drawer(
                 params.dist4, rng_refs, params.infref, params.supref, len(iterator))))
         if not slots:
             continue
-        for position, oid in enumerate(cls.iterator, start=1):
+        for position, oid in enumerate(members, start=1):
             oref = objects[oid - 1].oref
             for k, iterator, draw_position in slots:
                 pos = draw_position(position)
@@ -300,9 +293,8 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                 # leaves freed holes among the objects, and later runs over
                 # the database were about 5 % slower on dstc-club
                 objects[target - 1].backref.append((oid, k))
-    if report is not None:
-        report.empty_iterator += empty_iterator
-        report.out_of_range += out_of_range
+    report.empty_iterator += empty_iterator
+    report.out_of_range += out_of_range
     return objects
 
 
@@ -344,12 +336,15 @@ def save_database(db: Database, path: str) -> None:
 
 
 def _payload(db: Database) -> dict:
-    """The JSON document of a database file. Its class and object entries
-    are the records' own `vars()`, not copies: read them, never change them."""
+    """The JSON document of a database file. A class entry is the class's
+    fields plus its derived `iterator`; an object entry is the object's own
+    `vars()`, not a copy: read the entries, never change them."""
+    iterators = derive_iterators(len(db.classes), db.objects)
     return {
         "format": DB_FORMAT,
         "params": db.params.to_dict(),
-        "classes": list(map(vars, db.classes)),
+        "classes": [dict(vars(cls), iterator=iterator)
+                    for cls, iterator in zip(db.classes, iterators)],
         "objects": list(map(vars, db.objects)),
         "report": db.report.to_dict(),
     }
@@ -409,7 +404,7 @@ def _tail_params(body: str) -> GeneratorParams | None:
 
 
 # the text of the shortest class and object in a saved body
-_SHORTEST_CLASS = _canonical(vars(ClassDescriptor(1, [], [], 0, 0)))
+_SHORTEST_CLASS = _canonical(dict(vars(ClassDescriptor(1, [], [], 0, 0)), iterator=[]))
 _SHORTEST_OBJECT = _canonical(vars(ObjectInstance(1, 1, [])))
 
 

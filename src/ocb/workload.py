@@ -88,7 +88,8 @@ class WorkloadParams(ParamGroup):
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ParameterError(
                 f"pset+psimple+phier+pstoch must sum to 1 (got {sum(probs)})")
-        validate_distribution(self.dist5, 1, 1 << 62, "dist5", allow_special=True)
+        # no upper bound here: transaction_stream checks it against the objects
+        validate_distribution(self.dist5, 1, math.inf, "dist5", allow_special=True)
 
 
 @dataclass
@@ -97,7 +98,6 @@ class TransactionRecord:
 
     index: int
     phase: str
-    client: int
     type: str
     direction: str
     root: int
@@ -352,7 +352,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
         access = storage.access_object
         io_cost = storage.params.io_cost
         cpu_cost = storage.params.cpu_cost
-        for index, (phase, client, kind, direction, root, (accessed, links, expanded),
+        for index, (phase, _client, kind, direction, root, (accessed, links, expanded),
                     think) in enumerate(stream):
             policy.on_link_crossing(accessed, links, expanded)
             reads_before = storage.transaction_reads
@@ -364,7 +364,7 @@ def run_protocol(db, storage, params: WorkloadParams, policy) -> ExperimentLog:
             log.clock += sim_time
             log.clock += think
             log.records.append(TransactionRecord(
-                index=index, phase=phase, client=client, type=kind,
+                index=index, phase=phase, type=kind,
                 direction=direction, root=root, objects=objects,
                 faults=faults, sim_time=sim_time))
             policy.on_transaction_end()

@@ -50,7 +50,6 @@ def build_db(object_specs, class_trefs=None, nreft=4, basesize=50, seed=0,
         oref = list(targets) + [None] * (len(cls.tref) - len(targets))
         objects.append(ObjectInstance(id=oid, class_id=cid, oref=oref,
                                       size=cls.instance_size))
-        cls.iterator.append(oid)
     for obj in objects:
         for slot, target in enumerate(obj.oref):
             if target is not None:
@@ -568,7 +567,8 @@ def reference_draw_position(dist: Distribution, rng: random.Random, lo: int, hi:
 def reference_generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
                                report: GenerationReport | None = None) -> list[ObjectInstance]:
     """Object generation as it was written on `randint`, kept verbatim as
-    the oracle of `generate_objects`.
+    the oracle of `generate_objects`, but for the class iterators: it holds
+    them in lists of its own, as the classes store none.
 
     Instantiate `no` objects and wire their references.
 
@@ -579,8 +579,7 @@ def reference_generate_objects(schema: list[ClassDescriptor], params: GeneratorP
     """
     rng_classes = substream(params.seed, "object-classes")
     rng_refs = substream(params.seed, "object-refs")
-    for cls in schema:
-        cls.iterator.clear()
+    iterators: list[list[int]] = [[] for _ in schema]
     objects: list[ObjectInstance] = []
     nc = params.nc
     for oid in range(1, params.no + 1):
@@ -589,7 +588,7 @@ def reference_generate_objects(schema: list[ClassDescriptor], params: GeneratorP
         objects.append(ObjectInstance(id=oid, class_id=cid,
                                       oref=[None] * len(cls.tref),
                                       size=cls.instance_size))
-        cls.iterator.append(oid)
+        iterators[cid - 1].append(oid)
 
     infref = params.infref
     supref = params.supref
@@ -600,10 +599,10 @@ def reference_generate_objects(schema: list[ClassDescriptor], params: GeneratorP
         slot_targets = [(k, c) for k, c in enumerate(cls.cref) if c is not None]
         if not slot_targets:
             continue
-        for position, oid in enumerate(cls.iterator, start=1):
+        for position, oid in enumerate(iterators[cls.id - 1], start=1):
             obj = objects[oid - 1]
             for k, target_class in slot_targets:
-                iterator = schema[target_class - 1].iterator
+                iterator = iterators[target_class - 1]
                 if not iterator:
                     if report is not None:
                         report.empty_iterator += 1

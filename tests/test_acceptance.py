@@ -67,7 +67,8 @@ def run_experiment(preset, overrides, seed, gain_window):
 
 def check_generator_invariants(db):
     params = db.params
-    members = {cls.id: set(cls.iterator) for cls in db.classes}
+    members = {cls.id: {o.id for o in db.objects if o.class_id == cls.id}
+               for cls in db.classes}
     low_class = max(params.infclass, 1)
     for cls in db.classes:
         assert len(cls.tref) == len(cls.cref) == params.maxnref_of(cls.id)

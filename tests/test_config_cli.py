@@ -612,6 +612,16 @@ def test_cli_negative_value_after_a_flag_is_a_value(tmp_path, capsys, argv, mess
     assert not out_dir.exists()
 
 
+def test_cli_dist5_constant_below_one_names_no_bound_the_user_never_set(tmp_path, capsys):
+    # dist5 has no upper bound of its own: the run checks it against the objects
+    out_dir = tmp_path / "out"
+    assert main(["run", "--no", "50", "--dist5", "constant:0", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: dist5: constant 0 outside [1, ")
+    assert str(1 << 62) not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--io-cost", "--think"])
 def test_cli_clock_overflow_is_runtime_error(tmp_path, capsys, flag):
     # each value is finite, but the clock they add up to is not: a report

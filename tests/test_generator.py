@@ -46,7 +46,7 @@ def small_params(**kw):
 
 def test_default_schema_shape():
     params = GeneratorParams(seed=3)
-    schema = generate_schema(params)
+    schema = generate_schema(params, GenerationReport())
     assert len(schema) == 20
     for cls in schema:
         assert len(cls.tref) == len(cls.cref) == 10
@@ -57,7 +57,7 @@ def test_default_schema_shape():
 
 def test_single_class_no_slots():
     params = GeneratorParams(nc=1, maxnref=0, no=0, seed=0)
-    schema = generate_schema(params)
+    schema = generate_schema(params, GenerationReport())
     assert len(schema) == 1
     assert schema[0].tref == [] and schema[0].cref == []
     assert schema[0].instance_size == schema[0].basesize
@@ -65,7 +65,7 @@ def test_single_class_no_slots():
 
 def test_club_preset_schema_is_forced_by_constants():
     config = build_config(preset="dstc-club", flag_overrides={"seed": "5"})
-    schema = generate_schema(config.generator)
+    schema = generate_schema(config.generator, GenerationReport())
     assert len(schema) == 2
     for cls in schema:
         assert cls.tref == [3, 3, 3]
@@ -75,7 +75,7 @@ def test_club_preset_schema_is_forced_by_constants():
 def test_schema_tref_uniformity_chi_square():
     # dist1 uniform over [1, nreft]: goodness of fit at significance 0.001
     params = GeneratorParams(seed=11)
-    schema = generate_schema(params)
+    schema = generate_schema(params, GenerationReport())
     counts = [0] * params.nreft
     for cls in schema:
         for t in cls.tref:
@@ -86,9 +86,9 @@ def test_schema_tref_uniformity_chi_square():
 
 def test_invalid_intervals_rejected():
     with pytest.raises(ParameterError):
-        generate_schema(GeneratorParams(infclass=5, supclass=2))
+        generate_schema(GeneratorParams(infclass=5, supclass=2), GenerationReport())
     with pytest.raises(ParameterError):
-        generate_schema(GeneratorParams(nc=0))
+        generate_schema(GeneratorParams(nc=0), GenerationReport())
     with pytest.raises(ParameterError):
         GeneratorParams(maxnref=(1, 2)).validate()  # wrong length for nc=20
     with pytest.raises(ParameterError):
@@ -123,7 +123,7 @@ def test_two_cycle_keeps_exactly_one_slot():
     params = small_params(nc=2, maxnref=1, acyclic_types=frozenset({1}),
                           inheritance_types=frozenset())
     schema = chain_schema({1: 2, 2: 1}, nc=2)
-    enforce_consistency(schema, params)
+    enforce_consistency(schema, params, GenerationReport())
     # ascending scan order: class 1's slot is the first to close the cycle
     assert schema[0].cref == [None]
     assert schema[1].cref == [1]
@@ -133,7 +133,7 @@ def test_self_reference_nulled():
     params = small_params(nc=1, maxnref=1, acyclic_types=frozenset({1}),
                           inheritance_types=frozenset())
     schema = chain_schema({1: 1}, nc=1)
-    enforce_consistency(schema, params)
+    enforce_consistency(schema, params, GenerationReport())
     assert schema[0].cref == [None]
 
 
@@ -142,7 +142,7 @@ def test_cycle_detected_beyond_source_also_nulls():
     params = small_params(nc=4, maxnref=1, acyclic_types=frozenset({1}),
                           inheritance_types=frozenset())
     schema = chain_schema({1: 3, 3: 4, 4: 3}, nc=4)
-    enforce_consistency(schema, params)
+    enforce_consistency(schema, params, GenerationReport())
     assert schema[0].cref == [None]
     assert schema[2].cref == [None]
     assert schema[3].cref == [3]
@@ -152,7 +152,7 @@ def test_inheritance_chain_size_propagation():
     params = small_params(nc=2, maxnref=1, acyclic_types=frozenset({1}),
                           inheritance_types=frozenset({1}))
     schema = chain_schema({1: 2}, nc=2)  # class 2 is a subclass of class 1
-    enforce_consistency(schema, params)
+    enforce_consistency(schema, params, GenerationReport())
     assert schema[0].instance_size == 50
     assert schema[1].instance_size == 100
 
@@ -171,22 +171,23 @@ def test_diamond_inheritance_counts_each_ancestor_once():
         ClassDescriptor(id=3, tref=[1, 1], cref=[4, None], basesize=50, instance_size=50),
         ClassDescriptor(id=4, tref=[1, 1], cref=[None, None], basesize=50, instance_size=50),
     ]
-    enforce_consistency(schema, params)
+    enforce_consistency(schema, params, GenerationReport())
     assert [c.instance_size for c in schema] == [50, 100, 100, 200]
 
 
 def test_enforce_consistency_idempotent():
     params = GeneratorParams(seed=9)
-    schema = generate_schema(params)
-    first = enforce_consistency(schema, params)
+    schema = generate_schema(params, GenerationReport())
+    first = enforce_consistency(schema, params, GenerationReport())
     snapshot = copy.deepcopy(first)
-    second = enforce_consistency(first, params)
+    second = enforce_consistency(first, params, GenerationReport())
     assert second == snapshot
 
 
 def test_acyclic_types_are_dags_by_topological_sort():
     params = GeneratorParams(seed=13)
-    schema = enforce_consistency(generate_schema(params), params)
+    report = GenerationReport()
+    schema = enforce_consistency(generate_schema(params, report), params, report)
     for ref_type in params.acyclic_types:
         edges = [(cls.id, c) for cls in schema
                  for t, c in zip(cls.tref, cls.cref)
@@ -196,7 +197,8 @@ def test_acyclic_types_are_dags_by_topological_sort():
 
 def test_instance_size_matches_ancestor_sum():
     params = GeneratorParams(seed=17)
-    schema = enforce_consistency(generate_schema(params), params)
+    report = GenerationReport()
+    schema = enforce_consistency(generate_schema(params, report), params, report)
     # independent recomputation: reverse-reachability over inheritance edges
     for cls in schema:
         ancestors = set()
@@ -238,8 +240,15 @@ def repair_generator_params(draw):
 # the second slot is nulled
 @example(GeneratorParams(nc=2, maxnref=2, nreft=1, infclass=0, seed=91,
                          acyclic_types=frozenset({1}), inheritance_types=frozenset({1})))
+# 1 -> 2 -> 1: class 1's slot is nulled, its target reaching class 1
+@example(GeneratorParams(nc=2, maxnref=1, nreft=1, seed=2,
+                         acyclic_types=frozenset({1}), inheritance_types=frozenset({1})))
+# 1 -> 3 <-> 4: class 1's slot is nulled, its target reaching a cycle that
+# does not pass through class 1
+@example(GeneratorParams(nc=4, maxnref=1, nreft=1, seed=2,
+                         acyclic_types=frozenset({1}), inheritance_types=frozenset({1})))
 def test_schema_repair_matches_the_edge_list_oracle(params):
-    schema = generate_schema(params)
+    schema = generate_schema(params, GenerationReport())
     crefs, sizes, nulled = reference_enforce_consistency(schema, params)
     report = GenerationReport()
     enforce_consistency(schema, params, report)
@@ -255,7 +264,7 @@ def test_schema_repair_matches_the_edge_list_oracle(params):
 
 def test_default_objects_spread_across_classes():
     db = generate_database(GeneratorParams(seed=21))
-    counts = [len(c.iterator) for c in db.classes]
+    counts = [sum(o.class_id == c.id for o in db.objects) for c in db.classes]
     assert sum(counts) == 20000
     # binomial(20000, 1/20) stays within [800, 1200] far beyond 5 sigma
     assert all(800 <= n <= 1200 for n in counts)
@@ -274,7 +283,8 @@ def test_backref_symmetry():
 
 def test_object_targets_are_iterator_members():
     db = generate_database(small_params(seed=6))
-    members = {cls.id: set(cls.iterator) for cls in db.classes}
+    members = {cls.id: {o.id for o in db.objects if o.class_id == cls.id}
+               for cls in db.classes}
     for obj in db.objects:
         cls = db.classes[obj.class_id - 1]
         for slot, target in enumerate(obj.oref):
@@ -291,7 +301,8 @@ def test_club_preset_links_stay_in_refzone():
     inside = total = 0
     position = {}
     for cls in db.classes:
-        for pos, oid in enumerate(cls.iterator, start=1):
+        members = [o.id for o in db.objects if o.class_id == cls.id]
+        for pos, oid in enumerate(members, start=1):
             position[oid] = pos
     for obj in db.objects:
         for target in obj.oref:
@@ -335,7 +346,8 @@ def test_small_databases_respect_invariants(nc, maxnref, no, nreft, seed):
                              inheritance_types=frozenset({1}))
     db = generate_database(params)
     assert len(db.objects) == no
-    members = {cls.id: set(cls.iterator) for cls in db.classes}
+    members = {cls.id: {o.id for o in db.objects if o.class_id == cls.id}
+               for cls in db.classes}
     for obj in db.objects:
         for slot, target in enumerate(obj.oref):
             if target is not None:
@@ -396,7 +408,6 @@ def test_generation_matches_the_randint_oracle(params):
     schema = enforce_consistency(generate_schema(params, report), params, report)
     objects = reference_generate_objects(schema, params, report)
     assert db.objects == objects
-    assert [cls.iterator for cls in db.classes] == [cls.iterator for cls in schema]
     assert db.report == report
     assert db == Database(params=params, classes=schema, objects=objects, report=report)
 
@@ -463,7 +474,6 @@ def test_save_load_round_trip_is_exact(params):
                    for target in obj.oref if target is not None)
         assert all(source is ids[source - 1] for obj in loaded.objects
                    for source, _slot in obj.backref)
-        assert all(oid is ids[oid - 1] for cls in loaded.classes for oid in cls.iterator)
         save_database(loaded, str(second))
         assert second.read_bytes() == first.read_bytes()
 
@@ -535,9 +545,41 @@ def test_saved_entries_hold_exactly_the_record_fields(tmp_path):
     path = tmp_path / "db.ocb"
     save_database(db, str(path))
     payload = json.loads(path.read_text().splitlines()[1])
-    for key, record in (("classes", ClassDescriptor), ("objects", ObjectInstance)):
-        names = {f.name for f in fields(record)}
+    for key, names in (("classes", {f.name for f in fields(ClassDescriptor)} | {"iterator"}),
+                       ("objects", {f.name for f in fields(ObjectInstance)})):
         assert payload[key] and all(entry.keys() == names for entry in payload[key])
+
+
+@pytest.mark.parametrize("params", [
+    small_params(seed=44),
+    # null class draws beside links
+    GeneratorParams(nc=3, maxnref=3, no=40, nreft=1, infclass=0, supclass=3,
+                    acyclic_types=frozenset(), inheritance_types=frozenset(), seed=0),
+    # every object in class 2, so classes 1 and 3 have none; class 2's slots
+    # name classes 1, 2 and 2
+    GeneratorParams(nc=3, maxnref=3, no=30, nreft=1, dist3=Constant(2),
+                    acyclic_types=frozenset(), inheritance_types=frozenset(), seed=2),
+], ids=["small", "infclass-0", "empty-classes"])
+def test_saved_iterators_and_backrefs_are_derived_from_the_objects(params, tmp_path):
+    db = generate_database(params)
+    path = tmp_path / "db.ocb"
+    save_database(db, str(path))
+    payload = json.loads(path.read_text().splitlines()[1])
+    classes, objects = payload["classes"], payload["objects"]
+    for entry in classes:
+        assert entry["iterator"] == sorted(o["id"] for o in objects
+                                           if o["class_id"] == entry["id"])
+    # every link as (target, source class, source id, slot), in that order
+    links = sorted((target, o["class_id"], o["id"], slot) for o in objects
+                   for slot, target in enumerate(o["oref"]) if target is not None)
+    assert links
+    for entry in objects:
+        assert entry["backref"] == [[source, slot] for target, _, source, slot in links
+                                    if target == entry["id"]]
+    if params.infclass == 0:
+        assert db.report.null_class_draws > 0
+    if isinstance(params.dist3, Constant):
+        assert [entry["iterator"] == [] for entry in classes] == [True, False, True]
 
 
 def test_load_rejects_wrong_magic(tmp_path):

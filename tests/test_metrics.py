@@ -19,7 +19,7 @@ from ocb.workload import ExperimentLog, ReorgEvent, TransactionRecord
 
 def record(index, phase, kind="simple", objects=5, faults=2, sim_time=None):
     return TransactionRecord(
-        index=index, phase=phase, client=1, type=kind, direction="forward",
+        index=index, phase=phase, type=kind, direction="forward",
         root=1, objects=objects, faults=faults,
         sim_time=sim_time if sim_time is not None else faults * 1.0 + objects * 0.001)
 

@@ -397,7 +397,7 @@ def test_protocol_multi_client_interleaves_deterministically():
     params = protocol_params(coldn=2, hotn=2, clientn=3, seed=6)
     log = run_protocol(db, storage_for(db), params, NoClustering())
     assert len(log.records) == 12
-    assert [r.client for r in log.records[:6]] == [1, 2, 3, 1, 2, 3]
+    assert [client for _, client, *_ in transaction_stream(db, params)] == [1, 2, 3] * 4
     log_b = run_protocol(db, storage_for(db), params, NoClustering())
     assert log.records == log_b.records
 
@@ -412,8 +412,8 @@ def test_the_replay_logs_the_stream_under_every_placement_and_policy():
     stream = list(transaction_stream(db, params))
     again = transaction_stream(db, params)
     assert [walk[0] for *_, walk, _ in stream] == [walk[0] for *_, walk, _ in again]
-    expected = [(phase, client, kind, direction, root, len(accessed))
-                for phase, client, kind, direction, root, (accessed, _, _), _ in stream]
+    expected = [(phase, kind, direction, root, len(accessed))
+                for phase, _client, kind, direction, root, (accessed, _, _), _ in stream]
 
     # 30 pages against a 4-page buffer, so the placement changes the faults
     storage_params = StorageParams(page_size=512, buffer_pages=4)
@@ -430,7 +430,7 @@ def test_the_replay_logs_the_stream_under_every_placement_and_policy():
     for make_storage in (lambda: place_sequential(db, storage_params), shuffled):
         for policy in (NoClustering(), DstcPolicy(DstcParams(observation_period=20))):
             log = run_protocol(db, make_storage(), params, policy)
-            assert [(r.phase, r.client, r.type, r.direction, r.root, r.objects)
+            assert [(r.phase, r.type, r.direction, r.root, r.objects)
                     for r in log.records] == expected
             assert bool(log.reorgs) == isinstance(policy, DstcPolicy)
             faults.add(tuple(r.faults for r in log.records))
