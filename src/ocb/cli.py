@@ -5,10 +5,14 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .config import ALL_KEYS, ExperimentConfig, build_config, read_config_file
 from .errors import OcbError, ParameterError
@@ -87,6 +91,38 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                         flag_overrides=flag_overrides)
 
 
+def _replace_files(writers: dict[Path, Callable[[str], None]]) -> None:
+    """Write every target, or leave each as it was.
+
+    Each writer writes its target's text to the path it is given, a
+    temporary name beside the target. The targets are replaced only once
+    every file is written, and none if a target is a directory. On any
+    failure the temporary files are removed, and an error in writing one
+    names its target.
+    """
+    for target in writers:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    temps: list[Path] = []
+    try:
+        for target, write in writers.items():
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            temps.append(temp)
+            try:
+                write(str(temp))
+            except OSError as exc:
+                if exc.filename == str(temp):
+                    exc.filename = str(target)
+                raise
+        for temp, target in zip(temps, writers):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            with suppress(OSError):
+                temp.unlink()
+        raise
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     started = time.perf_counter()
@@ -119,8 +155,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_log_csv(log, str(out_dir / "report.csv"))
-    write_report_csv(report, str(out_dir / "report_stats.csv"))
     payload = {
         "format": REPORT_FORMAT,
         "config": config.resolved_dict(),
@@ -135,12 +169,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         "clock": log.clock,
         "transactions": len(log.records),
     }
-    write_json(payload, str(out_dir / "report.json"))
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(report_text(report))
+    text = report_text(report)
+    _replace_files({
+        out_dir / "report.csv": partial(write_log_csv, log),
+        out_dir / "report_stats.csv": partial(write_report_csv, report),
+        out_dir / "report.json": partial(write_json, payload),
+        out_dir / "report.txt": lambda path: Path(path).write_text(text, encoding="utf-8"),
+    })
     elapsed = time.perf_counter() - started
 
-    print(report_text(report), end="")
+    print(text, end="")
     print(f"\n{len(log.records)} transactions, simulated clock {log.clock:.1f}, "
           f"{elapsed:.2f}s wall clock")
     print(f"reports written to {out_dir}/report.{{csv,json,txt}} "
@@ -179,7 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     text = comparison_text(comparison)
     print(text, end="")
     if args.out:
-        write_json(comparison.to_dict(), args.out)
+        _replace_files({Path(args.out): partial(write_json, comparison.to_dict())})
         print(f"comparison written to {args.out}")
     return 0
 

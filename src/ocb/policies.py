@@ -61,7 +61,7 @@ class NoClustering:
         pass
 
     def maybe_reorganize(self, storage):
-        """Return a new placement mapping to apply, or None to leave it alone."""
+        """Return a new `Placement` to apply, or None to leave it alone."""
         return None
 
 
@@ -147,7 +147,6 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
     threshold = params.selection_threshold
     base = state.base
     counts = state.observation_matrix
-    get = counts.get
 
     def count_rows(links, rows):
         for a, n in rows:
@@ -155,7 +154,7 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
             for t in links[a]:
                 if t != a:
                     key = row + t
-                    counts[key] = get(key, 0) + n
+                    counts[key] = counts.get(key, 0) + n
 
     # the clean rows of the table with the most expanded ids are keyed in
     # bulk, every other row is summed into `counts`; a state with no table
@@ -164,18 +163,16 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
                      reverse=True) or [((), Counter(), {})]
     (links, expanded, clean), others = entries[0], entries[1:]
     filtered: dict[int, int] = {}
-    add = filtered.update
-    is_clean = clean.get
     unclean = []
     for a, n in expanded.items():
-        row_clean = is_clean(a)
+        row_clean = clean.get(a)
         if row_clean is None:
             targets = links[a]
             row_clean = clean[a] = a not in targets and len(set(targets)) == len(targets)
         if not row_clean:
             unclean.append((a, n))
         elif n >= threshold:
-            add(zip(map((a * base).__add__, links[a]), repeat(n)))
+            filtered.update(zip(map((a * base).__add__, links[a]), repeat(n)))
     count_rows(links, unclean)
     for other_links, other_expanded, _clean in others:
         count_rows(other_links, other_expanded.items())
@@ -183,10 +180,9 @@ def dstc_select(state: DstcState, params: DstcParams) -> dict[int, int]:
 
     shift = base.bit_length() - 1
     mask = base - 1
-    row_n = expanded.get
     for key, count in counts.items():
         a = key >> shift
-        n = row_n(a)
+        n = expanded.get(a)
         if n is not None and clean[a] and (key & mask) in links[a]:
             count += n
         if count >= threshold:
@@ -321,7 +317,7 @@ def dstc_build_units(state: DstcState, params: DstcParams) -> list[list[int]]:
 
 
 def dstc_reorganize(state: DstcState, storage) -> Mapping[int, tuple[int, int]]:
-    """Phase 5: lay units out contiguously, then everything else by id."""
+    """Phase 5: a `Placement` of the units laid out contiguously, then the rest by id."""
     order = list(chain.from_iterable(state.clustering_units))
     order += sorted(storage.placement.keys() - set(order))
     return storage.pack_order(order)

@@ -216,8 +216,8 @@ class StorageState:
 
     # -- reorganization ----------------------------------------------------
 
-    def _validate_placement(self, placement: Mapping) -> Placement:
-        """Check `placement` by the module's rule and return it as a Placement.
+    def _validate_placement(self, placement: Placement) -> None:
+        """Check a `Placement` by the module's rule; raise PlacementError if not.
 
         It must place exactly the placed objects. Each object is one test
         against two id-indexed extent tables, made by the first call: the
@@ -228,12 +228,6 @@ class StorageState:
         """
         if placement.keys() != self.placement.keys():
             raise PlacementError("new placement must cover exactly the placed objects")
-        if not isinstance(placement, Placement):
-            pages = [None] * len(self._page_of)
-            offsets = pages.copy()
-            for oid, (page, offset) in placement.items():
-                pages[oid], offsets[oid] = page, offset
-            placement = Placement(placement, pages, offsets)
         page_size = self.params.page_size
         if self._extents is None:
             lengths = [0, *map(self.sizes.__getitem__, range(1, len(self.sizes) + 1))]
@@ -264,9 +258,8 @@ class StorageState:
         if overlap is not None:
             page, offset = divmod(overlap, page_size)
             raise PlacementError(f"objects overlap from offset {offset} of page {page}")
-        return placement
 
-    def rewrite_placement(self, new_placement: Mapping) -> tuple[int, int]:
+    def rewrite_placement(self, new: Placement) -> tuple[int, int]:
         """Move objects to a new placement, counting relocation I/O.
 
         Each page that moved objects leave is one overhead read, each page
@@ -274,13 +267,13 @@ class StorageState:
         pages whose contents changed are dropped from the buffer, each
         leaving a free frame. Returns (reads, writes).
 
-        Any mapping works; one that is not a `Placement` is converted. Besides
+        `new` is a `Placement`, as `pack_order` makes one. Besides
         validation, a rewrite is a few passes at C level: comparing the page
         and offset lists marks the moved objects, their first pages form the
         old and new page sets, and only moved oversized objects, looked up in
         the page runs derived from the sizes, expand to their whole run.
         """
-        new = self._validate_placement(new_placement)
+        self._validate_placement(new)
         old = self.placement
         moved = list(map(ne, zip(new.pages, new.offsets), zip(old.pages, old.offsets)))
         old_pages = set(compress(old.pages, moved))

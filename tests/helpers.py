@@ -21,6 +21,7 @@ from ocb.generator import (
     GeneratorParams,
     ObjectInstance,
 )
+from ocb.storage import Placement
 
 
 def build_db(object_specs, class_trefs=None, nreft=4, basesize=50, seed=0,
@@ -294,6 +295,15 @@ def reference_placement_error(placement, sizes, page_size):
         page, offset = divmod(overlap, page_size)
         return f"objects overlap from offset {offset} of page {page}"
     return None
+
+
+def placement_of(positions):
+    """The `Placement` of a dict of object id -> (page, offset), in its order."""
+    pages = [None] * (max(positions, default=0) + 1)
+    offsets = pages.copy()
+    for oid, (page, offset) in positions.items():
+        pages[oid], offsets[oid] = page, offset
+    return Placement(positions, pages, offsets)
 
 
 def lru_oracle(placement, sizes, page_size, buffer_pages, accesses):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import placement_of
 from ocb.errors import FormatError, PlacementError
 from ocb.generator import (
     GeneratorParams,
@@ -197,7 +198,7 @@ class InvalidPlacementPolicy(NoClustering):
         self.remaining -= 1
 
     def maybe_reorganize(self, storage):
-        return {1: (0, 0)} if self.remaining == 0 else None
+        return placement_of({1: (0, 0)}) if self.remaining == 0 else None
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

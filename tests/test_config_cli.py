@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import random
 import re
 
@@ -65,9 +67,11 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
 
 def test_config_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.conf"
-    bad.write_text("this is not a key value line\n")
-    with pytest.raises(ParameterError):
+    # a blank line and a comment-only line are skipped, so line 3 is named
+    bad.write_text("\n   # a comment\nthis is not a key value line\n")
+    with pytest.raises(ParameterError) as exc:
         read_config_file(str(bad))
+    assert str(exc.value) == f"{bad}:3: expected key=value, got 'this is not a key value line\\n'"
 
 
 def test_unknown_keys_and_values_rejected():
@@ -669,6 +673,65 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert csv_a == csv_b
     assert csv_a != csv_c
     assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
+
+
+REPORTS = ("report.csv", "report_stats.csv", "report.json", "report.txt")
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_a_run_that_cannot_replace_one_report_replaces_none(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    old = {report: (out_dir / report).read_bytes() for report in REPORTS}
+    (out_dir / name).unlink()
+    (out_dir / name).mkdir()
+    capsys.readouterr()
+    assert main(["run", *QUICK_RUN, "--seed", "7", "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out_dir / name)) in err
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(REPORTS)
+    for report in REPORTS:
+        if report != name:
+            assert (out_dir / report).read_bytes() == old[report]
+    # the seed-7 run writes other bytes once it can
+    (out_dir / name).rmdir()
+    assert main(["run", *QUICK_RUN, "--seed", "7", "--out-dir", str(out_dir)]) == 0
+    assert all((out_dir / report).read_bytes() != old[report] for report in REPORTS)
+
+
+def test_a_report_that_fails_midway_leaves_every_report_as_it_was(tmp_path, capsys,
+                                                                  monkeypatch):
+    out_dir = tmp_path / "out"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    old = {report: (out_dir / report).read_bytes() for report in REPORTS}
+
+    def write_half(payload, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr("ocb.cli.write_json", write_half)
+    capsys.readouterr()
+    assert main(["run", *QUICK_RUN, "--seed", "7", "--out-dir", str(out_dir)]) == 3
+    # the message names the report, not the temporary file
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+        f"{str(out_dir / 'report.json')!r}\n")
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == old
+
+
+def test_cli_compare_out_to_a_directory_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "r"
+    assert main(["run", *QUICK_RUN, "--out-dir", str(out_dir)]) == 0
+    report = str(out_dir / "report.json")
+    target = tmp_path / "cmp.json"
+    target.mkdir()
+    capsys.readouterr()
+    assert main(["compare", report, report, "--out", str(target)]) == 3
+    assert repr(str(target)) in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cmp.json", "r"]
+    assert not any(target.iterdir())
 
 
 def test_cli_compare_same_report(tmp_path, capsys):

@@ -25,6 +25,8 @@ def test_parse_format_roundtrip():
         dist = parse_distribution(text)
         assert dist == expected
         assert parse_distribution(format_distribution(dist)) == dist
+    with pytest.raises(ParameterError, match="^unknown distribution 'uniform'$"):
+        format_distribution("uniform")
 
 
 @pytest.mark.parametrize("bad", ["", "gaussian", "constant", "constant:x",
@@ -53,6 +55,8 @@ def test_bounded_drawer_constant_and_uniform():
     assert values == {3, 4}
     with pytest.raises(ParameterError):
         bounded_drawer(Special(10, 0.9), rng, 1, 10)
+    with pytest.raises(ValueError, match=r"^empty interval \[5, 4\]$"):
+        bounded_drawer(Uniform(), rng, 5, 4)
 
 
 def test_position_drawer_clamps_special_window():
@@ -127,3 +131,5 @@ def test_validate_distribution_site_checks():
         validate_distribution(Special(10, 1.5), 1, 4, "dist4", allow_special=True)
     with pytest.raises(ParameterError):
         validate_distribution(Special(-1, 0.5), 1, 4, "dist4", allow_special=True)
+    with pytest.raises(ParameterError, match="^dist2: unknown distribution 'uniform'$"):
+        validate_distribution("uniform", 1, 4, "dist2")

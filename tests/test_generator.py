@@ -91,6 +91,8 @@ def test_invalid_intervals_rejected():
         generate_schema(GeneratorParams(nc=0), GenerationReport())
     with pytest.raises(ParameterError):
         GeneratorParams(maxnref=(1, 2)).validate()  # wrong length for nc=20
+    with pytest.raises(ParameterError, match=r"^object interval \[5, 4\] invalid$"):
+        GeneratorParams(no=10, infref=5, supref=4)
     with pytest.raises(ParameterError):
         GeneratorParams(acyclic_types=frozenset(),
                         inheritance_types=frozenset({1})).validate()
@@ -580,6 +582,27 @@ def test_saved_iterators_and_backrefs_are_derived_from_the_objects(params, tmp_p
         assert db.report.null_class_draws > 0
     if isinstance(params.dist3, Constant):
         assert [entry["iterator"] == [] for entry in classes] == [True, False, True]
+
+
+# each edit removes one class, class slot or object from a saved file; its
+# params regenerate the file, so the load names the first count that differs
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload["classes"].pop(), "nc=2, but the file stores 1 classes"),
+    (lambda payload: payload["classes"][1]["tref"].pop(),
+     "maxnref gives class 2 3 slots, but the file stores 2"),
+    (lambda payload: payload["objects"].pop(3), "no=10, but the file stores 9 objects"),
+], ids=["class", "slot", "object"])
+def test_load_names_a_stored_count_its_params_do_not_give(tmp_path, edit, message):
+    path = tmp_path / "db.ocb"
+    save_database(generate_database(GeneratorParams(nc=2, maxnref=3, no=10, seed=3)),
+                  str(path))
+    magic, body = path.read_text(encoding="utf-8").splitlines()
+    payload = json.loads(body)
+    edit(payload)
+    path.write_text(f"{magic}\n{generator._canonical(payload)}\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load_database(str(path))
+    assert str(exc.value) == f"{path}: invalid generator parameters: {message}"
 
 
 def test_load_rejects_wrong_magic(tmp_path):

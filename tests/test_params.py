@@ -15,7 +15,7 @@ from ocb.distributions import Special
 from ocb.errors import ParameterError
 from ocb.generator import GenerationReport, GeneratorParams, generate_database
 from ocb.metrics import TypeStats, aggregate
-from ocb.params import KINDS
+from ocb.params import KINDS, read_text
 from ocb.policies import DstcParams, make_policy
 from ocb.storage import StorageParams, place_sequential
 from ocb.workload import ExperimentLog, WorkloadParams
@@ -227,20 +227,26 @@ def test_a_value_of_the_wrong_python_type_is_a_parameter_error(make, field):
         make().validate()
 
 
+def test_read_text_passes_a_value_that_is_not_text_through():
+    value = (1, 2)
+    assert read_text("int | tuple[int, ...]", "maxnref", value) is value
+    assert read_text("bool", "spanning", False) is False
+
+
 def test_aggregate_rejects_a_gain_window_outside_its_bounds():
     # before the report is built, so its report.json never reaches compare
     with pytest.raises(ParameterError, match="^gain_window must be >= 1"):
         aggregate(ExperimentLog(), gain_window=0)
 
 
-@pytest.mark.parametrize("text, code", [("off", 0), ("maybe", 2)])
+@pytest.mark.parametrize("text, code", [("off", 0), ("yes", 0), ("maybe", 2)])
 def test_cli_reads_a_boolean_flag(tmp_path, capsys, text, code):
     out_dir = tmp_path / "out"
     assert main(["run", "--nc", "3", "--no", "40", "--coldn", "2", "--hotn", "3",
                  "--spanning", text, "--out-dir", str(out_dir)]) == code
     if code == 0:
         report = json.loads((out_dir / "report.json").read_text())
-        assert report["config"]["storage"]["spanning"] is False
+        assert report["config"]["storage"]["spanning"] is (text == "yes")
     else:
         assert "bad value for spanning: not a boolean: maybe" in capsys.readouterr().err
         assert not out_dir.exists()

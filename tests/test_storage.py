@@ -10,6 +10,7 @@ from helpers import (
     build_db,
     first_fit_oracle,
     lru_oracle,
+    placement_of,
     placement_valid_oracle,
     reference_pack_order,
     reference_placement_error,
@@ -18,7 +19,7 @@ from ocb.cli import main
 from ocb.errors import PlacementError
 from ocb.generator import GeneratorParams, generate_database
 from ocb.policies import make_policy
-from ocb.storage import Placement, StorageParams, StorageState, place_sequential
+from ocb.storage import StorageParams, StorageState, place_sequential
 from ocb.workload import WorkloadParams, run_protocol
 
 
@@ -166,7 +167,7 @@ def test_buffer_never_exceeds_capacity():
 
 def test_identity_rewrite_costs_nothing():
     state = place_sequential(flat_db(8), StorageParams())
-    reads, writes = state.rewrite_placement(dict(state.placement))
+    reads, writes = state.rewrite_placement(placement_of(state.placement))
     assert (reads, writes) == (0, 0)
     assert state.overhead_reads == 0 and state.overhead_writes == 0
 
@@ -176,7 +177,7 @@ def test_single_move_counts_read_and_write():
     state = place_sequential(db, StorageParams())
     new_placement = dict(state.placement)
     new_placement[2] = (2, 0)
-    reads, writes = state.rewrite_placement(new_placement)
+    reads, writes = state.rewrite_placement(placement_of(new_placement))
     assert reads >= 1 and writes >= 1
     assert state.overhead_reads == reads and state.overhead_writes == writes
 
@@ -198,8 +199,7 @@ def test_rewrite_invalidates_moved_pages():
     state = place_sequential(db, StorageParams())
     state.access_object(1)
     state.access_object(2)
-    new_placement = {1: (0, 0), 2: (5, 0)}
-    state.rewrite_placement(new_placement)
+    state.rewrite_placement(placement_of({1: (0, 0), 2: (5, 0)}))
     assert state.access_object(2) is True  # page 5 was never buffered
     assert state.access_object(1) is False  # page 0 untouched by the move
 
@@ -212,7 +212,7 @@ def test_counter_separation():
     tx_before = state.transaction_reads
     new_placement = dict(state.placement)
     new_placement[3], new_placement[4] = new_placement[4], new_placement[3]
-    state.rewrite_placement(new_placement)
+    state.rewrite_placement(placement_of(new_placement))
     assert state.transaction_reads == tx_before
     assert state.overhead_reads > 0 and state.overhead_writes > 0
     overhead = (state.overhead_reads, state.overhead_writes)
@@ -224,14 +224,14 @@ def test_counter_separation():
 def test_rewrite_rejects_partial_or_overfull_placements():
     state = place_sequential(flat_db(3, 100), StorageParams())
     with pytest.raises(PlacementError):
-        state.rewrite_placement({1: (0, 0)})
+        state.rewrite_placement(placement_of({1: (0, 0)}))
     overfull = {1: (0, 0), 2: (0, 4000), 3: (1, 0)}
     with pytest.raises(PlacementError):
-        state.rewrite_placement(overfull)
+        state.rewrite_placement(placement_of(overfull))
     # a page run must start at offset 0 of its first page
     state = place_sequential(sized_db([10, 10, 250]), StorageParams(page_size=100))
     with pytest.raises(PlacementError, match="oversized object 3"):
-        state.rewrite_placement({1: (0, 0), 2: (0, 10), 3: (1, 40)})
+        state.rewrite_placement(placement_of({1: (0, 0), 2: (0, 10), 3: (1, 40)}))
     assert (state.overhead_reads, state.overhead_writes) == (0, 0)
     # objects may not overlap, start before their page or lie before page 0
     state.access_object(1)
@@ -245,7 +245,7 @@ def test_rewrite_rejects_partial_or_overfull_placements():
             # a page run takes its whole last page, not just its object's bytes
             ({1: (0, 0), 2: (3, 60), 3: (1, 0)}, "overlap from offset 60 of page 3")]:
         with pytest.raises(PlacementError, match=message):
-            state.rewrite_placement(placement)
+            state.rewrite_placement(placement_of(placement))
         assert (state.transaction_reads, state.overhead_reads, state.overhead_writes,
                 list(state._buffer)) == before
 
@@ -266,11 +266,11 @@ def test_rewrite_accepts_exactly_the_placements_the_byte_oracle_accepts(page_siz
     message = reference_placement_error(placement, by_id, page_size)
     assert (message is None) == valid
     if valid:
-        state.rewrite_placement(placement)
+        state.rewrite_placement(placement_of(placement))
         assert state.placement == placement
     else:
         with pytest.raises(PlacementError) as exc:
-            state.rewrite_placement(placement)
+            state.rewrite_placement(placement_of(placement))
         assert str(exc.value) == message
 
 
@@ -373,29 +373,6 @@ def test_access_matches_lru_oracle_across_rewrites(sizes, buffer_pages, data):
     assert state.overhead_reads == sum(r for r, _w in rewrite_io)
     assert state.overhead_writes == sum(w for _r, w in rewrite_io)
     assert_buffer_holds(state, buffer, frame_bound(sizes, PAGE, buffer_pages))
-
-
-# a rewrite to a dict takes the path of a rewrite to the equal Placement
-@given(object_sizes, st.integers(1, 8), st.data())
-def test_a_dict_rewrites_as_the_equal_placement(sizes, buffer_pages, data):
-    ids = list(range(1, len(sizes) + 1))
-    params = StorageParams(page_size=PAGE, buffer_pages=buffer_pages)
-    before, after = (data.draw(st.lists(st.sampled_from(ids), max_size=30), label=label)
-                     for label in ("before", "after"))
-    order = data.draw(st.permutations(ids), label="order")
-    states = []
-    for as_dict in (False, True):
-        state = place_sequential(sized_db(sizes), params)
-        for oid in before:
-            state.access_object(oid)
-        placement = state.pack_order(order)
-        assert isinstance(placement, Placement)
-        io = state.rewrite_placement(dict(placement) if as_dict else placement)
-        faults = [state.access_object(oid) for oid in after]
-        states.append((io, faults, state.transaction_reads, state.objects_accessed,
-                       state.overhead_reads, state.overhead_writes, list(state._buffer),
-                       dict(state.placement), state._page_of))
-    assert states[0] == states[1]
 
 
 @given(object_sizes, st.data())

@@ -39,6 +39,13 @@ from ocb.workload import (
 )
 
 
+def test_an_unknown_transaction_type_is_rejected():
+    db = build_db([(1, [2]), (1, [])])
+    with pytest.raises(ParameterError, match="^unknown transaction type 'bogus'$"):
+        workload.run_transaction(db, WorkloadParams(), "bogus", 1, "forward",
+                                 random.Random(0))
+
+
 def storage_for(db, buffer_pages=512):
     return place_sequential(db, StorageParams(buffer_pages=buffer_pages))
 
