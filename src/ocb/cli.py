@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .config import ALL_KEYS, ExperimentConfig, build_config, read_config_file
+from .config import ALL_KEYS, PRESETS, ExperimentConfig, build_config, read_config_file
 from .errors import OcbError, ParameterError
 from .generator import generate_database, load_database, save_database
 from .metrics import (
@@ -28,7 +28,6 @@ from .metrics import (
 )
 from .params import read_json
 from .policies import make_policy
-from .presets import PRESETS
 from .storage import place_sequential
 from .workload import run_protocol, write_log_csv
 
@@ -127,7 +126,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     started = time.perf_counter()
     db = generate_database(config.generator)
-    save_database(db, args.out)
+    _replace_files({Path(args.out): partial(save_database, db)})
     elapsed = time.perf_counter() - started
     report = db.report
     print(f"generated {len(db.objects)} objects over {len(db.classes)} classes "

@@ -1,8 +1,9 @@
 """Experiment configuration: flat key=value surface over the param groups.
 
 Resolution order is defaults, then preset, then config file, then explicit
-flag overrides; later layers win. The fully-resolved configuration is
-embedded in every report so a run can be reproduced from its output alone.
+flag overrides; later layers win. The preset layer is a named bundle from
+`PRESETS`. The fully-resolved configuration is embedded in every report so
+a run can be reproduced from its output alone.
 """
 from __future__ import annotations
 
@@ -15,9 +16,32 @@ from .generator import GeneratorParams
 from .metrics import DEFAULT_GAIN_WINDOW
 from .params import bounded, check_field, read_text
 from .policies import DstcParams, check_policy_name
-from .presets import preset_overrides
 from .storage import StorageParams
 from .workload import WorkloadParams
+
+
+# The named parameter bundles. "default" is the standard benchmark database
+# and workload. "dstc-club" narrows the database to two classes of
+# constant-size objects with three same-typed references drawn inside a
+# locality zone around each object, the shape used to emulate the older
+# single-traversal clustering benchmark.
+PRESETS: dict[str, dict[str, str]] = {
+    # every parameter already defaults to the standard values
+    "default": {},
+    "dstc-club": {
+        "nc": "2",
+        "maxnref": "3",
+        "basesize": "50",
+        "no": "20000",
+        "nreft": "3",
+        "infclass": "0",
+        "supclass": "2",
+        "dist1": "constant:3",
+        "dist2": "constant:1",
+        "dist3": "constant:1",
+        "dist4": "special:200:0.9",
+    },
+}
 
 
 @dataclass
@@ -72,7 +96,10 @@ def build_config(preset: str | None = None,
     """Layer preset, config file, and flags over the defaults."""
     merged: dict[str, object] = {}
     if preset is not None:
-        merged.update(preset_overrides(preset))
+        if preset not in PRESETS:
+            raise ParameterError(
+                f"unknown preset {preset!r} (available: {', '.join(sorted(PRESETS))})")
+        merged.update(PRESETS[preset])
     for layer in (file_overrides, flag_overrides):
         if layer:
             merged.update({k: v for k, v in layer.items() if v is not None})

@@ -79,7 +79,8 @@ def test_unknown_keys_and_values_rejected():
         build_config(flag_overrides={"frobnicate": "1"})
     with pytest.raises(ParameterError):
         build_config(flag_overrides={"nc": "many"})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape(
+            "unknown preset 'nope' (available: default, dstc-club)")):
         build_config(preset="nope")
 
 
@@ -133,6 +134,24 @@ def test_cli_generate_writes_database(tmp_path, capsys):
     db = load_database(str(out))
     assert len(db.objects) == 40
     assert "generated 40 objects" in capsys.readouterr().out
+
+
+def test_a_generate_that_fails_midway_leaves_its_file_as_it_was(tmp_path, capsys,
+                                                               monkeypatch):
+    out = tmp_path / "db.ocb"
+    assert main(["generate", *SMALL, "--out", str(out)]) == 0
+    old = out.read_bytes()
+
+    def no_space(db):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("ocb.generator._body", no_space)
+    capsys.readouterr()
+    assert main(["generate", *SMALL, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["db.ocb"]
+    assert out.read_bytes() == old
 
 
 def test_cli_generate_empty_database(tmp_path):

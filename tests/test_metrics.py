@@ -53,6 +53,10 @@ def test_gain_undefined_without_reorganization_or_with_zero_after():
     assert aggregate(log).gain_factor is None
     zero_after = synthetic_log(10, 0)
     assert aggregate(zero_after).gain_factor is None
+    # reorganized in the cold run, with no warm transaction after it
+    no_after = ExperimentLog(records=[record(i, "COLD") for i in range(20)],
+                             reorgs=[ReorgEvent(after_index=9, reads=1, writes=1)])
+    assert aggregate(no_after).gain_factor is None
 
 
 def test_gain_windows_use_last_k():
