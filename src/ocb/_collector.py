@@ -2,9 +2,9 @@
 
 A database, its link tables, a placement and an experiment log hold no
 reference cycles, so reference counting alone frees them. A collector pass
-during generation, a database load or a transaction run finds nothing to
-free and only costs time, in proportion to the number of live objects it
-walks.
+during generation (a database load regenerates too) or a transaction run
+finds nothing to free and only costs time, in proportion to the number of
+live objects it walks.
 
 Pausing the collector is not enough on its own: the objects a paused block
 allocates would still sit in the youngest generation when it is switched

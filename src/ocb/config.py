@@ -8,13 +8,12 @@ a run can be reproduced from its output alone.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ParameterError
-from .generator import GeneratorParams
+from .generator import GeneratorParams, _canonical
 from .metrics import DEFAULT_GAIN_WINDOW
-from .params import bounded, check_field, read_text
+from .params import ParamGroup, bounded, read_text
 from .policies import DstcParams, check_policy_name
 from .storage import StorageParams
 from .workload import WorkloadParams
@@ -45,7 +44,7 @@ PRESETS: dict[str, dict[str, str]] = {
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(ParamGroup):
     generator: GeneratorParams = field(default_factory=GeneratorParams)
     storage: StorageParams = field(default_factory=StorageParams)
     workload: WorkloadParams = field(default_factory=WorkloadParams)
@@ -55,26 +54,19 @@ class ExperimentConfig:
     seed: int = 0
     preset: str | None = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:  # each group was checked when it was made
-        for f in fields(self):
-            if f.name not in GROUPS:
-                check_field(self, f)
+    def validate(self) -> None:
+        super().validate()
         check_policy_name(self.policy)
 
     def resolved_dict(self) -> dict:
         """Everything needed to reproduce the run, as one nested dict."""
-        return {name: value.to_dict() if name in GROUPS else value
-                for name, value in vars(self).items()}
+        return self.to_dict()
 
     def fingerprint(self) -> str:
         """Workload identity: everything except the clustering policy."""
         resolved = self.resolved_dict()
         basis = {name: resolved[name] for name in ("generator", "storage", "workload", "seed")}
-        canon = json.dumps(basis, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(_canonical(basis).encode("utf-8")).hexdigest()[:16]
 
 
 # the parameter groups, each built from its own keys

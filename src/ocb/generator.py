@@ -317,8 +317,8 @@ def derive_iterators(nc: int, objects: list[ObjectInstance]) -> list[list[int]]:
 def generate_database(params: GeneratorParams) -> Database:
     """Run all three generation steps and return the finished database.
 
-    As in `load_database`, the cyclic garbage collector is suspended while
-    the objects are built, and restored to the caller's state on return.
+    The cyclic garbage collector is suspended while the objects are built,
+    also for `load_database`, and restored to the caller's state on return.
     """
     with collector_paused():
         report = GenerationReport()
@@ -372,26 +372,24 @@ def load_database(path: str) -> Database:
     file that does not load. Both raise FormatError, naming the file, and
     so does a file that is not UTF-8 text or has a wrong magic line.
 
-    The cyclic garbage collector is suspended while the file is read and
-    checked, and restored to the caller's state on return, also when
-    loading fails.
+    `_regenerate` calls `generate_database`, which suspends the cyclic
+    garbage collector; a file that does not load is parsed with it on.
     """
-    with collector_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                magic = fh.readline().rstrip("\n")
-                if magic != DB_MAGIC:
-                    raise FormatError(f"{path}: bad magic header {magic!r}")
-                body = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
-        params = _tail_params(body)
-        db = None
-        if params is not None:
-            db = _regenerate(path, params, len(body))
-            if _body(db) == body:
-                return db
-        _reject(path, body, db)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            magic = fh.readline().rstrip("\n")
+            if magic != DB_MAGIC:
+                raise FormatError(f"{path}: bad magic header {magic!r}")
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: database file is not UTF-8 text: {exc}") from None
+    params = _tail_params(body)
+    db = None
+    if params is not None:
+        db = _regenerate(path, params, len(body))
+        if _body(db) == body:
+            return db
+    _reject(path, body, db)
 
 
 def _tail_params(body: str) -> GeneratorParams | None:

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .errors import ComparisonError, ParameterError
-from .params import ParamGroup, bounded, check_field, read_json
+from .params import ParamGroup, bounded, read_json
 from .workload import PHASES, TRANSACTION_TYPES, ExperimentLog
 
 ALL = "all"
@@ -33,7 +33,7 @@ REPORT_CSV_COLUMNS = ("phase", "type", *(f.name for f in fields(TypeStats)))
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(ParamGroup):
     stats: dict[str, dict[str, TypeStats]] = field(default_factory=dict)
     overhead_reads: int = bounded(0, 0)
     overhead_writes: int = bounded(0, 0)
@@ -42,20 +42,11 @@ class MetricsReport:
     reorganizations: int = bounded(0, 0)
     fingerprint: str | None = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def phase_type(self, phase: str, kind: str = ALL) -> TypeStats:
         return self.stats.get(phase, {}).get(kind, TypeStats())
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def validate(self) -> None:
-        """`ParamGroup.validate`, over every field but `stats`."""
-        for f in fields(self):
-            if f.name != "stats":
-                check_field(self, f)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":

@@ -6,14 +6,17 @@ file text, written to JSON (report.json, the workload fingerprint, the
 database file) and read back from JSON. Its bounds, if it has any, are
 declared on it with `bounded`, and `ParamGroup.validate` checks them. So a
 parameter is a field with its bounds, plus any check that relates it to
-other fields in its group's `validate()`, and nothing else. A group is
-checked once, when it is made; the engine's groups are frozen, so no code
-that uses one checks it again, and `dataclasses.replace` varies one.
+other fields in its group's `validate()`, and nothing else. A field made
+by a `default_factory` holds records that were checked when they were made:
+`validate` skips it, its JSON form is its own `to_dict()`, and `from_dict`
+reads it back with the factory's `from_dict`. A group is checked once, when
+it is made; the engine's groups are frozen, so no code that uses one checks
+it again, and `dataclasses.replace` varies one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import Field, field, fields
+from dataclasses import MISSING, Field, field, fields
 from typing import Callable, NamedTuple
 
 from .distributions import format_distribution, parse_distribution
@@ -142,7 +145,8 @@ def check_field(obj, f: Field) -> None:
 
 class ParamGroup:
     """Mixin for a parameter dataclass: its JSON form and its value checks,
-    derived from its fields. The checks run when the group is made."""
+    derived from its fields. The checks run when the group is made, and skip
+    a `default_factory` field, whose records were checked when they were made."""
 
     def __post_init__(self) -> None:
         self.validate()
@@ -151,10 +155,12 @@ class ParamGroup:
         """Raise ParameterError for the first field, in declaration order,
         that `check_field` rejects."""
         for f in fields(self):
-            check_field(self, f)
+            if f.default_factory is MISSING:
+                check_field(self, f)
 
     def to_dict(self) -> dict:
-        return {f.name: KINDS[f.type].dump(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: KINDS[f.type].dump(getattr(self, f.name)) if f.default_factory is MISSING
+                else getattr(self, f.name).to_dict() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -165,4 +171,5 @@ class ParamGroup:
             missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
             raise ParameterError(f"keys must be the fields: missing {missing}, "
                                  f"unknown {unknown}")
-        return cls(**{f.name: read_json(f.type, f.name, d[f.name]) for f in fields(cls)})
+        return cls(**{f.name: read_json(f.type, f.name, d[f.name]) if f.default_factory is MISSING
+                      else f.default_factory.from_dict(d[f.name]) for f in fields(cls)})

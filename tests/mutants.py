@@ -10,11 +10,11 @@ directory:
 
 The runner first checks that every old text occurs exactly once, and then
 that the entries' tests pass on an unmutated copy of the tree. For each
-entry it copies `src/`, `tests/` and `pyproject.toml` to a temporary
-directory, applies the entry there and runs `pytest -x -q` on its tests. An
-entry is killed only when pytest exits 1, that is when a test fails. A
-stale old text, a mutant the tests pass, a collection or usage error and a
-timeout each fail the run, which then exits 1.
+entry it copies `src/`, `tests/`, `pyproject.toml` and `README.md` to a
+temporary directory, applies the entry there and runs `pytest -x -q` on its
+tests. An entry is killed only when pytest exits 1, that is when a test
+fails. A stale old text, a mutant the tests pass, a collection or usage
+error and a timeout each fail the run, which then exits 1.
 
 Pytest does not collect this file, since its name does not start with
 `test_`. An edit that makes an entry stale updates the entry with it.
@@ -46,6 +46,7 @@ class Mutant:
 
 BUFFER_TESTS = ("tests/test_storage.py", "tests/test_workload.py")
 BUFFER_SOURCE = "CHANGES.md: One-lookup buffer access"
+PARAM_GROUP_SOURCE = "CHANGES.md: `ExperimentConfig` and `MetricsReport` are `ParamGroup`s"
 
 MUTANTS = (
     Mutant(
@@ -104,6 +105,61 @@ MUTANTS = (
         tests=("tests/test_config_cli.py::"
                "test_a_generate_that_fails_midway_leaves_its_file_as_it_was",),
         source="CHANGES.md: The preset bundles live in `ocb.config`"),
+    Mutant(
+        "climb-ignores-claimed", "src/ocb/policies.py",
+        old="                if parent not in path and not claimed[parent]:\n",
+        new="                if parent not in path:\n",
+        tests=("tests/test_policies.py::test_build_units_respects_capacity",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "clock-terms-swapped", "src/ocb/workload.py",
+        old=("            log.clock += sim_time\n"
+             "            log.clock += think\n"),
+        new=("            log.clock += think\n"
+             "            log.clock += sim_time\n"),
+        tests=("tests/test_config_cli.py::"
+               "test_cli_run_from_database_file_keeps_its_report_bytes[default-dstc]",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "last-slot-never-chosen", "src/ocb/workload.py",
+        old="    for n in range(1, slot_count + 1):\n",
+        new="    for n in range(1, slot_count):\n",
+        tests=("tests/test_acceptance.py::test_a6_oracle_equivalence_on_tiny_databases",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "reverse-rows-reversed", "src/ocb/generator.py",
+        old="                rows = [tuple(s for s, k in o.backref\n",
+        new="                rows = [tuple(s for s, k in reversed(o.backref)\n",
+        tests=("tests/test_acceptance.py::test_a6_oracle_equivalence_on_tiny_databases",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "freed-frame-most-recent", "src/ocb/storage.py",
+        old="            buffer.move_to_end(free, last=False)\n",
+        new="",
+        tests=("tests/test_storage.py::test_rewrite_invalidates_moved_pages",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "walk-reused-across-directions", "src/ocb/workload.py",
+        old="            and previous[:3] == (kind, root, direction)):\n",
+        new="            and previous[:2] == (kind, root)):\n",
+        tests=("tests/test_workload.py::"
+               "test_a_reused_walk_leaves_the_stream_as_walking_it_again",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "experiment-fields-unchecked", "src/ocb/config.py",
+        old=("        super().validate()\n"
+             "        check_policy_name(self.policy)\n"),
+        new="        check_policy_name(self.policy)\n",
+        tests=("tests/test_params.py::"
+               "test_a_value_just_outside_its_bounds_is_rejected[gain_window=0]",),
+        source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "report-unchecked", "src/ocb/metrics.py",
+        old="class MetricsReport(ParamGroup):\n",
+        new="class MetricsReport:\n",
+        tests=("tests/test_config_cli.py::"
+               "test_cli_compare_report_counter_outside_its_bounds_is_runtime_error",),
+        source=PARAM_GROUP_SOURCE),
 )
 
 
@@ -112,7 +168,8 @@ def copy_tree(dest: Path) -> Path:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
     return dest
 
 

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from ocb.cli import main
-from ocb.config import build_config, read_config_file
+from ocb.config import ExperimentConfig, build_config, read_config_file
 from ocb.distributions import Constant, Special
 from ocb.errors import ParameterError
 from ocb.generator import GeneratorParams, generate_database, load_database, save_database
@@ -692,6 +692,36 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert csv_a == csv_b
     assert csv_a != csv_c
     assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
+
+
+# each run's flags, as pairs of a flag and its value
+READ_BACK_RUNS = {
+    "no-preset": (None, [("nc", "3"), ("maxnref", "2"), ("no", "40"), ("seed", "5"),
+                         ("coldn", "8"), ("hotn", "12")]),
+    "default": ("default", [("no", "60"), ("seed", "2"), ("coldn", "4"), ("hotn", "6")]),
+    "dstc-club": ("dstc-club", [("no", "300"), ("maxnref", "3,2"), ("basesize", "40,60"),
+                                ("dist4", "special:20:0.9"), ("seed", "4"), ("coldn", "10"),
+                                ("hotn", "20"), ("policy", "dstc"),
+                                ("observation-period", "10")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK_RUNS))
+def test_a_report_config_block_reads_back_as_the_resolved_config(tmp_path, name):
+    """A run can be reproduced from its output alone: the report's `config`
+    block reads back as the config the run's flags resolve to, with the
+    report's fingerprint."""
+    preset, flags = READ_BACK_RUNS[name]
+    argv = [word for key, value in flags for word in (f"--{key}", value)]
+    if preset is not None:
+        argv += ["--preset", preset]
+    assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    config = ExperimentConfig.from_dict(payload["config"])
+    assert config == build_config(
+        preset=preset, flag_overrides={key.replace("-", "_"): value for key, value in flags})
+    assert config.fingerprint() == payload["fingerprint"]
 
 
 REPORTS = ("report.csv", "report_stats.csv", "report.json", "report.txt")
