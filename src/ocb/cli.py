@@ -5,15 +5,13 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 import time
-from contextlib import suppress
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
+from ._files import replace_files
 from .config import ALL_KEYS, PRESETS, ExperimentConfig, build_config, read_config_file
 from .errors import OcbError, ParameterError
 from .generator import generate_database, load_database, save_database
@@ -90,43 +88,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                         flag_overrides=flag_overrides)
 
 
-def _replace_files(writers: dict[Path, Callable[[str], None]]) -> None:
-    """Write every target, or leave each as it was.
-
-    Each writer writes its target's text to the path it is given, a
-    temporary name beside the target. The targets are replaced only once
-    every file is written, and none if a target is a directory. On any
-    failure the temporary files are removed, and an error in writing one
-    names its target.
-    """
-    for target in writers:
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-    temps: list[Path] = []
-    try:
-        for target, write in writers.items():
-            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-            temps.append(temp)
-            try:
-                write(str(temp))
-            except OSError as exc:
-                if exc.filename == str(temp):
-                    exc.filename = str(target)
-                raise
-        for temp, target in zip(temps, writers):
-            os.replace(temp, target)
-    except BaseException:
-        for temp in temps:
-            with suppress(OSError):
-                temp.unlink()
-        raise
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     started = time.perf_counter()
     db = generate_database(config.generator)
-    _replace_files({Path(args.out): partial(save_database, db)})
+    save_database(db, args.out)
     elapsed = time.perf_counter() - started
     report = db.report
     print(f"generated {len(db.objects)} objects over {len(db.classes)} classes "
@@ -169,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "transactions": len(log.records),
     }
     text = report_text(report)
-    _replace_files({
+    replace_files({
         out_dir / "report.csv": partial(write_log_csv, log),
         out_dir / "report_stats.csv": partial(write_report_csv, report),
         out_dir / "report.json": partial(write_json, payload),
@@ -216,7 +182,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     text = comparison_text(comparison)
     print(text, end="")
     if args.out:
-        _replace_files({Path(args.out): partial(write_json, comparison.to_dict())})
+        replace_files({Path(args.out): partial(write_json, comparison.to_dict())})
         print(f"comparison written to {args.out}")
     return 0
 

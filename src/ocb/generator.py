@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 from typing import NoReturn
 
 from .distributions import (
@@ -27,6 +28,7 @@ from .distributions import (
     validate_distribution,
 )
 from ._collector import collector_paused
+from ._files import replace_files
 from .errors import FormatError, ParameterError
 from .params import ParamGroup, bounded
 
@@ -329,7 +331,14 @@ def generate_database(params: GeneratorParams) -> Database:
 
 
 def save_database(db: Database, path: str) -> None:
-    """Write the database as a magic line followed by its canonical body."""
+    """Write the database as a magic line followed by its canonical body.
+
+    The file is written under a temporary name beside `path` and then
+    replaces it, so a save that fails leaves `path` as it was."""
+    replace_files({Path(path): partial(_write_database, db)})
+
+
+def _write_database(db: Database, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DB_MAGIC + "\n")
         fh.write(_body(db))

@@ -164,12 +164,17 @@ class ParamGroup:
 
     @classmethod
     def from_dict(cls, d: dict):
-        """Inverse of `to_dict`. Raises ParameterError naming a missing or
-        unknown key, or a key whose value has the wrong JSON type or form."""
+        """Inverse of `to_dict`. Raises ParameterError when `d` is not a JSON
+        object, or naming a missing or unknown key, or a key whose value has
+        the wrong JSON type or form."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"{cls.__name__} must be a JSON object "
+                                 f"(got {type(d).__name__})")
         names = {f.name for f in fields(cls)}
         if d.keys() != names:
             missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
             raise ParameterError(f"keys must be the fields: missing {missing}, "
                                  f"unknown {unknown}")
         return cls(**{f.name: read_json(f.type, f.name, d[f.name]) if f.default_factory is MISSING
-                      else f.default_factory.from_dict(d[f.name]) for f in fields(cls)})
+                      else _decode(f.default_factory.from_dict, f.name, d[f.name])
+                      for f in fields(cls)})

@@ -22,15 +22,17 @@ rewrite costs one validation loop, which reads each object's page, offset,
 extent length and largest offset by list index, and two sorts, then a few
 passes at C level over the id-indexed lists of a `Placement`. The first-fit
 packing that produces a new placement is one Python loop over the objects
-in the requested order.
+in the requested order, unless they all have one size that fits a page, as
+in the `dstc-club` preset: first fit then fills page after page with the
+same number of objects, and two scatters at C level write that layout.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import lt, ne
+from itertools import chain, compress, count, cycle, islice, repeat
+from operator import lt, ne, setitem
 
 from .errors import PlacementError
 from .params import ParamGroup, bounded
@@ -146,12 +148,26 @@ class StorageState:
         size. A zero-size object fits the first open page, which is the
         first page opened, so when the order holds one that page never
         closes.
+
+        When every object in the order has one size in [1, page_size], at
+        most one page is open at a time and each takes `page_size // size`
+        objects, so page k holds the order's k-th run of that many objects
+        at offsets 0, size, 2 * size, ...; two scatters at C level write
+        it. Any other order goes through one Python loop over its objects.
         """
         page_size = self.params.page_size
         pages: list = [None] * (len(self.sizes) + 1)
         offsets = pages.copy()
-        free: list[int] = []  # free bytes per open page, index = page id
         order_sizes = list(map(self.sizes.__getitem__, order))
+        size = order_sizes[0] if order_sizes else 0
+        if 0 < size <= page_size and order_sizes.count(size) == len(order_sizes):
+            per_page = page_size // size
+            # page ids 0, 1, ... each per_page times; no more pages than objects
+            page_ids = chain.from_iterable(map(repeat, range(len(order_sizes)), repeat(per_page)))
+            deque(map(setitem, repeat(pages), order, page_ids), 0)
+            deque(map(setitem, repeat(offsets), order, cycle(range(0, per_page * size, size))), 0)
+            return Placement(order, pages, offsets)
+        free: list[int] = []  # free bytes per open page, index = page id
         min_size = min(filter(None, order_sizes), default=0)
         keep_first = 0 in order_sizes
         open_pages: list[int] = []  # page ids that can still take min_size bytes

@@ -47,6 +47,8 @@ class Mutant:
 BUFFER_TESTS = ("tests/test_storage.py", "tests/test_workload.py")
 BUFFER_SOURCE = "CHANGES.md: One-lookup buffer access"
 PARAM_GROUP_SOURCE = "CHANGES.md: `ExperimentConfig` and `MetricsReport` are `ParamGroup`s"
+ONE_SIZE_TESTS = ("tests/test_storage.py::test_one_size_packing_places_as_the_reference_loop",)
+ONE_SIZE_SOURCE = "CHANGES.md: Pack orders of one object size are packed in closed form"
 
 MUTANTS = (
     Mutant(
@@ -99,11 +101,13 @@ MUTANTS = (
         tests=("tests/test_config_cli.py::test_unknown_keys_and_values_rejected",),
         source="CHANGES.md: The preset bundles live in `ocb.config`"),
     Mutant(
-        "generate-writes-in-place", "src/ocb/cli.py",
-        old="    _replace_files({Path(args.out): partial(save_database, db)})\n",
-        new="    save_database(db, args.out)\n",
+        "save-writes-in-place", "src/ocb/generator.py",
+        old="    replace_files({Path(path): partial(_write_database, db)})\n",
+        new="    _write_database(db, path)\n",
         tests=("tests/test_config_cli.py::"
-               "test_a_generate_that_fails_midway_leaves_its_file_as_it_was",),
+               "test_a_generate_that_fails_midway_leaves_its_file_as_it_was",
+               "tests/test_generator.py::"
+               "test_a_save_that_fails_midway_leaves_its_file_as_it_was"),
         source="CHANGES.md: The preset bundles live in `ocb.config`"),
     Mutant(
         "climb-ignores-claimed", "src/ocb/policies.py",
@@ -160,6 +164,22 @@ MUTANTS = (
         tests=("tests/test_config_cli.py::"
                "test_cli_compare_report_counter_outside_its_bounds_is_runtime_error",),
         source=PARAM_GROUP_SOURCE),
+    Mutant(
+        "one-size-offsets-late", "src/ocb/storage.py",
+        old="cycle(range(0, per_page * size, size))",
+        new="cycle(range(size, (per_page + 1) * size, size))",
+        tests=ONE_SIZE_TESTS, source=ONE_SIZE_SOURCE),
+    Mutant(
+        "one-size-per-page-rounded-up", "src/ocb/storage.py",
+        old="            per_page = page_size // size\n",
+        new="            per_page = -(-page_size // size)\n",
+        tests=ONE_SIZE_TESTS, source=ONE_SIZE_SOURCE),
+    Mutant(
+        "one-size-oversized-in-closed-form", "src/ocb/storage.py",
+        old="        if 0 < size <= page_size and order_sizes.count(size) == len(order_sizes):\n",
+        new="        if 0 < size and order_sizes.count(size) == len(order_sizes):\n",
+        tests=("tests/test_storage.py::test_one_size_oversized_objects_each_get_a_run",),
+        source=ONE_SIZE_SOURCE),
 )
 
 

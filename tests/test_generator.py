@@ -1,6 +1,8 @@
 import copy
+import errno
 import hashlib
 import json
+import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -423,6 +425,21 @@ def test_save_load_roundtrip(tmp_path):
     save_database(db, str(path))
     loaded = load_database(str(path))
     assert loaded == db
+
+
+def test_a_save_that_fails_midway_leaves_its_file_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "db.ocb"
+    save_database(generate_database(small_params(seed=44)), str(path))
+    old = path.read_bytes()
+
+    def no_space(db):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(generator, "_body", no_space)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        save_database(generate_database(small_params(seed=45)), str(path))
+    assert [child.name for child in tmp_path.iterdir()] == ["db.ocb"]
+    assert path.read_bytes() == old
 
 
 def test_link_tables_are_derived_and_never_saved(tmp_path):

@@ -84,6 +84,16 @@ def test_from_dict_rejects_a_json_value_of_the_wrong_type(group, key, value):
         group.from_dict(stored)
 
 
+def test_from_dict_rejects_a_json_value_that_is_not_an_object():
+    stored = dict(build_config().to_dict(), generator=[1])
+    with pytest.raises(ParameterError, match=r"^bad value for generator: GeneratorParams "
+                                             r"must be a JSON object \(got list\)$"):
+        ExperimentConfig.from_dict(stored)
+    with pytest.raises(ParameterError, match=r"^ExperimentConfig must be a JSON object "
+                                             r"\(got list\)$"):
+        ExperimentConfig.from_dict([build_config().to_dict()])
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_resolved_config_and_fingerprint_keep_their_bytes(name):
     kwargs, resolved_sha, fingerprint_sha = CONFIGS[name]

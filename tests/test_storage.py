@@ -331,6 +331,40 @@ def test_packing_places_as_before_zero_sizes_were_handled(page_size, data):
             packed[oid]
 
 
+def one_size(page_size):
+    """An object size: one byte, a divisor of the page size, a non-divisor,
+    the whole page, or past it, where each object gets a run of pages."""
+    sizes = [st.just(1), st.sampled_from([d for d in range(1, page_size + 1)
+                                          if page_size % d == 0]),
+             st.just(page_size), st.integers(page_size + 1, 3 * page_size)]
+    if page_size >= 3:  # past half a page and short of a whole one, no size divides it
+        sizes.append(st.integers(page_size // 2 + 1, page_size - 1))
+    return st.one_of(sizes)
+
+
+# every object has one size, as in the dstc-club preset, so up to a page it
+# packs in closed form; a whole-base order and shuffled parts of it, as a
+# rewrite may pack, place as the reference loop does and iterate in its order
+@settings(max_examples=300)
+@given(st.integers(1, 4096), st.data())
+def test_one_size_packing_places_as_the_reference_loop(page_size, data):
+    size = data.draw(one_size(page_size), label="size")
+    ids = list(range(1, data.draw(st.integers(1, 60), label="objects") + 1))
+    state = place_sequential(flat_db(len(ids), size), StorageParams(page_size=page_size))
+    orders = [ids] + [data.draw(st.permutations(ids), label="order")[:data.draw(
+        st.integers(0, len(ids)), label="part")] for _ in range(3)]
+    for order in orders:
+        expected = list(reference_pack_order(state, order).items())
+        assert list(state.pack_order(order).items()) == expected
+    assert list(state.placement.items()) == list(reference_pack_order(state, ids).items())
+
+
+def test_one_size_oversized_objects_each_get_a_run():
+    state = place_sequential(flat_db(3, 5000), StorageParams())
+    assert list(state.placement.items()) == [(1, (0, 0)), (2, (2, 0)), (3, (4, 0))]
+    assert list(state.pack_order([3, 1]).items()) == [(3, (0, 0)), (1, (2, 0))]
+
+
 PAGE = 128
 # object sizes: at most four share a page, some span a run of two to four pages
 object_sizes = st.lists(st.one_of(st.integers(PAGE // 4, PAGE),
