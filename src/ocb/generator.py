@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NoReturn
 
@@ -134,6 +136,10 @@ class GenerationReport(ParamGroup):
     out_of_range: int = 0
 
 
+# a link table: a tuple of rows indexed by object id, each row a tuple of ids
+LinkTable = tuple[tuple[int, ...], ...]
+
+
 @dataclass
 class Database:
     """A fully generated object base, immutable by convention after build.
@@ -147,31 +153,39 @@ class Database:
     classes: list[ClassDescriptor]
     objects: list[ObjectInstance]
     report: GenerationReport = field(default_factory=GenerationReport)
-    _link_tables: dict[tuple[bool, int | None], list[tuple[int, ...]]] = field(
+    _link_tables: dict[tuple[bool, int | None], LinkTable] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
-    def link_table(self, reverse: bool = False,
-                   ref_type: int | None = None) -> list[tuple[int, ...]]:
+    def link_table(self, reverse: bool = False, ref_type: int | None = None) -> LinkTable:
         """Link targets of every object, as `table[object id]`, in slot order.
 
         Forward, an object's targets are its non-None `oref` entries; reversed,
         they are its `backref` sources. A `ref_type` keeps only the links whose
-        slot has that reference type. Entry 0 is an empty placeholder.
+        slot has that reference type. Entry 0 is an empty placeholder. The
+        table and its rows are tuples, built once per database and key and
+        cached, so no caller can change what later walks read.
         """
         key = (reverse, ref_type)
         table = self._link_tables.get(key)
         if table is None:
             objects = self.objects
-            tref_of = [self.classes[o.class_id - 1].tref for o in objects]
-            if reverse:
-                rows = [tuple(s for s, k in o.backref
-                              if ref_type is None or tref_of[s - 1][k] == ref_type)
+            if reverse and ref_type is None:
+                source = itemgetter(0)
+                rows = [tuple(map(source, o.backref)) for o in objects]
+            elif reverse:
+                tref_of = [None, *(self.classes[o.class_id - 1].tref for o in objects)]
+                rows = [tuple(s for s, k in o.backref if tref_of[s][k] == ref_type)
                         for o in objects]
             else:
-                rows = [tuple(t for k, t in enumerate(o.oref) if t is not None
-                              and (ref_type is None or tref[k] == ref_type))
-                        for o, tref in zip(objects, tref_of)]
-            table = self._link_tables[key] = [(), *rows]
+                orefs = map(attrgetter("oref"), objects)
+                if ref_type is not None:
+                    # one mask per class, by class id: its slots of the type
+                    masks = [None, *([t == ref_type for t in cls.tref]
+                                     for cls in self.classes)]
+                    class_ids = map(attrgetter("class_id"), objects)
+                    orefs = map(compress, orefs, map(masks.__getitem__, class_ids))
+                rows = map(tuple, map(partial(filter, None), orefs))
+            table = self._link_tables[key] = ((), *rows)
         return table
 
 
@@ -260,17 +274,21 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
     object's own iterator position as the locality anchor. Each link is
     appended to its target's backref as it is drawn: sources in class
     order, then in ascending id (the class iterators' order), slots
-    ascending.
+    ascending. A link is wired by list index alone: the target comes from a
+    1-based copy of its class iterator, one copy per class, and its backref
+    from a list indexed by object id.
     """
     rng_refs = substream(params.seed, "object-refs")
-    objects = [ObjectInstance(id=oid, class_id=cls.id, oref=[None] * len(cls.tref),
-                              size=cls.instance_size)
+    objects = [ObjectInstance(oid, cls.id, [None] * len(cls.tref), [], cls.instance_size)
                for oid, cls in enumerate(_draw_classes(schema, params), start=1)]
     iterators = derive_iterators(len(schema), objects)
+    # entry 0 of each is a placeholder, so positions and ids index them as they are
+    by_position = [[None, *members] for members in iterators]
+    backrefs = [None, *(o.backref for o in objects)]
 
     empty_iterator = out_of_range = 0
     for cls, members in zip(schema, iterators):
-        # one (slot, target iterator, position drawer) per slot with targets
+        # one (slot, target positions, position drawer) per slot with targets
         slots = []
         for k, target_class in enumerate(cls.cref):
             if target_class is None:
@@ -279,22 +297,22 @@ def generate_objects(schema: list[ClassDescriptor], params: GeneratorParams,
             if not iterator:
                 empty_iterator += len(members)
                 continue
-            slots.append((k, iterator, position_drawer(
+            slots.append((k, by_position[target_class - 1], position_drawer(
                 params.dist4, rng_refs, params.infref, params.supref, len(iterator))))
         if not slots:
             continue
         for position, oid in enumerate(members, start=1):
             oref = objects[oid - 1].oref
-            for k, iterator, draw_position in slots:
+            for k, targets, draw_position in slots:
                 pos = draw_position(position)
                 if pos is None:
                     out_of_range += 1
                     continue
-                target = oref[k] = iterator[pos - 1]
+                target = oref[k] = targets[pos]
                 # in place: replacing every object's empty list afterwards
                 # leaves freed holes among the objects, and later runs over
                 # the database were about 5 % slower on dstc-club
-                objects[target - 1].backref.append((oid, k))
+                backrefs[target].append((oid, k))
     report.empty_iterator += empty_iterator
     report.out_of_range += out_of_range
     return objects

@@ -60,7 +60,7 @@ PHASES = ("COLD", "HOT")  # the cold run, then the warm run
 CSV_COLUMNS = ("phase", "type", "direction", "root", "objects", "faults", "sim_time")
 
 # a traversal's (accessed, links, expanded); see the module docstring
-Walk = tuple[list[int], list[tuple[int, ...]], list[int]]
+Walk = tuple[list[int], tuple[tuple[int, ...], ...], list[int]]
 
 
 @dataclass(frozen=True)

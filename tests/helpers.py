@@ -134,6 +134,22 @@ def typed_links_of(db, oid, ref_type, direction="forward"):
             if t is not None and tref[k] == ref_type]
 
 
+def reference_link_table(db, reverse=False, ref_type=None):
+    """`Database.link_table` as it was built by comprehensions, kept verbatim
+    as the oracle of the C-level build; the table is a list."""
+    objects = db.objects
+    tref_of = [db.classes[o.class_id - 1].tref for o in objects]
+    if reverse:
+        rows = [tuple(s for s, k in o.backref
+                      if ref_type is None or tref_of[s - 1][k] == ref_type)
+                for o in objects]
+    else:
+        rows = [tuple(t for k, t in enumerate(o.oref) if t is not None
+                      and (ref_type is None or tref[k] == ref_type))
+                for o, tref in zip(objects, tref_of)]
+    return [(), *rows]
+
+
 def hierarchy_oracle(db, root, depth, ref_type, direction="forward", events=None):
     """Depth-first preorder restricted to slots of one reference type."""
     events = [] if events is None else events

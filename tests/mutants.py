@@ -49,6 +49,8 @@ BUFFER_SOURCE = "CHANGES.md: One-lookup buffer access"
 PARAM_GROUP_SOURCE = "CHANGES.md: `ExperimentConfig` and `MetricsReport` are `ParamGroup`s"
 ONE_SIZE_TESTS = ("tests/test_storage.py::test_one_size_packing_places_as_the_reference_loop",)
 ONE_SIZE_SOURCE = "CHANGES.md: Pack orders of one object size are packed in closed form"
+C_LEVEL_SOURCE = "CHANGES.md: The object base is built through id-indexed lists"
+CENSUS_SOURCE = "ROADMAP.md item 24: the line census"
 
 MUTANTS = (
     Mutant(
@@ -132,8 +134,8 @@ MUTANTS = (
         source=PARAM_GROUP_SOURCE),
     Mutant(
         "reverse-rows-reversed", "src/ocb/generator.py",
-        old="                rows = [tuple(s for s, k in o.backref\n",
-        new="                rows = [tuple(s for s, k in reversed(o.backref)\n",
+        old="rows = [tuple(map(source, o.backref)) for o in objects]",
+        new="rows = [tuple(map(source, reversed(o.backref))) for o in objects]",
         tests=("tests/test_acceptance.py::test_a6_oracle_equivalence_on_tiny_databases",),
         source=PARAM_GROUP_SOURCE),
     Mutant(
@@ -180,6 +182,79 @@ MUTANTS = (
         new="        if 0 < size and order_sizes.count(size) == len(order_sizes):\n",
         tests=("tests/test_storage.py::test_one_size_oversized_objects_each_get_a_run",),
         source=ONE_SIZE_SOURCE),
+    Mutant(
+        "generation-positions-shifted", "src/ocb/generator.py",
+        old="    by_position = [[None, *members] for members in iterators]\n",
+        new="    by_position = [[*members, None] for members in iterators]\n",
+        tests=("tests/test_generator.py::test_generation_matches_the_randint_oracle",),
+        source=C_LEVEL_SOURCE),
+    Mutant(
+        "type-mask-inverted", "src/ocb/generator.py",
+        old="[t == ref_type for t in cls.tref]",
+        new="[t != ref_type for t in cls.tref]",
+        tests=("tests/test_generator.py::test_link_tables_match_the_comprehension_oracle",),
+        source=C_LEVEL_SOURCE),
+    Mutant(
+        "boolean-true-unread", "src/ocb/params.py",
+        old=("    if text.lower() in (\"1\", \"true\", \"yes\", \"on\"):\n"
+             "        return True\n"),
+        new="",
+        tests=("tests/test_params.py::test_cli_reads_a_boolean_flag[yes-0]",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "object-interval-bounds-swapped", "src/ocb/generator.py",
+        old="f\"object interval [{self.infref}, {self.supref}] invalid\"",
+        new="f\"object interval [{self.supref}, {self.infref}] invalid\"",
+        tests=("tests/test_generator.py::test_invalid_intervals_rejected",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "class-count-unchecked", "src/ocb/generator.py",
+        old="        if len(classes) != params.nc:\n",
+        new="        if len(classes) > params.nc:\n",
+        tests=("tests/test_generator.py::"
+               "test_load_names_a_stored_count_its_params_do_not_give[class]",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "slot-count-unchecked", "src/ocb/generator.py",
+        old="            if len(twin[\"tref\"]) != params.maxnref_of(class_id):\n",
+        new="            if len(twin[\"tref\"]) > params.maxnref_of(class_id):\n",
+        tests=("tests/test_generator.py::"
+               "test_load_names_a_stored_count_its_params_do_not_give[slot]",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "object-count-unchecked", "src/ocb/generator.py",
+        old="        if len(objects) != params.no:\n",
+        new="        if len(objects) > params.no:\n",
+        tests=("tests/test_generator.py::"
+               "test_load_names_a_stored_count_its_params_do_not_give[object]",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "read-text-decodes-everything", "src/ocb/params.py",
+        old=("    if not isinstance(value, str):\n"
+             "        return value\n"),
+        new="",
+        tests=("tests/test_params.py::"
+               "test_read_text_passes_a_value_that_is_not_text_through",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "unknown-distribution-formatted", "src/ocb/distributions.py",
+        old="    raise ParameterError(f\"unknown distribution {dist!r}\")\n",
+        new="    return \"uniform\"\n",
+        tests=("tests/test_distributions.py::test_parse_format_roundtrip",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "unknown-transaction-type-run", "src/ocb/workload.py",
+        old="    raise ParameterError(f\"unknown transaction type {kind!r}\")\n",
+        new="    return stochastic_traversal(db, root, params.stodepth, direction, rng=rng)\n",
+        tests=("tests/test_workload.py::test_an_unknown_transaction_type_is_rejected",),
+        source=CENSUS_SOURCE),
+    Mutant(
+        "empty-interval-drawn", "src/ocb/distributions.py",
+        old=("    if width < 1:\n"
+             "        raise ValueError(f\"empty interval [{lo}, {hi}]\")\n"),
+        new="",
+        tests=("tests/test_distributions.py::test_bounded_drawer_constant_and_uniform",),
+        source=CENSUS_SOURCE),
 )
 
 

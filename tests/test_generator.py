@@ -16,6 +16,7 @@ from helpers import (
     links_of,
     reference_enforce_consistency,
     reference_generate_objects,
+    reference_link_table,
     typed_links_of,
 )
 from ocb import generator
@@ -414,6 +415,44 @@ def test_generation_matches_the_randint_oracle(params):
     assert db.objects == objects
     assert db.report == report
     assert db == Database(params=params, classes=schema, objects=objects, report=report)
+
+
+@given(oracle_generator_params())
+# the randint oracle's examples: links beside null class draws, empty
+# iterators and slots out of range, and special and constant draws
+@example(GeneratorParams(nc=3, maxnref=3, no=40, nreft=1, infclass=0, supclass=3,
+                         dist3=Constant(2), acyclic_types=frozenset(),
+                         inheritance_types=frozenset(), seed=0))
+@example(GeneratorParams(nc=3, maxnref=3, no=40, nreft=1, infref=14, supref=40,
+                         acyclic_types=frozenset(), inheritance_types=frozenset(),
+                         seed=0))
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Special(0, 0.9), seed=7))
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Special(30, 0.9), seed=8))
+@example(GeneratorParams(nc=2, maxnref=2, no=40, dist4=Constant(35), seed=9))
+def test_link_tables_match_the_comprehension_oracle(params):
+    db = generate_database(params)
+    for reverse in (False, True):
+        for ref_type in (None, *range(1, params.nreft + 1)):
+            table = db.link_table(reverse, ref_type)
+            expected = reference_link_table(db, reverse, ref_type)
+            assert type(table) is tuple and table[0] == ()
+            assert len(table) == len(expected) == params.no + 1
+            for oid, (row, want) in enumerate(zip(table, expected)):
+                assert type(row) is tuple, oid
+                assert row == want, oid
+            assert db.link_table(reverse, ref_type) is table
+
+
+def test_link_tables_are_immutable():
+    db = generate_database(small_params(seed=44))
+    for reverse in (False, True):
+        for ref_type in (None, 1):
+            table = db.link_table(reverse, ref_type)
+            with pytest.raises(AttributeError):
+                table.append(())
+            with pytest.raises(TypeError):
+                table[1] = ()
+            assert db.link_table(reverse, ref_type) is table
 
 
 # -- save / load ---------------------------------------------------------
